@@ -1,5 +1,5 @@
 //! The batched count-level engine: alias-table pair sampling and
-//! multinomial interaction leaps.
+//! multinomial interaction leaps over count flows.
 //!
 //! Three execution regimes for an [`EnumerableProtocol`] over `K` states,
 //! from slowest/most-faithful to fastest/approximate:
@@ -10,22 +10,37 @@
 //!    via a Walker alias table rebuilt lazily, only when the counts have
 //!    changed since the last build. Exact: identical in law to (1).
 //! 3. [`BatchedEngine::step_batch`] — a *τ-leap*: freezes the count vector
-//!    for `batch` interactions, draws how many of them land on each
-//!    ordered state pair from the exact multinomial (binomial chain), and
-//!    applies the protocol's cached transition table in bulk. Work is
-//!    `O(K²)` per **batch** instead of per interaction. Exact for
+//!    for `batch` interactions, draws how many of them make each count
+//!    flow from the exact multinomial, and applies the flows in bulk.
+//!    Work is `O(K²)` per **batch** instead of per interaction. Exact for
 //!    `batch = 1`; for `batch > 1` it idealizes away the intra-batch
 //!    count drift, an `O(batch/n)` perturbation per step of the same
 //!    character as the paper's eq. (5) idealization (sampling with a
 //!    frozen population). Leaps that would drive a count negative are
 //!    split recursively, so conservation is unconditional.
 //!
+//! **Count flows.** Every interaction moves at most two agents, so a
+//! leap's effect on the count vector depends only on how many agents made
+//! each move `s → t`. The leap therefore weights every count-changing
+//! alternative `(i, j) → (a, b)` — a tabulated pair, or one declared
+//! outcome of a randomized pair — by `x_i (x_j − δ_ij) · P(a, b | i, j)`
+//! and adds that weight into the flow keyed by its effect: `i → a` when
+//! the responder stays, `j → b` when the initiator stays. Only an
+//! alternative that moves both agents out of the pair, to states outside
+//! it, stays un-aggregated. A leap draws over at most `K(K − 1)` flows
+//! plus those entries. By the aggregation property of the multinomial
+//! the per-flow totals have exactly the law of a draw over every
+//! (pair, outcome) entry, which [`BatchedEngine::set_reference_leap`]
+//! keeps as the test oracle. This is the count-level view of
+//! Chatzigiannakis–Spirakis, *The Dynamics of Probabilistic Population
+//! Protocols*.
+//!
 //! Randomized protocols τ-leap too, provided they declare their exact
 //! per-pair outcome law via
 //! [`EnumerableProtocol::pair_kernel`]: the engine freezes it into a
-//! [`KernelTable`] and splits each pair's draw count multinomially over
-//! the declared outcomes (a second binomial chain). Randomized protocols
-//! *without* a kernel fall back to exact per-interaction stepping.
+//! [`KernelTable`] whose outcomes feed the flows like tabulated pairs.
+//! Randomized protocols *without* a kernel fall back to exact
+//! per-interaction stepping.
 //!
 //! The pair law matches the agent-level scheduler exactly: the ordered
 //! pair `(i, j)` has weight `x_i (x_j − δ_ij)` — sampling *without*
@@ -122,7 +137,7 @@ impl TransitionTable {
 /// ordered state pairs — the stochastic counterpart of
 /// [`TransitionTable`], built from
 /// [`EnumerableProtocol::pair_kernel`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelTable {
     k: usize,
     /// `cells[i * k + j]` — the outcome pmf for ordered pair `(i, j)`,
@@ -130,29 +145,6 @@ pub struct KernelTable {
     cells: Vec<Vec<((u32, u32), f64)>>,
     /// Whether cell `(i, j)` is a count-vector no-op with probability 1.
     identity: Vec<bool>,
-    /// Total probability mass of cell `(i, j)`'s count-*changing*
-    /// outcomes (those with `(a, b) ≠ (i, j)`), cached so the leap's
-    /// two-level sampler can weight pairs in `O(1)` per cell instead of
-    /// re-summing the outcome list every leap.
-    active_mass: Vec<f64>,
-    /// Flattened count-changing outcomes of every cell, contiguous in
-    /// cell order: cell `c`'s entries live at
-    /// `nid_start[c]..nid_start[c + 1]`, `nid_ab` holding the resulting
-    /// `(a, b)` and `nid_cum` the within-cell inclusive cumulative mass.
-    /// Derived from `cells`; lets the leap's per-draw outcome pick walk a
-    /// short contiguous CDF instead of chasing per-cell heap buffers.
-    nid_start: Vec<u32>,
-    nid_ab: Vec<(u32, u32)>,
-    nid_cum: Vec<f64>,
-}
-
-impl PartialEq for KernelTable {
-    /// Tables are equal when their declared laws are — the flattened
-    /// active-outcome arrays and cached masses are derived data recomputed
-    /// deterministically from `cells`, so comparing them adds nothing.
-    fn eq(&self, other: &Self) -> bool {
-        self.k == other.k && self.cells == other.cells && self.identity == other.identity
-    }
 }
 
 /// Outcome probabilities must sum to 1 within this tolerance.
@@ -160,8 +152,7 @@ const KERNEL_SUM_TOL: f64 = 1e-9;
 
 /// Validates one declared outcome pmf and writes its positive-mass entries
 /// into `cell` (cleared first, allocation reused). Returns whether the
-/// cell is an almost-sure count-vector no-op, plus the total mass of its
-/// count-changing outcomes. Shared by the full
+/// cell is an almost-sure count-vector no-op. Shared by the full
 /// [`KernelTable::build_with`] construction and the incremental
 /// [`KernelTable::refresh_at`] path so the two produce bitwise-identical
 /// cells from identical inputs.
@@ -171,7 +162,7 @@ fn fill_cell(
     j: usize,
     outcomes: &[((usize, usize), f64)],
     cell: &mut Vec<((u32, u32), f64)>,
-) -> Result<(bool, f64), PopulationError> {
+) -> Result<bool, PopulationError> {
     cell.clear();
     let mut total = 0.0f64;
     for &((a, b), p) in outcomes {
@@ -196,15 +187,9 @@ fn fill_cell(
             reason: format!("kernel pmf for pair ({i}, {j}) sums to {total}"),
         });
     }
-    let active: f64 = cell
+    Ok(cell
         .iter()
-        .filter(|&&((a, b), _)| (a as usize, b as usize) != (i, j))
-        .map(|&(_, p)| p)
-        .sum();
-    let identity = cell
-        .iter()
-        .all(|&((a, b), _)| (a as usize, b as usize) == (i, j));
-    Ok((identity, active))
+        .all(|&((a, b), _)| (a as usize, b as usize) == (i, j)))
 }
 
 impl KernelTable {
@@ -245,30 +230,17 @@ impl KernelTable {
         let k = protocol.num_states();
         let mut cells = Vec::with_capacity(k * k);
         let mut identity = Vec::with_capacity(k * k);
-        let mut active_mass = Vec::with_capacity(k * k);
         for i in 0..k {
             for j in 0..k {
                 let Some(outcomes) = kernel_of(protocol, i, j) else {
                     return Ok(None);
                 };
                 let mut cell = Vec::with_capacity(outcomes.len());
-                let (ident, active) = fill_cell(k, i, j, &outcomes, &mut cell)?;
-                identity.push(ident);
-                active_mass.push(active);
+                identity.push(fill_cell(k, i, j, &outcomes, &mut cell)?);
                 cells.push(cell);
             }
         }
-        let mut table = KernelTable {
-            k,
-            cells,
-            identity,
-            active_mass,
-            nid_start: Vec::new(),
-            nid_ab: Vec::new(),
-            nid_cum: Vec::new(),
-        };
-        table.rebuild_active_outcomes();
-        Ok(Some(table))
+        Ok(Some(KernelTable { k, cells, identity }))
     }
 
     /// Refreshes the table in place at new frequencies, recomputing only
@@ -299,14 +271,12 @@ impl KernelTable {
     ) -> Result<(), PopulationError> {
         let k = self.k;
         debug_assert_eq!(dirty.len(), k * k, "dirty mask must cover every cell");
-        let mut any_dirty = false;
         for i in 0..k {
             for j in 0..k {
                 let cell_index = i * k + j;
                 if !dirty[cell_index] {
                     continue;
                 }
-                any_dirty = true;
                 scratch.clear();
                 if !protocol.pair_kernel_at_into(i, j, freq, scratch) {
                     return Err(PopulationError::InvalidArgument {
@@ -316,61 +286,11 @@ impl KernelTable {
                         ),
                     });
                 }
-                let (ident, active) =
+                self.identity[cell_index] =
                     fill_cell(k, i, j, scratch, &mut self.cells[cell_index])?;
-                self.identity[cell_index] = ident;
-                self.active_mass[cell_index] = active;
             }
-        }
-        if any_dirty {
-            self.rebuild_active_outcomes();
         }
         Ok(())
-    }
-
-    /// Recomputes the flattened active-outcome arrays (`nid_start`,
-    /// `nid_ab`, `nid_cum`) from `cells`. The cumulative masses accumulate
-    /// in the cell's declaration order — the same order [`fill_cell`] sums
-    /// `active_mass` — so the final cumulative value of each cell is
-    /// bitwise equal to its cached active mass.
-    fn rebuild_active_outcomes(&mut self) {
-        let k = self.k;
-        self.nid_start.clear();
-        self.nid_ab.clear();
-        self.nid_cum.clear();
-        self.nid_start.push(0);
-        for cell_index in 0..k * k {
-            let (i, j) = (cell_index / k, cell_index % k);
-            let mut cum = 0.0f64;
-            for &((a, b), p) in &self.cells[cell_index] {
-                if (a as usize, b as usize) == (i, j) {
-                    continue;
-                }
-                cum += p;
-                self.nid_ab.push((a, b));
-                self.nid_cum.push(cum);
-            }
-            self.nid_start.push(self.nid_ab.len() as u32);
-        }
-    }
-
-    /// Resolves a count-changing outcome of flat cell `c = i·k + j` from a
-    /// uniform draw `u ∈ [0, active_mass(i, j))`: the first outcome whose
-    /// within-cell cumulative mass exceeds `u` (float rounding past the
-    /// end selects the last). Callers must only pass cells with positive
-    /// active mass.
-    #[inline]
-    pub fn pick_active_outcome(&self, cell: usize, u: f64) -> (u32, u32) {
-        let start = self.nid_start[cell] as usize;
-        let end = self.nid_start[cell + 1] as usize;
-        debug_assert!(start < end, "cell has no count-changing outcomes");
-        // Branchless rank: count boundaries at or below `u` — fixed trip
-        // count, no data-dependent branches to mispredict.
-        let mut rank = 0usize;
-        for &c in &self.nid_cum[start..end] {
-            rank += usize::from(u >= c);
-        }
-        self.nid_ab[start + rank.min(end - start - 1)]
     }
 
     /// Number of states.
@@ -388,13 +308,6 @@ impl KernelTable {
     #[inline]
     pub fn is_identity(&self, i: usize, j: usize) -> bool {
         self.identity[i * self.k + j]
-    }
-
-    /// Total probability that pair `(i, j)` changes the count vector —
-    /// the summed mass of its outcomes with `(a, b) ≠ (i, j)`.
-    #[inline]
-    pub fn active_mass(&self, i: usize, j: usize) -> f64 {
-        self.active_mass[i * self.k + j]
     }
 }
 
@@ -458,9 +371,13 @@ pub struct BatchedEngine<P: EnumerableProtocol> {
     freq_scratch: Vec<f64>,
     /// Scratch: one cell's raw declared law, reused across refreshes.
     law_scratch: Vec<((usize, usize), f64)>,
-    /// Scratch: the tabulated path's fused (pair, count-changing outcome)
-    /// list of a leap (kernel engines use `pair_cells`/`pair_w` instead).
-    active: Vec<ActiveEntry>,
+    /// Scratch: the count flows of a leap — at most `k(k − 1)`
+    /// single-agent flows plus the un-aggregated both-move entries.
+    flows: Vec<Flow>,
+    /// Scratch: single-agent flow weights keyed `s * k + t` for the move
+    /// `s → t`, accumulated over a leap's alternatives and zeroed again as
+    /// they are compacted into `flows`.
+    flow_w: Vec<f64>,
     /// Scratch: Walker-alias buffers (acceptance probabilities, alias
     /// slots, and the small/large worklists of the build) for the
     /// categorical draw path of a leap. Rebuilt in place per leap — no
@@ -469,30 +386,55 @@ pub struct BatchedEngine<P: EnumerableProtocol> {
     alias_slot: Vec<u32>,
     alias_small: Vec<u32>,
     alias_large: Vec<u32>,
-    /// Scratch: the kernel path's two-level sampler — packed pair indices
-    /// (`i << 16 | j`, avoiding a per-draw division) of the pairs that can
-    /// change counts this leap, and their weights
-    /// `x_i (x_j − δ_ij) · active_mass(i, j)`. Outcomes are resolved per
-    /// draw against the [`KernelTable`] cell, so the leap's per-call work
-    /// is `O(k²)`, not `O(k²·outcomes)`.
-    pair_cells: Vec<u32>,
-    pair_w: Vec<f64>,
     /// Run the pre-incremental reference paths (full kernel rebuild per
     /// change, per-cell outcome chains). Kept for equivalence tests and
     /// benchmark baselines; see [`Self::set_reference_leap`].
     reference: bool,
 }
 
-/// One count-changing entry of a leap's fused multinomial chain: ordered
-/// pair `(i, j)` mapping to `(a, b)`, carrying weight
-/// `x_i (x_j − δ_ij) · P(outcome)`.
+/// One count flow of a leap: each of its draws moves one agent `i → a`
+/// and one agent `j → b`. A single-agent flow has `j == b`, so its second
+/// move is a no-op. `w` is the summed weight of every alternative with
+/// this effect on the counts.
 #[derive(Debug, Clone, Copy)]
-struct ActiveEntry {
+struct Flow {
     i: u32,
-    j: u32,
     a: u32,
+    j: u32,
     b: u32,
     w: f64,
+}
+
+/// Adds the weight `w` of alternative `(i, j) → (a, b)` to the flow keyed
+/// by its effect on the counts. Cancelling the states that both leave and
+/// enter the pair leaves nothing (a no-op or a swap, dropped), one move
+/// `s → t` (added into `flow_w[s * k + t]`), or two disjoint moves, which
+/// stay an entry of their own in `both`.
+#[inline]
+fn add_alternative(
+    flow_w: &mut [f64],
+    both: &mut Vec<Flow>,
+    k: usize,
+    (i, j): (usize, usize),
+    (a, b): (usize, usize),
+    w: f64,
+) {
+    let (s, t) = if b == j {
+        (i, a)
+    } else if a == i {
+        (j, b)
+    } else if a == j {
+        (i, b)
+    } else if b == i {
+        (j, a)
+    } else {
+        let (i, a, j, b) = (i as u32, a as u32, j as u32, b as u32);
+        both.push(Flow { i, a, j, b, w });
+        return;
+    };
+    if s != t {
+        flow_w[s * k + t] += w;
+    }
 }
 
 impl<P: EnumerableProtocol> BatchedEngine<P> {
@@ -568,13 +510,12 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             dirty_cells: vec![false; k * k],
             freq_scratch: Vec::with_capacity(k),
             law_scratch: Vec::new(),
-            active: Vec::with_capacity(k * k),
+            flows: Vec::with_capacity(k * k),
+            flow_w: vec![0.0; k * k],
             alias_prob: Vec::with_capacity(k * k),
             alias_slot: Vec::with_capacity(k * k),
             alias_small: Vec::with_capacity(k * k),
             alias_large: Vec::with_capacity(k * k),
-            pair_cells: Vec::with_capacity(k * k),
-            pair_w: Vec::with_capacity(k * k),
             reference: false,
         })
     }
@@ -891,33 +832,28 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         ((self.n as f64).sqrt() as u64).max(1)
     }
 
-    /// The multinomial leap over frozen counts; splits on (rare) negative
-    /// excursions.
+    /// The multinomial leap over frozen counts, drawn over count flows
+    /// (see the module docs); splits on (rare) negative excursions.
     ///
     /// Count-coupled kernels are refreshed here from the counts being
     /// frozen, so the kernel shares the leap's own idealization exactly —
     /// overdraw splits re-enter through this refresh and see updated
     /// frequencies.
     ///
-    /// All identity mass — pairs that are almost-sure no-ops *and* the
-    /// no-op outcomes of active pairs — is thinned away in a single
-    /// leading `p_active` binomial, so near equilibrium most leaps
-    /// terminate after a handful of small draws. The surviving active
-    /// draws are then distributed:
+    /// Each count-changing alternative `(i, j) → (a, b)` adds its weight
+    /// `x_i (x_j − δ_ij) · P(a, b | i, j)` into the flow of its effect on
+    /// the counts ([`add_alternative`]); only an alternative that moves
+    /// both agents to states outside the pair stays un-aggregated. This is
+    /// exact: per-entry multinomial counts, summed over the entries of one
+    /// flow, are multinomial with the summed weights, and the deltas see
+    /// the draw only through those sums.
     ///
-    /// * **Tabulated protocols** flatten to one entry per active pair and
-    ///   run either a fused binomial chain over the entries or (when the
-    ///   draw count is small relative to the entry list) iid categorical
-    ///   draws from a Walker alias table — identical multinomial law by
-    ///   the splitting property.
-    /// * **Kernel protocols** use a *two-level* factorization
-    ///   `P(pair) · P(outcome | pair)`: pairs carry weight
-    ///   `x_i (x_j − δ_ij) · active_mass(i, j)` and the outcome is
-    ///   resolved per draw against the kernel cell, so the per-leap fixed
-    ///   cost is `O(k²)` rather than `O(k² · outcomes)`. Again either an
-    ///   alias table over pairs (small draw counts) or a pair-level
-    ///   binomial chain with nested outcome chains (large draw counts) —
-    ///   both exactly the flattened entry-level multinomial in law.
+    /// A leading `p_active` binomial thins away all no-op mass, so near
+    /// equilibrium most leaps end after a handful of small draws. The
+    /// surviving draws go to the flows through a fused binomial chain or,
+    /// when they are few relative to the flows, iid categorical draws from
+    /// a Walker alias table — the same multinomial law by the splitting
+    /// property.
     fn leap<R: Rng + ?Sized>(&mut self, batch: u64, rng: &mut R) {
         let _leap_span = crate::metrics::leap_span();
         crate::metrics::leaps().inc();
@@ -927,64 +863,49 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             self.table.is_some() || self.kernel.is_some(),
             "leap requires a table or a kernel"
         );
-        // Weight this leap's count-changing alternatives. Tabulated
-        // protocols flatten to one entry per active pair. Kernel
-        // protocols use a *two-level* scheme: pairs carry weight
-        // `x_i (x_j − δ_ij) · active_mass(i, j)` and the concrete outcome
-        // is resolved per draw against the kernel cell, so the per-leap
-        // fixed cost is `O(k²)` instead of `O(k² · outcomes)`.
-        let mut active_weight = 0.0f64;
-        if let Some(table) = self.table.as_ref() {
-            self.active.clear();
-            for i in 0..k {
-                let xi = self.counts[i];
-                if xi == 0 {
-                    continue;
-                }
-                for j in 0..k {
-                    if table.is_identity(i, j) {
-                        continue;
-                    }
-                    let wpair =
-                        xi as f64 * (self.counts[j] - u64::from(i == j)) as f64;
-                    if wpair <= 0.0 {
-                        continue;
-                    }
-                    let (a, b) = table.apply(i, j);
-                    self.active.push(ActiveEntry {
-                        i: i as u32,
-                        j: j as u32,
-                        a: a as u32,
-                        b: b as u32,
-                        w: wpair,
-                    });
-                    active_weight += wpair;
-                }
+        self.flows.clear();
+        for i in 0..k {
+            let xi = self.counts[i];
+            if xi == 0 {
+                continue;
             }
-        } else {
-            let kernel = self.kernel.as_ref().expect("checked above");
-            self.pair_cells.clear();
-            self.pair_w.clear();
-            for i in 0..k {
-                let xi = self.counts[i];
-                if xi == 0 {
+            for j in 0..k {
+                let wpair = xi as f64 * (self.counts[j] - u64::from(i == j)) as f64;
+                if wpair <= 0.0 {
                     continue;
                 }
-                for j in 0..k {
-                    let wpair =
-                        xi as f64 * (self.counts[j] - u64::from(i == j)) as f64;
-                    if wpair <= 0.0 {
-                        continue;
+                match (&self.table, &self.kernel) {
+                    (Some(table), _) => {
+                        let ab = table.apply(i, j);
+                        add_alternative(&mut self.flow_w, &mut self.flows, k, (i, j), ab, wpair);
                     }
-                    let w = wpair * kernel.active_mass(i, j);
-                    if w > 0.0 {
-                        self.pair_cells.push(((i as u32) << 16) | j as u32);
-                        self.pair_w.push(w);
-                        active_weight += w;
+                    (None, Some(kernel)) if !kernel.is_identity(i, j) => {
+                        for &((a, b), p) in kernel.outcomes(i, j) {
+                            let ab = (a as usize, b as usize);
+                            add_alternative(
+                                &mut self.flow_w,
+                                &mut self.flows,
+                                k,
+                                (i, j),
+                                ab,
+                                wpair * p,
+                            );
+                        }
                     }
+                    _ => {}
                 }
             }
         }
+        // Compact the single-agent flows behind the both-move entries,
+        // zeroing the dense buffer for the next leap.
+        for (key, w) in self.flow_w.iter_mut().enumerate() {
+            if *w > 0.0 {
+                let (s, t) = ((key / k) as u32, (key % k) as u32);
+                self.flows.push(Flow { i: s, a: t, j: t, b: t, w: *w });
+                *w = 0.0;
+            }
+        }
+        let active_weight: f64 = self.flows.iter().map(|f| f.w).sum();
         if active_weight <= 0.0 {
             // Absorbed: every remaining interaction is a no-op.
             self.interactions += batch;
@@ -995,148 +916,60 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         let p_active = (active_weight / total_weight).min(1.0);
         let mut remaining = sample_binomial(batch, p_active, rng);
         self.deltas.iter_mut().for_each(|d| *d = 0);
-        if self.table.is_some() {
-            let last = self.active.len() - 1;
-            if remaining > 0 && remaining < 12 * self.active.len() as u64 {
-                // Draws cheaper than one binomial sample per entry: draw
-                // each active interaction's entry iid-categorically from a
-                // Walker alias table over the entry weights — identical in
-                // law to the binomial chain by the multinomial splitting
-                // property, at `O(E)` rebuild plus `O(1)` per draw.
-                self.rebuild_entry_alias(active_weight);
-                let entries = self.active.len();
-                for _ in 0..remaining {
-                    // One uniform per draw: the integer part picks the
-                    // slot, the fractional part accepts or aliases.
-                    let u = rng.gen::<f64>() * entries as f64;
-                    let slot = (u as usize).min(entries - 1);
-                    let idx = if (u - slot as f64) < self.alias_prob[slot] {
-                        slot
-                    } else {
-                        self.alias_slot[slot] as usize
-                    };
-                    let entry = self.active[idx];
-                    self.deltas[entry.i as usize] -= 1;
-                    self.deltas[entry.a as usize] += 1;
-                    self.deltas[entry.j as usize] -= 1;
-                    self.deltas[entry.b as usize] += 1;
-                }
-            } else {
-                // Fused binomial chain over the count-changing entries.
-                let mut mass_left = active_weight;
-                for idx in 0..=last {
-                    if remaining == 0 {
-                        break;
-                    }
-                    let entry = self.active[idx];
-                    let q = if idx == last {
-                        1.0
-                    } else {
-                        (entry.w / mass_left).clamp(0.0, 1.0)
-                    };
-                    let c = sample_binomial(remaining, q, rng);
-                    mass_left -= entry.w;
-                    if c > 0 {
-                        remaining -= c;
-                        let c = c as i64;
-                        self.deltas[entry.i as usize] -= c;
-                        self.deltas[entry.a as usize] += c;
-                        self.deltas[entry.j as usize] -= c;
-                        self.deltas[entry.b as usize] += c;
-                    }
-                }
+        let flows = self.flows.len();
+        if remaining > 0 && remaining < 12 * flows as u64 {
+            // Draws cheaper than one binomial sample per flow: draw each
+            // active interaction's flow iid-categorically from a Walker
+            // alias table, at `O(F)` rebuild plus `O(1)` per draw.
+            self.rebuild_flow_alias(active_weight);
+            for _ in 0..remaining {
+                // One uniform per draw: the integer part picks the slot,
+                // the fractional part accepts or aliases.
+                let u = rng.gen::<f64>() * flows as f64;
+                let slot = (u as usize).min(flows - 1);
+                let idx = if (u - slot as f64) < self.alias_prob[slot] {
+                    slot
+                } else {
+                    self.alias_slot[slot] as usize
+                };
+                let flow = self.flows[idx];
+                self.deltas[flow.i as usize] -= 1;
+                self.deltas[flow.a as usize] += 1;
+                self.deltas[flow.j as usize] -= 1;
+                self.deltas[flow.b as usize] += 1;
             }
         } else {
-            let pairs = self.pair_w.len();
-            if remaining > 0 && remaining < 12 * pairs as u64 {
-                // Two-level categorical draws: a Walker alias table over
-                // the pair weights picks the ordered pair, then a short
-                // CDF walk over the kernel cell's count-changing outcomes
-                // (normalized by the cached active mass) picks the result.
-                // Jointly this is exactly the entry-level multinomial —
-                // `P(pair) · P(outcome | pair)` — without ever building
-                // the flattened entry list.
-                self.rebuild_pair_alias(active_weight);
-                let kernel = self.kernel.as_ref().expect("checked above");
-                for _ in 0..remaining {
-                    let u = rng.gen::<f64>() * pairs as f64;
-                    let slot = (u as usize).min(pairs - 1);
-                    let idx = if (u - slot as f64) < self.alias_prob[slot] {
-                        slot
-                    } else {
-                        self.alias_slot[slot] as usize
-                    };
-                    let packed = self.pair_cells[idx] as usize;
-                    let (i, j) = (packed >> 16, packed & 0xFFFF);
-                    let cell = i * k + j;
-                    let u2 = rng.gen::<f64>() * kernel.active_mass(i, j);
-                    let (a, b) = kernel.pick_active_outcome(cell, u2);
-                    self.deltas[i] -= 1;
-                    self.deltas[a as usize] += 1;
-                    self.deltas[j] -= 1;
-                    self.deltas[b as usize] += 1;
+            // Fused binomial chain over the flows.
+            let mut mass_left = active_weight;
+            for idx in 0..flows {
+                if remaining == 0 {
+                    break;
                 }
-            } else {
-                // Binomial chain over pairs, then a nested chain over each
-                // drawn pair's count-changing outcomes — the same joint
-                // multinomial by the splitting property, at `O(pairs)`
-                // plus outcome work only for pairs that drew.
-                let kernel = self.kernel.as_ref().expect("checked above");
-                let mut mass_left = active_weight;
-                let lastp = pairs - 1;
-                for pi in 0..=lastp {
-                    if remaining == 0 {
-                        break;
-                    }
-                    let w = self.pair_w[pi];
-                    let q = if pi == lastp {
-                        1.0
-                    } else {
-                        (w / mass_left).clamp(0.0, 1.0)
-                    };
-                    let c = sample_binomial(remaining, q, rng);
-                    mass_left -= w;
-                    if c == 0 {
-                        continue;
-                    }
+                let flow = self.flows[idx];
+                let q = if idx + 1 == flows {
+                    1.0
+                } else {
+                    (flow.w / mass_left).clamp(0.0, 1.0)
+                };
+                let c = sample_binomial(remaining, q, rng);
+                mass_left -= flow.w;
+                if c > 0 {
                     remaining -= c;
-                    let packed = self.pair_cells[pi] as usize;
-                    let (i, j) = (packed >> 16, packed & 0xFFFF);
-                    let outs = kernel.outcomes(i, j);
-                    let last_nid = outs
-                        .iter()
-                        .rposition(|&((a, b), _)| (a as usize, b as usize) != (i, j))
-                        .expect("active pair has a count-changing outcome");
-                    let mut m = kernel.active_mass(i, j);
-                    let mut cleft = c;
-                    for (oi, &((a, b), p)) in outs.iter().enumerate() {
-                        if cleft == 0 {
-                            break;
-                        }
-                        if (a as usize, b as usize) == (i, j) {
-                            continue;
-                        }
-                        let q2 = if oi == last_nid {
-                            1.0
-                        } else {
-                            (p / m).clamp(0.0, 1.0)
-                        };
-                        let cc = sample_binomial(cleft, q2, rng);
-                        m -= p;
-                        if cc > 0 {
-                            cleft -= cc;
-                            let cc = cc as i64;
-                            self.deltas[i] -= cc;
-                            self.deltas[a as usize] += cc;
-                            self.deltas[j] -= cc;
-                            self.deltas[b as usize] += cc;
-                        }
-                    }
+                    let c = c as i64;
+                    self.deltas[flow.i as usize] -= c;
+                    self.deltas[flow.a as usize] += c;
+                    self.deltas[flow.j as usize] -= c;
+                    self.deltas[flow.b as usize] += c;
                 }
             }
         }
-        // Conservation guard: a leap that overdraws a state is split in
-        // half; each half sees refreshed counts, shrinking the draw.
+        self.commit_or_split(batch, rng);
+    }
+
+    /// Applies the leap's `deltas` to the counts. A leap that would
+    /// overdraw a state is instead split in half; each half sees refreshed
+    /// counts, shrinking the draw.
+    fn commit_or_split<R: Rng + ?Sized>(&mut self, batch: u64, rng: &mut R) {
         let overdraws = self
             .counts
             .iter()
@@ -1149,8 +982,13 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
                 return;
             }
             let half = batch / 2;
-            self.leap(half, rng);
-            self.leap(batch - half, rng);
+            for part in [half, batch - half] {
+                if self.reference {
+                    self.leap_reference(part, rng);
+                } else {
+                    self.leap(part, rng);
+                }
+            }
             return;
         }
         let mut changed = false;
@@ -1168,40 +1006,18 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         }
     }
 
-
-    /// Rebuilds the Walker alias table over the current `active` entry
-    /// weights (total mass `total`) in place, reusing the engine's
-    /// scratch buffers — the same construction as
+    /// Rebuilds the Walker alias table over the current flow weights
+    /// (total mass `total`) in place via the Vose pairing, reusing the
+    /// engine's scratch buffers — the same construction as
     /// [`popgame_util::sampler::AliasTable`], without the per-leap
     /// allocations.
-    fn rebuild_entry_alias(&mut self, total: f64) {
+    fn rebuild_flow_alias(&mut self, total: f64) {
         let _span = crate::metrics::alias_rebuild_span();
         crate::metrics::alias_rebuilds().inc();
-        let entries = self.active.len();
+        let entries = self.flows.len();
         self.alias_prob.clear();
         self.alias_prob
-            .extend(self.active.iter().map(|e| e.w * entries as f64 / total));
-        self.finalize_alias();
-    }
-
-    /// Rebuilds the Walker alias table over the kernel path's pair
-    /// weights (total mass `total`) in place — same construction as
-    /// [`Self::rebuild_entry_alias`], over `pair_w` instead of the
-    /// flattened entry list.
-    fn rebuild_pair_alias(&mut self, total: f64) {
-        let _span = crate::metrics::alias_rebuild_span();
-        crate::metrics::alias_rebuilds().inc();
-        let scale = self.pair_w.len() as f64 / total;
-        self.alias_prob.clear();
-        self.alias_prob
-            .extend(self.pair_w.iter().map(|&w| w * scale));
-        self.finalize_alias();
-    }
-
-    /// Turns the scaled weights currently in `alias_prob` (mean 1) into a
-    /// finalized acceptance/alias table via the in-place Vose pairing.
-    fn finalize_alias(&mut self) {
-        let entries = self.alias_prob.len();
+            .extend(self.flows.iter().map(|f| f.w * entries as f64 / total));
         self.alias_slot.clear();
         self.alias_slot.resize(entries, 0);
         self.alias_small.clear();
@@ -1213,10 +1029,10 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
                 self.alias_large.push(i as u32);
             }
         }
-        // `alias_prob` starts as the scaled weights and is finalized in
-        // place: a slot popped from `small` keeps its current value as its
-        // acceptance probability, and donates its deficit to the paired
-        // large slot.
+        // `alias_prob` starts as the scaled weights (mean 1) and is
+        // finalized in place: a slot popped from `small` keeps its current
+        // value as its acceptance probability, and donates its deficit to
+        // the paired large slot.
         while let (Some(&s), Some(&l)) =
             (self.alias_small.last(), self.alias_large.last())
         {
@@ -1348,33 +1164,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
                 }
             }
         }
-        // Conservation guard: a leap that overdraws a state is split in
-        // half; each half sees refreshed counts, shrinking the draw.
-        let overdraws = self
-            .counts
-            .iter()
-            .zip(&self.deltas)
-            .any(|(&c, &d)| (c as i64) + d < 0);
-        if overdraws {
-            if batch == 1 {
-                // A single interaction can never overdraw; replay exactly.
-                self.step(rng);
-                return;
-            }
-            let half = batch / 2;
-            self.leap_reference(half, rng);
-            self.leap_reference(batch - half, rng);
-            return;
-        }
-        for (s, (c, d)) in self.counts.iter_mut().zip(&self.deltas).enumerate() {
-            if *d != 0 {
-                self.stale[s] = true;
-            }
-            *c = (*c as i64 + d) as u64;
-        }
-        self.interactions += batch;
-        self.alias_dirty = true;
-        self.kernel_dirty = true;
+        self.commit_or_split(batch, rng);
     }
 }
 
@@ -2129,6 +1919,155 @@ mod tests {
         assert!(BatchedEngine::from_counts(Epidemic, vec![5, 5, 5]).is_err());
     }
 
+    /// A declared outcome pmf of one ordered pair.
+    type Law = Vec<((usize, usize), f64)>;
+
+    /// A randomized protocol over `k` states that runs only through its
+    /// declared kernel `law(i, j)`.
+    #[derive(Clone, Copy)]
+    struct KernelOnly {
+        k: usize,
+        law: fn(usize, usize) -> Law,
+    }
+
+    impl Protocol for KernelOnly {
+        type State = u8;
+        fn interact<R: Rng + ?Sized>(&self, _i: u8, _r: u8, _rng: &mut R) -> (u8, u8) {
+            unreachable!("runs through its declared kernel")
+        }
+        fn has_random_transitions(&self) -> bool {
+            true
+        }
+    }
+
+    impl EnumerableProtocol for KernelOnly {
+        fn num_states(&self) -> usize {
+            self.k
+        }
+        fn state_index(&self, s: u8) -> usize {
+            s as usize
+        }
+        fn state_at(&self, i: usize) -> u8 {
+            i as u8
+        }
+        fn pair_kernel(&self, i: usize, j: usize) -> Option<Law> {
+            Some((self.law)(i, j))
+        }
+    }
+
+    /// A static five-state kernel shaped like logit: the initiator adopts
+    /// `t` with a probability that depends only on the responder's state
+    /// `j`, so the alternatives of every pair `(i, j)` with the same `i`
+    /// land in the same flows `i → t`, aggregated across `j`.
+    const RESPONDER_SOFTMAX: KernelOnly = KernelOnly {
+        k: 5,
+        law: |_i, j| {
+            let scores = [0.0, 0.7, -0.4, 1.1, 0.3];
+            let w = scores.map(|u: f64| (u * (1.0 + j as f64 / 2.0)).exp());
+            let total: f64 = w.iter().sum();
+            (0..5).map(|t| ((t, j), w[t] / total)).collect()
+        },
+    };
+
+    /// A four-state kernel with an outcome that moves both agents: pair
+    /// `(i, j)` advances the initiator by one (p = 1/4), or the initiator
+    /// by two and the responder by one (p = 1/4), else stays put. The
+    /// second outcome is a both-move entry whenever neither target lies
+    /// in `{i, j}`, and collapses to one move when a target does.
+    const PAIR_SHIFT: KernelOnly = KernelOnly {
+        k: 4,
+        law: |i, j| {
+            vec![
+                (((i + 1) % 4, j), 0.25),
+                (((i + 2) % 4, (j + 1) % 4), 0.25),
+                ((i, j), 0.5),
+            ]
+        },
+    };
+
+    /// Asserts the flow leap and the reference (per-entry) leap agree in
+    /// law on every state's final count after `horizon` interactions in
+    /// leaps of `batch`. The two are the same law exactly, so the bound is
+    /// the chi-square 99.9% quantile (Wilson–Hilferty), with no leap-bias
+    /// allowance.
+    fn assert_flow_leap_matches_reference(
+        protocol: KernelOnly,
+        start: &[u64],
+        horizon: u64,
+        batch: u64,
+    ) {
+        let n = start.iter().sum::<u64>() as usize;
+        let mut hists = [vec![vec![0u64; n + 1]; start.len()], vec![vec![0u64; n + 1]; start.len()]];
+        for rep in 0..4_000 {
+            for (reference, hist) in [false, true].into_iter().zip(&mut hists) {
+                let mut engine = BatchedEngine::from_counts(protocol, start.to_vec()).unwrap();
+                engine.set_reference_leap(reference);
+                let mut rng = stream_rng(if reference { badge(rep) } else { 0xF10 ^ rep }, rep);
+                engine.run_batched(horizon, batch, &mut rng).unwrap();
+                for (h, &c) in hist.iter_mut().zip(engine.counts()) {
+                    h[c as usize] += 1;
+                }
+            }
+        }
+        for (state, (a, b)) in hists[0].iter().zip(&hists[1]).enumerate() {
+            let populated = a.iter().zip(b).filter(|(&x, &y)| x + y > 0).count();
+            let dof = populated.max(2) as f64 - 1.0;
+            let h = 2.0 / (9.0 * dof);
+            let bound = dof * (1.0 - h + 3.09 * h.sqrt()).powi(3);
+            let chi2 = two_sample_chi_square(a, b);
+            assert!(chi2 < bound, "state {state}: chi-square {chi2} >= {bound}: {a:?} vs {b:?}");
+        }
+    }
+
+    #[test]
+    fn flow_leap_matches_reference_when_flows_aggregate_across_responders() {
+        assert_flow_leap_matches_reference(RESPONDER_SOFTMAX, &[8, 4, 4, 2, 2], 60, 10);
+    }
+
+    #[test]
+    fn flow_leap_matches_reference_with_both_move_outcomes() {
+        assert_flow_leap_matches_reference(PAIR_SHIFT, &[6, 5, 4, 3], 40, 6);
+    }
+
+    /// A count-changing alternative `((i, j), (a, b), weight)` of a leap.
+    type Alternative = ((usize, usize), (usize, usize), f64);
+
+    /// Runs one leap from `counts` and returns the flows it built, with
+    /// every count-changing alternative it saw.
+    fn leap_flows<P: EnumerableProtocol>(
+        protocol: P,
+        counts: &[u64],
+        rng: &mut impl Rng,
+    ) -> (Vec<Flow>, Vec<Alternative>) {
+        let mut engine = BatchedEngine::from_counts(protocol, counts.to_vec()).unwrap();
+        let k = counts.len();
+        let mut alternatives = Vec::new();
+        for i in 0..k {
+            for j in 0..k {
+                let w = counts[i] as f64 * counts[j].saturating_sub(u64::from(i == j)) as f64;
+                if w <= 0.0 {
+                    continue;
+                }
+                let outcomes = match (&engine.table, &engine.kernel) {
+                    (Some(table), _) => vec![(table.apply(i, j), 1.0)],
+                    (None, Some(kernel)) => kernel
+                        .outcomes(i, j)
+                        .iter()
+                        .map(|&((a, b), p)| ((a as usize, b as usize), p))
+                        .collect(),
+                    (None, None) => unreachable!("tabulated or kernel protocols only"),
+                };
+                for (ab, p) in outcomes {
+                    if ab != (i, j) {
+                        alternatives.push(((i, j), ab, w * p));
+                    }
+                }
+            }
+        }
+        engine.leap(1, rng);
+        (engine.flows.clone(), alternatives)
+    }
+
     proptest! {
         /// Batch sizes 1, n, and 10n all conserve the total agent count.
         #[test]
@@ -2226,10 +2165,9 @@ mod tests {
 
         /// After any randomized walk of single-agent moves, a table
         /// maintained through `refresh_at` with the deps-derived dirty
-        /// mask is bitwise identical to a fresh `build_at` — including
-        /// the derived sampler arrays (`active_mass`, `nid_*`), which
-        /// the manual `PartialEq` deliberately skips. Run against both
-        /// the sparse-deps protocol and the conservative-`All` one.
+        /// mask is bitwise identical to a fresh `build_at` — outcome
+        /// masses compared by bit pattern, not just by `==`. Run against
+        /// both the sparse-deps protocol and the conservative-`All` one.
         #[test]
         fn prop_incremental_refresh_matches_full_rebuild(
             seed in 0u64..150,
@@ -2284,13 +2222,67 @@ mod tests {
                 .unwrap();
                 let rebuilt = build(&freq);
                 prop_assert_eq!(&table, &rebuilt);
-                let bits =
-                    |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(bits(&table.active_mass), bits(&rebuilt.active_mass));
-                prop_assert_eq!(&table.nid_start, &rebuilt.nid_start);
-                prop_assert_eq!(&table.nid_ab, &rebuilt.nid_ab);
-                prop_assert_eq!(bits(&table.nid_cum), bits(&rebuilt.nid_cum));
+                let bits = |t: &KernelTable| {
+                    t.cells
+                        .iter()
+                        .flatten()
+                        .map(|&(ab, p)| (ab, p.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                prop_assert_eq!(bits(&table), bits(&rebuilt));
             }
+        }
+
+        /// A leap builds at most `k(k − 1)` single-agent flows, one per
+        /// move `s → t`, plus one entry per both-move alternative, and
+        /// the flows carry exactly the weight of the count-changing
+        /// alternatives. Checked on the tabulated, the aggregating and
+        /// the both-move protocols.
+        #[test]
+        fn prop_leap_builds_at_most_k_k_minus_1_flows_plus_both_moves(
+            seed in 0u64..1_000,
+            which in 0usize..3,
+        ) {
+            let mut rng = rng_from_seed(seed);
+            let k = [3usize, 5, 4][which];
+            let counts: Vec<u64> = (0..k).map(|_| rng.gen_range(0..6u64)).collect();
+            prop_assume!(counts.iter().sum::<u64>() >= 2);
+            let (flows, alternatives) = match which {
+                0 => leap_flows(MaxConsensus, &counts, &mut rng),
+                1 => leap_flows(RESPONDER_SOFTMAX, &counts, &mut rng),
+                _ => leap_flows(PAIR_SHIFT, &counts, &mut rng),
+            };
+            let singles: Vec<(u32, u32)> = flows
+                .iter()
+                .filter(|f| f.j == f.b)
+                .map(|f| (f.i, f.a))
+                .collect();
+            let mut keys = singles.clone();
+            keys.sort_unstable();
+            keys.dedup();
+            prop_assert_eq!(keys.len(), singles.len(), "one flow per move");
+            prop_assert!(singles.iter().all(|&(s, t)| s != t));
+            prop_assert!(singles.len() <= k * (k - 1));
+            let both_moves = alternatives
+                .iter()
+                .filter(|&&((i, j), (a, b), _)| a != i && a != j && b != i && b != j)
+                .count();
+            prop_assert_eq!(flows.len() - singles.len(), both_moves);
+            // Mass is conserved by the aggregation: every alternative whose
+            // net effect is non-zero lands in exactly one flow.
+            let moving: f64 = alternatives
+                .iter()
+                .filter(|&&((i, j), (a, b), _)| {
+                    let mut from = [i, j];
+                    let mut to = [a, b];
+                    from.sort_unstable();
+                    to.sort_unstable();
+                    from != to
+                })
+                .map(|&(_, _, w)| w)
+                .sum();
+            let total: f64 = flows.iter().map(|f| f.w).sum();
+            prop_assert!((total - moving).abs() <= 1e-9 * moving.max(1.0));
         }
 
         /// Alias stepping and reference stepping agree on monotonicity of

@@ -33,6 +33,13 @@
 //! recomputing. Corrupt or truncated files are treated as misses and
 //! deleted — the entry is simply recomputed. A byte budget bounds the
 //! directory; enforcement evicts oldest-mtime files first.
+//!
+//! Every document is also stamped with [`RESULT_EPOCH`]. A canonical key
+//! names a request, not the bytes some build computed for it, so a build
+//! whose results differ byte for byte (same law, new RNG stream) bumps
+//! the epoch. An entry with a missing or different epoch is then a miss
+//! and is deleted like a corrupt one, instead of re-serving bytes that a
+//! cold run of this build no longer produces.
 
 use popgame_obs::metrics::{registry, Counter};
 use std::collections::{HashMap, VecDeque};
@@ -103,6 +110,12 @@ const DEFAULT_SHARD_CAPACITY: usize = 8192;
 /// Default disk-tier byte budget: 256 MiB.
 pub const DEFAULT_DISK_BUDGET: u64 = 256 * 1024 * 1024;
 
+/// The result epoch stamped into every disk-tier document. Bump it
+/// whenever a change alters response bytes for an unchanged canonical
+/// key; epoch 2 is the count-flow τ-leap, whose RNG stream differs from
+/// the per-entry leap of epoch 1 (unstamped documents).
+pub const RESULT_EPOCH: u64 = 2;
+
 /// One shard: the map plus its insertion-order queue. The queue holds
 /// exactly the map's keys, oldest inserted at the front — updates of a
 /// resident key keep its original position (FIFO, not LRU: residency is
@@ -135,15 +148,18 @@ impl DiskTier {
             .join(format!("{:016x}-{}.json", fnv1a64(key.as_bytes()), key.len()))
     }
 
-    /// Reads an entry back, verifying the embedded key byte-for-byte.
-    /// Any failure — missing file, bad JSON, wrong shape, key mismatch —
-    /// is a miss; corrupt files are deleted so they cannot shadow a
-    /// future write of the true entry.
+    /// Reads an entry back, verifying the embedded key byte-for-byte and
+    /// the result epoch. Any failure — missing file, bad JSON, wrong
+    /// shape, key mismatch, missing or stale epoch — is a miss; such files
+    /// are deleted so they cannot shadow a future write of the true entry.
     fn read(&self, key: &str) -> Option<Arc<String>> {
         let path = self.entry_path(key);
         let text = std::fs::read_to_string(&path).ok()?;
         let parsed: Option<Arc<String>> = (|| {
             let doc = popgame_util::json::Json::parse(&text).ok()?;
+            if doc.get("epoch")?.as_u64()? != RESULT_EPOCH {
+                return None;
+            }
             let stored_key = doc.get("key")?.as_str()?;
             if stored_key != key {
                 return None;
@@ -152,7 +168,8 @@ impl DiskTier {
             Some(Arc::new(body.to_string()))
         })();
         if parsed.is_none() {
-            // Truncated or corrupt: recompute rather than serve bad bytes.
+            // Truncated, corrupt or stale: recompute rather than serve
+            // bad bytes.
             let _ = std::fs::remove_file(&path);
         }
         parsed
@@ -163,6 +180,7 @@ impl DiskTier {
     /// memory tier still has the entry, and persistence is best-effort.
     fn write(&self, key: &str, body: &str) {
         let doc = popgame_util::json::Json::obj([
+            ("epoch", popgame_util::json::Json::from(RESULT_EPOCH)),
             ("key", popgame_util::json::Json::from(key)),
             ("body", popgame_util::json::Json::from(body)),
         ]);
@@ -574,6 +592,44 @@ mod tests {
         ]);
         std::fs::write(&path, impostor.encode()).unwrap();
         assert!(rebooted.get(key).is_none(), "embedded-key mismatch is a miss");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entries_of_another_epoch_are_misses_and_are_rewritten() {
+        let dir = temp_dir("epoch");
+        let cache = ResultCache::new(1)
+            .with_disk(&dir, DEFAULT_DISK_BUDGET)
+            .unwrap();
+        let key = r#"{"endpoint":"simulate","seed":7}"#;
+        let path = dir.join(format!("{:016x}-{}.json", fnv1a64(key.as_bytes()), key.len()));
+        let entry = |epoch: Option<u64>| {
+            let mut fields = vec![
+                ("key", popgame_util::json::Json::from(key)),
+                ("body", popgame_util::json::Json::from("stale bytes")),
+            ];
+            if let Some(epoch) = epoch {
+                fields.insert(0, ("epoch", popgame_util::json::Json::from(epoch)));
+            }
+            popgame_util::json::Json::obj(fields).encode()
+        };
+        // The shape an older build wrote: the right embedded key, no epoch.
+        // Then the same entry stamped with a different epoch.
+        for stale in [None, Some(RESULT_EPOCH - 1)] {
+            std::fs::write(&path, entry(stale)).unwrap();
+            assert!(cache.get(key).is_none(), "epoch {stale:?} must be a miss");
+            assert!(!path.exists(), "epoch {stale:?} entry must be deleted");
+        }
+        // The recomputed result is rewritten under the current epoch and
+        // served to the next instance.
+        cache.insert(key.to_string(), Arc::new("fresh bytes".to_string()));
+        let doc = popgame_util::json::Json::parse(&std::fs::read_to_string(&path).unwrap())
+            .unwrap();
+        assert_eq!(doc.get("epoch").and_then(|e| e.as_u64()), Some(RESULT_EPOCH));
+        let rebooted = ResultCache::new(1)
+            .with_disk(&dir, DEFAULT_DISK_BUDGET)
+            .unwrap();
+        assert_eq!(rebooted.get(key).as_deref().map(String::as_str), Some("fresh bytes"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -455,6 +455,19 @@ fn job_queue_overflow_and_cancellation() {
     let (status, _, body) = post(addr, "/jobs", slow);
     assert_eq!(status, 202, "{body}");
     let slow_id = Json::parse(&body).unwrap().get("job_id").unwrap().as_u64().unwrap();
+    // Wait until the executor has dequeued it: until then the slow job
+    // itself still occupies the depth-1 queue.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let doc = Json::parse(&get(addr, &format!("/jobs/{slow_id}")).2).unwrap();
+        let state = doc.get("status").unwrap().as_str().unwrap().to_string();
+        if state == "running" {
+            break;
+        }
+        assert_eq!(state, "queued", "slow job ended before it was cancelled");
+        assert!(Instant::now() < deadline, "slow job never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     // ...a second fills the depth-1 queue (vary the seed: distinct work)...
     let (status, _, body) = post(
         addr,
