@@ -1,7 +1,7 @@
 //! Substrate benches: the primitives every experiment sits on — simplex
 //! ranking, samplers, and the population scheduler.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use popgame_dist::simplex::SimplexSpace;
 use popgame_population::classic::{Opinion, UndecidedDynamics};
 use popgame_population::population::AgentPopulation;
@@ -31,6 +31,18 @@ fn bench_samplers(c: &mut Criterion) {
     group.bench_function("binomial_n1e4", |b| {
         b.iter(|| sample_binomial(10_000, 0.3, &mut rng))
     });
+    // τ-leap-sized draws (√10⁷ ≈ 3162 interactions) in both regimes:
+    // BTRS rejection at n·p ≈ 949, bottom-up inversion at n·p ≈ 6. The
+    // engine's `p` is a runtime value, so keep the compiler from folding
+    // the set-up into constants.
+    for (name, p) in [
+        ("binomial_n3162_p0.3", 0.3),
+        ("binomial_n3162_p0.002", 0.002),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| sample_binomial(3162, black_box(p), &mut rng))
+        });
+    }
     let alias = AliasTable::new(&vec![1.0; 64]).unwrap();
     group.bench_function("alias_64", |b| b.iter(|| alias.sample(&mut rng)));
     group.bench_function("ordered_pair_1e6", |b| {

@@ -112,9 +112,11 @@ pub const DEFAULT_DISK_BUDGET: u64 = 256 * 1024 * 1024;
 
 /// The result epoch stamped into every disk-tier document. Bump it
 /// whenever a change alters response bytes for an unchanged canonical
-/// key; epoch 2 is the count-flow τ-leap, whose RNG stream differs from
-/// the per-entry leap of epoch 1 (unstamped documents).
-pub const RESULT_EPOCH: u64 = 2;
+/// key. Epoch 2 is the count-flow τ-leap, whose RNG stream differs from
+/// the per-entry leap of epoch 1 (unstamped documents); epoch 3 is the
+/// BTRS binomial sampler, which draws the same law from a different
+/// stream than epoch 2's mode-centred inversion.
+pub const RESULT_EPOCH: u64 = 3;
 
 /// One shard: the map plus its insertion-order queue. The queue holds
 /// exactly the map's keys, oldest inserted at the front — updates of a

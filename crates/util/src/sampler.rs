@@ -7,7 +7,7 @@
 //! [`rand::Rng`] trait with no further dependencies.
 
 use crate::error::UtilError;
-use crate::numeric::ln_binomial;
+use crate::numeric::ln_factorial;
 use rand::Rng;
 
 /// Validates that `p` is a probability in `[0, 1]`, returning it unchanged.
@@ -81,13 +81,24 @@ pub fn sample_geometric<R: Rng + ?Sized>(p: f64, rng: &mut R) -> u64 {
 
 /// Samples a Binomial(`n`, `p`) count exactly.
 ///
-/// Strategy: two exact inversion regimes, both `O(1)` uniforms per draw.
-/// Small draws (`n ≤ 64` or `n·min(p, 1−p) ≤ 10`) walk the pmf up from
-/// zero with the ratio recurrence — a handful of multiplications, no
-/// log-space setup — which is the regime the τ-leap binomial chains hit
-/// almost exclusively. Larger draws start at the mode and expand outward,
-/// so the expected work is `O(√(n p (1−p)))`. Both are exact (no normal
-/// approximation), so distributional tests can use tight tolerances.
+/// Strategy: mirror to `q = min(p, 1−p)`, then pick one of two exact
+/// samplers by `n·q`, the mean of the mirrored draw.
+///
+/// - `n ≤ 64` or `n·q ≤ 10`: bottom-up inversion. It walks the pmf up from
+///   zero with the ratio recurrence, `O(n q)` multiplications and no
+///   log-space set-up.
+/// - Otherwise: Hörmann's BTRS, transformed rejection with squeeze
+///   (W. Hörmann, "The generation of binomial random variates", *J. Stat.
+///   Comput. Simul.* 46, 1993). It takes 1.13–1.32 expected rounds of two
+///   uniforms whatever `n`. The squeeze accepts about 85% of draws at
+///   τ-leap sizes (`n·q` in the hundreds) and about half at the `n·q ≈ 10`
+///   boundary, for a division and a few multiplications; the rest evaluate
+///   the pmf ratio exactly.
+///
+/// The τ-leap chains at large populations draw mostly in the second regime
+/// (a leap of `√n` interactions splits over a few flows), small ones mostly
+/// in the first. Both are exact — rejection sampling does not approximate —
+/// so distributional tests can use tight tolerances.
 ///
 /// # Example
 ///
@@ -111,7 +122,7 @@ pub fn sample_binomial<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     let x = if n <= 64 || n as f64 * q <= 10.0 {
         binomial_inversion_from_zero(n, q, rng)
     } else {
-        binomial_inversion_from_mode(n, q, rng)
+        binomial_btrs(n, q, rng)
     };
     if mirrored {
         n - x
@@ -123,8 +134,7 @@ pub fn sample_binomial<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
 /// Exact bottom-up inversion: start at `pmf(0) = (1−p)^n` and walk up with
 /// the ratio recurrence until the uniform variate is covered. Expected
 /// `O(n p)` steps of a few multiplications each, with no logarithms or
-/// exponentials in the common case — an order of magnitude cheaper than
-/// the mode-centered walk when `n p` is small.
+/// exponentials in the common case — cheaper than BTRS when `n p` is small.
 fn binomial_inversion_from_zero<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     // (1−p)^n: repeated squaring for small n (a handful of multiplies),
     // log-space otherwise (only reachable when p is tiny, so `ln_1p`
@@ -149,52 +159,75 @@ fn binomial_inversion_from_zero<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) ->
     k
 }
 
-/// Exact inversion: locate the mode, then accumulate pmf mass outward in
-/// both directions until the uniform variate is covered.
-fn binomial_inversion_from_mode<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
-    let mode = (((n + 1) as f64) * p).floor().min(n as f64) as u64;
-    let ln_pmf_mode = ln_binomial(n, mode) + mode as f64 * p.ln() + (n - mode) as f64 * (1.0 - p).ln();
-    let pmf_mode = ln_pmf_mode.exp();
-
-    let u: f64 = rng.gen();
-    // Walk outward: maintain pmf values to the left and right of the mode via
-    // the ratio recurrences
-    //   pmf(k+1)/pmf(k) = (n-k)/(k+1) * p/(1-p)
-    //   pmf(k-1)/pmf(k) = k/(n-k+1) * (1-p)/p
-    let ratio = p / (1.0 - p);
-    let mut cumulative = pmf_mode;
-    if u < cumulative {
-        return mode;
-    }
-    let mut left = mode;
-    let mut right = mode;
-    let mut pmf_left = pmf_mode;
-    let mut pmf_right = pmf_mode;
+/// Hörmann's BTRS for `p ≤ 0.5`, `n > 64` and `n·p > 10`. Each round draws
+/// `(u, v)` uniform and maps `u` through the transformed-rejection hat to
+/// the candidate `k = ⌊(2a/u_s + b)·u + c⌋`. The squeeze `u_s ≥ 0.07,
+/// v ≤ v_r` accepts most candidates outright; the rest scale `v` under the
+/// hat and accept when `ln v ≤ ln(f(k)/f(m))`, the exact log pmf ratio to
+/// the mode `m`.
+fn binomial_btrs<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
+    let spq = (n as f64 * p * (1.0 - p)).sqrt();
+    let b = 1.15 + 2.53 * spq;
+    let a = -0.0873 + 0.0248 * b + 0.01 * p;
+    let c = n as f64 * p + 0.5;
+    let v_r = 0.92 - 4.2 / b;
     loop {
-        let mut advanced = false;
-        if right < n {
-            pmf_right *= (n - right) as f64 / (right + 1) as f64 * ratio;
-            right += 1;
-            cumulative += pmf_right;
-            if u < cumulative {
-                return right;
-            }
-            advanced = true;
+        let u = rng.gen::<f64>() - 0.5;
+        let v: f64 = rng.gen();
+        let us = 0.5 - u.abs();
+        // `us = 0` only at `u = −½`, where `x = −∞`: never NaN.
+        let x = (2.0 * a / us + b) * u + c;
+        if x < 0.0 {
+            continue;
         }
-        if left > 0 {
-            pmf_left *= left as f64 / (n - left + 1) as f64 / ratio;
-            left -= 1;
-            cumulative += pmf_left;
-            if u < cumulative {
-                return left;
-            }
-            advanced = true;
+        // ⌊x⌋ for x ≥ 0 without a libm `floor` call; saturates above u64.
+        let k = x as u64;
+        if us >= 0.07 && v <= v_r {
+            return k;
         }
-        if !advanced {
-            // Entire support accumulated; u can exceed the total only through
-            // floating-point rounding. Return the mode as the safest value.
-            return mode;
+        if k > n {
+            continue;
         }
+        let alpha = (2.83 + 5.1 / b) * spq;
+        let v = v * alpha / (a / (us * us) + b);
+        let mode = ((n + 1) as f64 * p) as u64;
+        if v.ln() <= ln_pmf_ratio(n, p, k, mode) {
+            return k;
+        }
+    }
+}
+
+/// `ln(f(k) / f(m))` for the Binomial(`n`, `p`) pmf `f`, in Hörmann's
+/// well-conditioned form. Each `ln j!` is written as Stirling's
+/// `(j + ½)·ln(j + 1) − (j + 1) + ½·ln 2π` plus [`stirling_tail`]`(j)`; the
+/// linear terms cancel and the rest regroup into logarithms of ratios, so
+/// the result keeps full precision at `n = 10¹²`, where `ln n!` itself has
+/// only ~3 correct decimals.
+#[cold]
+fn ln_pmf_ratio(n: u64, p: f64, k: u64, m: u64) -> f64 {
+    let (nf, kf, mf) = (n as f64, k as f64, m as f64);
+    let d = kf - mf;
+    (mf + 0.5) * (-d / (kf + 1.0)).ln_1p()
+        + (nf - mf + 0.5) * (d / (nf - kf + 1.0)).ln_1p()
+        + d * ((nf - kf + 1.0) / (kf + 1.0)).ln()
+        + d * (p / (1.0 - p)).ln()
+        + stirling_tail(m)
+        + stirling_tail(n - m)
+        - stirling_tail(k)
+        - stirling_tail(n - k)
+}
+
+/// `ln k! − ((k + ½)·ln(k + 1) − (k + 1) + ½·ln 2π)`, the remainder of
+/// Stirling's formula. Exact from the `ln k!` table below 16; above, the
+/// series `1/12x − 1/360x³ + 1/1260x⁵` with `x = k + 1`, whose truncation
+/// error is below `2e-12` there.
+fn stirling_tail(k: u64) -> f64 {
+    let x = (k + 1) as f64;
+    if k < 16 {
+        ln_factorial(k) - ((x - 0.5) * x.ln() - x + 0.5 * (2.0 * std::f64::consts::PI).ln())
+    } else {
+        let x2 = x * x;
+        (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * x2)) / x2) / x
     }
 }
 
@@ -370,6 +403,7 @@ pub fn sample_ordered_pair<R: Rng + ?Sized>(n: usize, rng: &mut R) -> (usize, us
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::numeric::ln_binomial;
     use crate::rng::rng_from_seed;
     use crate::stats::RunningStats;
     use proptest::prelude::*;
@@ -408,28 +442,109 @@ mod tests {
         assert!((stats.mean() - 90.0).abs() < 0.25);
     }
 
+    /// Exact Binomial(`n`, `p`) log pmf, the oracle for the law battery.
+    fn ln_pmf(n: u64, p: f64, k: u64) -> f64 {
+        ln_binomial(n, k) + k as f64 * p.ln() + (n - k) as f64 * (-p).ln_1p()
+    }
+
+    /// Chi-square of observed counts `observed[k − lo]` against the exact
+    /// pmf over `lo..=hi`, as a z-score `(χ² − dof)/√(2·dof)`. Cells are
+    /// adjacent `k` merged until each expects ≥ `min_expected` draws; counts
+    /// outside the range were clamped into the end cells.
+    fn chi_square_z(n: u64, p: f64, lo: u64, observed: &[u64], min_expected: f64) -> f64 {
+        let draws: u64 = observed.iter().sum();
+        let mut cells = vec![(0.0f64, 0u64)];
+        for (k, &o) in (lo..).zip(observed) {
+            if cells.last().unwrap().0 >= min_expected {
+                cells.push((0.0, 0));
+            }
+            let cell = cells.last_mut().unwrap();
+            cell.0 += ln_pmf(n, p, k).exp() * draws as f64;
+            cell.1 += o;
+        }
+        // A short last cell joins its neighbour.
+        if cells.len() > 1 && cells.last().unwrap().0 < min_expected {
+            let (e, o) = cells.pop().unwrap();
+            let cell = cells.last_mut().unwrap();
+            cell.0 += e;
+            cell.1 += o;
+        }
+        let chi2: f64 = cells.iter().map(|&(e, o)| (o as f64 - e).powi(2) / e).sum();
+        let dof = (cells.len() - 1) as f64;
+        (chi2 - dof) / (2.0 * dof).sqrt()
+    }
+
     #[test]
-    fn binomial_exact_pmf_chi_square_small_n() {
-        // Compare empirical frequencies against the exact pmf for n = 6.
-        let (n, p) = (6u64, 0.35);
-        let mut rng = rng_from_seed(13);
-        let draws = 120_000;
-        let mut counts = vec![0u64; (n + 1) as usize];
-        for _ in 0..draws {
-            counts[sample_binomial(n, p, &mut rng) as usize] += 1;
+    fn binomial_law_battery_matches_exact_pmf() {
+        // Both regimes (n ≤ 64 included), the BTRS boundary at n·q ≈ 10
+        // where the squeeze rejects most, the p > ½ mirror, and a
+        // τ-leap-sized n = 3162.
+        let points = [
+            (6u64, 0.35),
+            (65, 0.2),
+            (100, 0.12),
+            (320, 0.3),
+            (3162, 0.5),
+            (3162, 0.97),
+            (50_000, 0.01),
+            (10_000_000, 0.3),
+        ];
+        let draws = 4_000_000u64;
+        for (i, &(n, p)) in points.iter().enumerate() {
+            // mean ± 12 sd; the excluded tail mass is below 1e-19.
+            let (mean, sd) = (n as f64 * p, (n as f64 * p * (1.0 - p)).sqrt());
+            let lo = (mean - 12.0 * sd).max(0.0) as u64;
+            let hi = ((mean + 12.0 * sd) as u64).min(n);
+            let mut observed = vec![0u64; (hi - lo + 1) as usize];
+            let mut rng = rng_from_seed(100 + i as u64);
+            for _ in 0..draws {
+                observed[(sample_binomial(n, p, &mut rng).clamp(lo, hi) - lo) as usize] += 1;
+            }
+            // Fine cells (expected ≥ 20) catch local errors such as an
+            // off-by-one floor; coarse ones (≤ 100 cells) have the power
+            // for broad distortions such as a too-generous squeeze.
+            for min_expected in [20.0, draws as f64 / 100.0] {
+                let z = chi_square_z(n, p, lo, &observed, min_expected);
+                assert!(
+                    z.abs() < 4.0,
+                    "Binomial({n}, {p}), cells ≥ {min_expected}: chi-square z = {z:.2}"
+                );
+            }
         }
-        let mut chi2 = 0.0;
-        for k in 0..=n {
-            let pmf = (ln_binomial(n, k)
-                + k as f64 * p.ln()
-                + (n - k) as f64 * (1.0 - p).ln())
-            .exp();
-            let expected = pmf * draws as f64;
-            let diff = counts[k as usize] as f64 - expected;
-            chi2 += diff * diff / expected;
+    }
+
+    #[test]
+    fn btrs_pmf_ratio_matches_exact_oracle() {
+        for &(n, p) in &[(65u64, 0.2), (3162, 0.3), (50_000, 0.01), (10_000_000, 0.3)] {
+            let m = ((n + 1) as f64 * p) as u64;
+            for k in [0, 1, 5, m / 2, m.saturating_sub(3), m, m + 7, 2 * m, n] {
+                let exact = ln_pmf(n, p, k) - ln_pmf(n, p, m);
+                let got = ln_pmf_ratio(n, p, k, m);
+                // The oracle differences `ln j!` values of size `ln n!`.
+                let tol = 1e-9 * exact.abs().max(1.0) + 8.0 * f64::EPSILON * ln_factorial(n);
+                assert!((got - exact).abs() < tol, "({n}, {p}, {k}): {got} {exact}");
+            }
         }
-        // 7 cells → 6 dof; the 99.9% quantile is ≈ 22.5.
-        assert!(chi2 < 22.5, "chi-square too large: {chi2}");
+    }
+
+    #[test]
+    fn binomial_same_seed_same_stream() {
+        let points = [
+            (40u64, 0.3),
+            (500, 0.01),
+            (3162, 0.3),
+            (3162, 0.998),
+            (10_000_000, 0.5),
+        ];
+        for (n, p) in points {
+            let run = |seed| {
+                let mut rng = rng_from_seed(seed);
+                let draw = |_| sample_binomial(n, p, &mut rng);
+                (0..2_000).map(draw).collect::<Vec<_>>()
+            };
+            assert_eq!(run(7), run(7), "Binomial({n}, {p}) not reproducible");
+            assert_ne!(run(7), run(8), "Binomial({n}, {p}) ignores the seed");
+        }
     }
 
     #[test]
@@ -504,10 +619,20 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_binomial_in_support(n in 0u64..2_000, p in 0.0..=1.0f64, seed in 0u64..1_000) {
+        fn prop_binomial_in_support(
+            log_n in -1.0..=12.0f64,
+            log_q in -12.0..=0.0f64,
+            mirror in 0u8..2,
+            seed in 0u64..1_000,
+        ) {
+            // n from 0 to 10¹², p from 10⁻¹² to 1 − 10⁻¹², log-uniformly.
+            let n = 10f64.powf(log_n) as u64;
+            let q = 10f64.powf(log_q);
+            let p = if mirror == 1 { 1.0 - q } else { q };
             let mut rng = rng_from_seed(seed);
-            let x = sample_binomial(n, p, &mut rng);
-            prop_assert!(x <= n);
+            for _ in 0..8 {
+                prop_assert!(sample_binomial(n, p, &mut rng) <= n);
+            }
         }
 
         #[test]
