@@ -6,6 +6,8 @@ use popgame_igt::dynamics::{counted_population, IgtProtocol};
 use popgame_igt::params::{GenerosityGrid, IgtConfig, PopulationComposition};
 use popgame_population::batch::BatchedEngine;
 use popgame_runner::run_replicas;
+use popgame_solver::dynamics::{engine_from_profile, DynamicsRule, GameDynamics};
+use popgame_solver::scenarios::by_name;
 use popgame_util::rng::rng_from_seed;
 use std::time::Duration;
 
@@ -65,6 +67,24 @@ fn bench_leap(c: &mut Criterion) {
     group.finish();
 }
 
+/// The costliest REPORT cell: logit (η = 2) on the symmetrized
+/// `random-zero-sum-5` game (`K = 10`) at `n = 6400`, in the report
+/// harness's leaps of `4·√n = 320`. Per-leap overheads (flow
+/// construction, alias draws) dominate at this size.
+fn bench_leap_harness(c: &mut Criterion) {
+    let mut group = c.benchmark_group("batched");
+    group.measurement_time(Duration::from_secs(2)).sample_size(20);
+    let game = by_name("random-zero-sum-5").unwrap().game().symmetrized();
+    let dynamics = GameDynamics::new(&game, DynamicsRule::Logit { eta: 2.0 }).unwrap();
+    let start = dynamics.initial_profile();
+    let mut engine = engine_from_profile(dynamics, &start, 6_400).unwrap();
+    let mut rng = rng_from_seed(8);
+    group.bench_function("leap_harness_k10_logit_n6400", |b| {
+        b.iter(|| engine.run_batched(6_400, 320, &mut rng).unwrap())
+    });
+    group.finish();
+}
+
 fn bench_replica_harness(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched/replicas_x16");
     group.measurement_time(Duration::from_secs(2)).sample_size(10);
@@ -89,6 +109,7 @@ criterion_group!(
     bench_count_step,
     bench_alias_step,
     bench_leap,
+    bench_leap_harness,
     bench_replica_harness
 );
 criterion_main!(benches);

@@ -35,6 +35,13 @@
 //! Chatzigiannakis–Spirakis, *The Dynamics of Probabilistic Population
 //! Protocols*.
 //!
+//! Which flow an alternative feeds depends on the law alone, not on the
+//! counts, so the engine classifies the alternatives once per law: at
+//! construction for tables and static kernels, after a refresh for
+//! count-coupled kernels. A leap then only weighs the `K²` pairs and sums
+//! each flow's terms, in the order the alternatives are enumerated, so
+//! the flow weights carry the same bits as a per-leap classification.
+//!
 //! Randomized protocols τ-leap too, provided they declare their exact
 //! per-pair outcome law via
 //! [`EnumerableProtocol::pair_kernel`]: the engine freezes it into a
@@ -52,6 +59,7 @@ use crate::error::PopulationError;
 use crate::protocol::{EnumerableProtocol, KernelDeps};
 use popgame_util::sampler::{sample_binomial, AliasTable};
 use rand::Rng;
+use std::hint::select_unpredictable;
 
 /// A protocol's transition function tabulated over all `K²` ordered state
 /// pairs. Only available when the protocol is deterministic
@@ -371,13 +379,20 @@ pub struct BatchedEngine<P: EnumerableProtocol> {
     freq_scratch: Vec<f64>,
     /// Scratch: one cell's raw declared law, reused across refreshes.
     law_scratch: Vec<((usize, usize), f64)>,
+    /// The table's or kernel's count-changing alternatives, classified by
+    /// effect ([`LeapLaw::classify`]).
+    law: LeapLaw,
+    /// Whether `law` predates the last kernel refresh (count-coupled only).
+    /// The next leap brings it up to date, so exact steps never pay for it.
+    law_stale: bool,
     /// Scratch: the count flows of a leap — at most `k(k − 1)`
     /// single-agent flows plus the un-aggregated both-move entries.
     flows: Vec<Flow>,
-    /// Scratch: single-agent flow weights keyed `s * k + t` for the move
-    /// `s → t`, accumulated over a leap's alternatives and zeroed again as
-    /// they are compacted into `flows`.
-    flow_w: Vec<f64>,
+    /// Scratch: the pair weights `x_i (x_j − δ_ij)` of a leap, at
+    /// `i * k + j`.
+    pair_w: Vec<f64>,
+    /// Scratch: draws per flow on the categorical path of a leap.
+    tally: Vec<u64>,
     /// Scratch: Walker-alias buffers (acceptance probabilities, alias
     /// slots, and the small/large worklists of the build) for the
     /// categorical draw path of a leap. Rebuilt in place per leap — no
@@ -405,35 +420,227 @@ struct Flow {
     w: f64,
 }
 
-/// Adds the weight `w` of alternative `(i, j) → (a, b)` to the flow keyed
-/// by its effect on the counts. Cancelling the states that both leave and
-/// enter the pair leaves nothing (a no-op or a swap, dropped), one move
-/// `s → t` (added into `flow_w[s * k + t]`), or two disjoint moves, which
-/// stay an entry of their own in `both`.
-#[inline]
-fn add_alternative(
-    flow_w: &mut [f64],
-    both: &mut Vec<Flow>,
-    k: usize,
-    (i, j): (usize, usize),
-    (a, b): (usize, usize),
-    w: f64,
-) {
-    let (s, t) = if b == j {
-        (i, a)
-    } else if a == i {
-        (j, b)
-    } else if a == j {
-        (i, b)
-    } else if b == i {
-        (j, a)
-    } else {
-        let (i, a, j, b) = (i as u32, a as u32, j as u32, b as u32);
-        both.push(Flow { i, a, j, b, w });
-        return;
-    };
-    if s != t {
-        flow_w[s * k + t] += w;
+/// One term of a single-agent flow: the probability `P(a, b | i, j)` (1 for
+/// a tabulated pair) of an alternative of pair `i * k + j` whose only
+/// effect on the counts is the flow's move.
+#[derive(Debug, Clone, Copy)]
+struct Term {
+    p: f64,
+    pair: u32,
+}
+
+/// Pads a lane past its flow's last term: it adds `x_0 (x_0 − 1) · 0 = ±0`.
+const PAD: Term = Term { p: 0.0, pair: 0 };
+
+/// Flow weights are summed in lanes of this many flows, one accumulator
+/// each, so the additions of different flows overlap instead of waiting
+/// on one another.
+const LANES: usize = 4;
+
+/// Up to [`LANES`] consecutive single-agent flows `s → t`, summed together
+/// over the term rows that end at `end` in [`LeapLaw::rows`].
+#[derive(Debug, Clone, Copy)]
+struct FlowGroup {
+    moves: [(u32, u32); LANES],
+    flows: u32,
+    end: u32,
+}
+
+/// Where one outcome `(a, b)` of a pair went when its law was classified.
+#[derive(Debug, Clone, Copy)]
+struct Placed {
+    ab: (u32, u32),
+    at: Place,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Place {
+    /// A no-op or a swap: no flow.
+    Dropped,
+    /// Entry `e` of [`LeapLaw::both`].
+    Both(u32),
+    /// Lane `l` of row `r` of [`LeapLaw::rows`], at `r * LANES + l`.
+    Lane(u32),
+}
+
+/// A law's count-changing alternatives, classified by their effect on the
+/// counts once per law instead of once per leap: at construction for
+/// tabulated and static kernels; for count-coupled kernels after a refresh
+/// that changes which outcomes have mass, while a refresh that keeps them
+/// only rewrites the probabilities in place ([`Self::reweigh`]).
+///
+/// A leap weights alternative `(i, j) → (a, b)` by `x_i (x_j − δ_ij) ·
+/// P(a, b | i, j)` and sums the weights of each flow. Every flow keeps its
+/// terms in `(i, j, outcome)` order, the order the alternatives are
+/// enumerated in, so its sum does not depend on how flows are grouped.
+/// Pads and pairs without weight add `±0`, which changes no sum.
+#[derive(Debug, Clone, Default)]
+struct LeapLaw {
+    /// The single-agent flows in key order `s * k + t`, in groups.
+    groups: Vec<FlowGroup>,
+    /// Term rows: lane `l` of a group's rows holds the terms of its `l`-th
+    /// flow, padded to the group's longest flow with [`PAD`].
+    rows: Vec<[Term; LANES]>,
+    /// Both-move entries in `(i, j, outcome)` order: the pair, and the
+    /// moves with `w = P(a, b | i, j)`.
+    both: Vec<(u32, Flow)>,
+    /// Every outcome in `(i, j, outcome)` order, and where it went.
+    placed: Vec<Placed>,
+    /// Per pair `i * k + j`: the end of its outcomes in `placed`.
+    pair_ends: Vec<u32>,
+    /// Scratch: `(key, term, outcome)` in `(i, j, outcome)` order.
+    raw: Vec<(u32, Term, u32)>,
+    /// Scratch: `raw`'s terms and outcomes, sorted by key, stably.
+    sorted: Vec<(Term, u32)>,
+    /// Scratch: per-key offsets into `sorted`.
+    offsets: Vec<u32>,
+}
+
+impl LeapLaw {
+    /// Classifies every count-changing alternative of the table or kernel.
+    fn classify(
+        &mut self,
+        k: usize,
+        table: Option<&TransitionTable>,
+        kernel: Option<&KernelTable>,
+    ) {
+        self.raw.clear();
+        self.both.clear();
+        self.placed.clear();
+        self.pair_ends.clear();
+        for i in 0..k {
+            for j in 0..k {
+                match (table, kernel) {
+                    (Some(table), _) => self.push(k, (i, j), table.apply(i, j), 1.0),
+                    (None, Some(kernel)) => {
+                        for &((a, b), p) in kernel.outcomes(i, j) {
+                            self.push(k, (i, j), (a as usize, b as usize), p);
+                        }
+                    }
+                    (None, None) => {}
+                }
+                self.pair_ends.push(self.placed.len() as u32);
+            }
+        }
+        // Stable counting sort of the terms by key; each `offsets[key]`
+        // ends up at the end of its key's run.
+        let keys = k * k;
+        self.offsets.clear();
+        self.offsets.resize(keys + 1, 0);
+        for &(key, ..) in &self.raw {
+            self.offsets[key as usize + 1] += 1;
+        }
+        for key in 0..keys {
+            self.offsets[key + 1] += self.offsets[key];
+        }
+        self.sorted.clear();
+        self.sorted.resize(self.raw.len(), (PAD, 0));
+        for &(key, term, outcome) in &self.raw {
+            let next = &mut self.offsets[key as usize];
+            self.sorted[*next as usize] = (term, outcome);
+            *next += 1;
+        }
+        self.groups.clear();
+        self.rows.clear();
+        let (mut lanes, mut filled) = ([(0, 0, 0); LANES], 0);
+        let mut start = 0;
+        for key in 0..keys {
+            let end = self.offsets[key] as usize;
+            if end > start {
+                lanes[filled] = (key, start, end);
+                filled += 1;
+                if filled == LANES {
+                    self.push_group(k, &lanes);
+                    filled = 0;
+                }
+            }
+            start = end;
+        }
+        if filled > 0 {
+            self.push_group(k, &lanes[..filled]);
+        }
+    }
+
+    /// Lays out the sorted terms of up to [`LANES`] flows, each `(key,
+    /// start, end)`, as one group of padded rows.
+    fn push_group(&mut self, k: usize, lanes: &[(usize, usize, usize)]) {
+        let mut moves = [(0, 0); LANES];
+        let mut longest = 0;
+        for (lane, &(key, start, end)) in lanes.iter().enumerate() {
+            moves[lane] = ((key / k) as u32, (key % k) as u32);
+            longest = longest.max(end - start);
+        }
+        for r in 0..longest {
+            let mut row = [PAD; LANES];
+            for (lane, &(_, start, end)) in lanes.iter().enumerate() {
+                if start + r < end {
+                    let (term, outcome) = self.sorted[start + r];
+                    row[lane] = term;
+                    let at = Place::Lane((self.rows.len() * LANES + lane) as u32);
+                    self.placed[outcome as usize].at = at;
+                }
+            }
+            self.rows.push(row);
+        }
+        let (flows, end) = (lanes.len() as u32, self.rows.len() as u32);
+        self.groups.push(FlowGroup { moves, flows, end });
+    }
+
+    /// Classifies alternative `(i, j) → (a, b)` of probability `p`.
+    /// Cancelling the states that both leave and enter the pair leaves
+    /// nothing (a no-op or a swap, dropped), one move `s → t`, or two
+    /// disjoint moves, which stay a both-move entry of their own.
+    fn push(&mut self, k: usize, (i, j): (usize, usize), (a, b): (usize, usize), p: f64) {
+        let (pair, outcome) = ((i * k + j) as u32, self.placed.len() as u32);
+        let ab = (a as u32, b as u32);
+        let (s, t) = if b == j {
+            (i, a)
+        } else if a == i {
+            (j, b)
+        } else if a == j {
+            (i, b)
+        } else if b == i {
+            (j, a)
+        } else {
+            let at = Place::Both(self.both.len() as u32);
+            self.placed.push(Placed { ab, at });
+            let (i, j) = (i as u32, j as u32);
+            self.both.push((pair, Flow { i, a: ab.0, j, b: ab.1, w: p }));
+            return;
+        };
+        // Single moves learn their place when their flow is laid out.
+        self.placed.push(Placed { ab, at: Place::Dropped });
+        if s != t {
+            self.raw.push(((s * k + t) as u32, Term { p, pair }, outcome));
+        }
+    }
+
+    /// Rewrites the probabilities of a refreshed kernel in place when every
+    /// pair still has the outcomes it was classified with, in order;
+    /// `false`, with the law half rewritten, when one does not.
+    fn reweigh(&mut self, kernel: &KernelTable) -> bool {
+        let mut start = 0;
+        for (outcomes, &end) in kernel.cells.iter().zip(&self.pair_ends) {
+            let placed = &self.placed[start..end as usize];
+            if outcomes.len() != placed.len() {
+                return false;
+            }
+            for (&(ab, p), place) in outcomes.iter().zip(placed) {
+                if ab != place.ab {
+                    return false;
+                }
+                match place.at {
+                    Place::Dropped => {}
+                    Place::Both(e) => self.both[e as usize].1.w = p,
+                    Place::Lane(at) => {
+                        let at = at as usize;
+                        self.rows[at / LANES][at % LANES].p = p;
+                    }
+                }
+            }
+            start = end as usize;
+        }
+        true
     }
 }
 
@@ -492,6 +699,8 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         } else {
             Vec::new()
         };
+        let mut law = LeapLaw::default();
+        law.classify(k, table.as_ref(), kernel.as_ref());
         Ok(BatchedEngine {
             protocol,
             counts,
@@ -510,8 +719,11 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             dirty_cells: vec![false; k * k],
             freq_scratch: Vec::with_capacity(k),
             law_scratch: Vec::new(),
+            law,
+            law_stale: false,
             flows: Vec::with_capacity(k * k),
-            flow_w: vec![0.0; k * k],
+            pair_w: Vec::with_capacity(k * k),
+            tally: Vec::with_capacity(k * k),
             alias_prob: Vec::with_capacity(k * k),
             alias_slot: Vec::with_capacity(k * k),
             alias_small: Vec::with_capacity(k * k),
@@ -653,6 +865,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         }
         self.stale.iter_mut().for_each(|s| *s = false);
         self.kernel_dirty = false;
+        self.law_stale = true;
     }
 
     /// One exact interaction via alias-table sampling: `O(1)` expected when
@@ -840,13 +1053,14 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
     /// overdraw splits re-enter through this refresh and see updated
     /// frequencies.
     ///
-    /// Each count-changing alternative `(i, j) → (a, b)` adds its weight
-    /// `x_i (x_j − δ_ij) · P(a, b | i, j)` into the flow of its effect on
-    /// the counts ([`add_alternative`]); only an alternative that moves
-    /// both agents to states outside the pair stays un-aggregated. This is
-    /// exact: per-entry multinomial counts, summed over the entries of one
-    /// flow, are multinomial with the summed weights, and the deltas see
-    /// the draw only through those sums.
+    /// The law's count-changing alternatives were classified by effect
+    /// once ([`LeapLaw`]), so building the flows takes the `K²` pair
+    /// weights `x_i (x_j − δ_ij)` and one multiply-add per term: a flow
+    /// weighs `Σ x_i (x_j − δ_ij) · P(a, b | i, j)` over its terms, summed
+    /// in `(i, j, outcome)` order. This is exact: per-entry multinomial
+    /// counts, summed over the entries of one flow, are multinomial with
+    /// the summed weights, and the deltas see the draw only through those
+    /// sums.
     ///
     /// A leading `p_active` binomial thins away all no-op mass, so near
     /// equilibrium most leaps end after a handful of small draws. The
@@ -854,6 +1068,12 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
     /// when they are few relative to the flows, iid categorical draws from
     /// a Walker alias table — the same multinomial law by the splitting
     /// property.
+    ///
+    /// The hot loops avoid `u64 ↔ f64` conversions, which lower to
+    /// multi-instruction sequences on baseline x86-64 (one `cvtsi2sd` or
+    /// `cvttsd2si` serves `i64` and `u32`): counts convert through `i64`
+    /// and alias slots are `u32`. Both are exact, as every value is below
+    /// 2⁵³, so the stream is the one plain `u64`/`usize` casts would give.
     fn leap<R: Rng + ?Sized>(&mut self, batch: u64, rng: &mut R) {
         let _leap_span = crate::metrics::leap_span();
         crate::metrics::leaps().inc();
@@ -863,49 +1083,54 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             self.table.is_some() || self.kernel.is_some(),
             "leap requires a table or a kernel"
         );
+        if self.law_stale {
+            let kernel = self.kernel.as_ref().expect("only count-coupled laws go stale");
+            if !self.law.reweigh(kernel) {
+                self.law.classify(k, None, Some(kernel));
+            }
+            self.law_stale = false;
+        }
+        // Pair weights through `i64`: exact, as every count is below 2⁵³.
+        // An empty state's diagonal pair weighs `0 · (0 − 1) = −0`, which
+        // adds to a flow's sum as `+0` does.
+        self.pair_w.clear();
+        for (i, &xi) in self.counts.iter().enumerate() {
+            let xi = xi as i64 as f64;
+            self.pair_w.extend(
+                self.counts
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &xj)| xi * (xj as i64 - i64::from(i == j)) as f64),
+            );
+        }
+        // The flows, summed into `active_weight` in flow order.
         self.flows.clear();
-        for i in 0..k {
-            let xi = self.counts[i];
-            if xi == 0 {
-                continue;
+        let mut active_weight = 0.0;
+        for &(pair, flow) in &self.law.both {
+            let wpair = self.pair_w[pair as usize];
+            if wpair > 0.0 {
+                let w = wpair * flow.w;
+                active_weight += w;
+                self.flows.push(Flow { w, ..flow });
             }
-            for j in 0..k {
-                let wpair = xi as f64 * (self.counts[j] - u64::from(i == j)) as f64;
-                if wpair <= 0.0 {
-                    continue;
+        }
+        let mut start = 0;
+        for group in &self.law.groups {
+            let end = group.end as usize;
+            let mut sums = [0.0f64; LANES];
+            for row in &self.law.rows[start..end] {
+                for (sum, term) in sums.iter_mut().zip(row) {
+                    *sum += self.pair_w[term.pair as usize] * term.p;
                 }
-                match (&self.table, &self.kernel) {
-                    (Some(table), _) => {
-                        let ab = table.apply(i, j);
-                        add_alternative(&mut self.flow_w, &mut self.flows, k, (i, j), ab, wpair);
-                    }
-                    (None, Some(kernel)) if !kernel.is_identity(i, j) => {
-                        for &((a, b), p) in kernel.outcomes(i, j) {
-                            let ab = (a as usize, b as usize);
-                            add_alternative(
-                                &mut self.flow_w,
-                                &mut self.flows,
-                                k,
-                                (i, j),
-                                ab,
-                                wpair * p,
-                            );
-                        }
-                    }
-                    _ => {}
+            }
+            start = end;
+            for (&(s, t), &w) in group.moves.iter().zip(&sums).take(group.flows as usize) {
+                if w > 0.0 {
+                    active_weight += w;
+                    self.flows.push(Flow { i: s, a: t, j: t, b: t, w });
                 }
             }
         }
-        // Compact the single-agent flows behind the both-move entries,
-        // zeroing the dense buffer for the next leap.
-        for (key, w) in self.flow_w.iter_mut().enumerate() {
-            if *w > 0.0 {
-                let (s, t) = ((key / k) as u32, (key % k) as u32);
-                self.flows.push(Flow { i: s, a: t, j: t, b: t, w: *w });
-                *w = 0.0;
-            }
-        }
-        let active_weight: f64 = self.flows.iter().map(|f| f.w).sum();
         if active_weight <= 0.0 {
             // Absorbed: every remaining interaction is a no-op.
             self.interactions += batch;
@@ -920,23 +1145,29 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         if remaining > 0 && remaining < 12 * flows as u64 {
             // Draws cheaper than one binomial sample per flow: draw each
             // active interaction's flow iid-categorically from a Walker
-            // alias table, at `O(F)` rebuild plus `O(1)` per draw.
+            // alias table, at `O(F)` rebuild plus `O(1)` per draw, and
+            // apply each flow's tally once.
             self.rebuild_flow_alias(active_weight);
+            self.tally.clear();
+            self.tally.resize(flows, 0);
+            let (prob, alias, tally) = (&self.alias_prob, &self.alias_slot, &mut self.tally);
+            let slots = flows as u32;
             for _ in 0..remaining {
                 // One uniform per draw: the integer part picks the slot,
-                // the fractional part accepts or aliases.
-                let u = rng.gen::<f64>() * flows as f64;
-                let slot = (u as usize).min(flows - 1);
-                let idx = if (u - slot as f64) < self.alias_prob[slot] {
-                    slot
-                } else {
-                    self.alias_slot[slot] as usize
-                };
-                let flow = self.flows[idx];
-                self.deltas[flow.i as usize] -= 1;
-                self.deltas[flow.a as usize] += 1;
-                self.deltas[flow.j as usize] -= 1;
-                self.deltas[flow.b as usize] += 1;
+                // the fractional part accepts or aliases. Acceptance is a
+                // coin flip as often as not, so select without a branch.
+                let u = rng.gen::<f64>() * f64::from(slots);
+                let slot = (u as u32).min(slots - 1);
+                let (accept, other) = (prob[slot as usize], alias[slot as usize]);
+                let idx = select_unpredictable(u - f64::from(slot) < accept, slot, other);
+                tally[idx as usize] += 1;
+            }
+            for (flow, &c) in self.flows.iter().zip(&self.tally) {
+                let c = c as i64;
+                self.deltas[flow.i as usize] -= c;
+                self.deltas[flow.a as usize] += c;
+                self.deltas[flow.j as usize] -= c;
+                self.deltas[flow.b as usize] += c;
             }
         } else {
             // Fused binomial chain over the flows.
@@ -2027,6 +2258,115 @@ mod tests {
     #[test]
     fn flow_leap_matches_reference_with_both_move_outcomes() {
         assert_flow_leap_matches_reference(PAIR_SHIFT, &[6, 5, 4, 3], 40, 6);
+    }
+
+    /// Final counts of a seeded `run_batched(total, batch)` from `counts`.
+    fn pinned_run<P: EnumerableProtocol>(
+        protocol: P,
+        counts: &[u64],
+        total: u64,
+        batch: u64,
+        seed: u64,
+    ) -> Vec<u64> {
+        let mut engine = BatchedEngine::from_counts(protocol, counts.to_vec()).unwrap();
+        let mut rng = rng_from_seed(seed);
+        engine.run_batched(total, batch, &mut rng).unwrap();
+        engine.counts().to_vec()
+    }
+
+    /// Pins the leap's RNG stream: golden final counts of fixed
+    /// `(counts, total, batch, seed)` runs on a tabulated, a static-kernel,
+    /// a count-coupled and a both-move protocol. Between them the runs
+    /// draw through the alias path (few active draws per flow), the fused
+    /// binomial chain (many), and overdraw splits (leaps of the whole
+    /// population over small counts). A rewrite of the leap that keeps its
+    /// law but moves its stream fails here, not only in the REPORT `cmp`.
+    #[test]
+    fn leap_stream_is_pinned() {
+        let softmax = [800, 400, 400, 200, 200];
+        let runs = [
+            (
+                "table, alias",
+                pinned_run(MaxConsensus, &[400, 350, 250], 3_000, 40, 11),
+                vec![0, 5, 995],
+            ),
+            (
+                "table, chain",
+                pinned_run(MaxConsensus, &[400, 350, 250], 1_200, 300, 12),
+                vec![40, 195, 765],
+            ),
+            (
+                "static kernel, alias",
+                pinned_run(RESPONDER_SOFTMAX, &softmax, 20_000, 64, 13),
+                vec![103, 481, 49, 1179, 188],
+            ),
+            (
+                "static kernel, chain",
+                pinned_run(RESPONDER_SOFTMAX, &softmax, 20_000, 2_000, 14),
+                vec![118, 461, 47, 1183, 191],
+            ),
+            (
+                "count-coupled, alias",
+                pinned_run(LocalDrift, &[500, 300, 200, 200], 12_000, 30, 15),
+                vec![299, 288, 333, 280],
+            ),
+            (
+                "count-coupled, chain",
+                pinned_run(LocalDrift, &[50, 30, 20, 20], 1_200, 240, 16),
+                vec![35, 26, 27, 32],
+            ),
+            (
+                "both-move, overdraw splits",
+                pinned_run(PAIR_SHIFT, &[6, 5, 4, 3], 360, 90, 17),
+                vec![2, 6, 8, 2],
+            ),
+            (
+                "both-move, chain",
+                pinned_run(PAIR_SHIFT, &[600, 500, 400, 300], 18_000, 1_800, 18),
+                vec![465, 445, 452, 438],
+            ),
+        ];
+        for (name, got, want) in runs {
+            assert_eq!(got, want, "{name}: leap stream moved");
+        }
+    }
+
+    /// FNV-1a over the flows a leap builds after `warmup` interactions in
+    /// leaps of 60 from `counts`: every flow's moves and the bits of its
+    /// weight, in flow order.
+    fn flow_digest<P: EnumerableProtocol>(protocol: P, counts: &[u64], warmup: u64) -> u64 {
+        let mut engine = BatchedEngine::from_counts(protocol, counts.to_vec()).unwrap();
+        let mut rng = rng_from_seed(29);
+        engine.run_batched(warmup, 60, &mut rng).unwrap();
+        engine.leap(1, &mut rng);
+        let words = engine.flows.iter().flat_map(|f| {
+            [f.i.into(), f.a.into(), f.j.into(), f.b.into(), f.w.to_bits()]
+        });
+        words.fold(0xCBF2_9CE4_8422_2325, |h, word: u64| {
+            (h ^ word).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    /// Pins the bits of the flow weights, which a stream pin cannot see:
+    /// a weight that moves by one ulp almost never moves a draw. Golden
+    /// digests of the flows of a tabulated, a static-kernel, a
+    /// count-coupled (after refreshes) and a both-move law.
+    #[test]
+    fn flow_weights_are_pinned_bitwise() {
+        let softmax = [800, 400, 400, 200, 200];
+        let digests = [
+            flow_digest(MaxConsensus, &[400, 350, 250], 600),
+            flow_digest(RESPONDER_SOFTMAX, &softmax, 0),
+            flow_digest(LocalDrift, &[500, 300, 200, 200], 3_000),
+            flow_digest(PAIR_SHIFT, &[600, 500, 400, 300], 3_000),
+        ];
+        let golden = [
+            0xaa62_abf7_c7af_bf07,
+            0x440d_2a06_5ea3_da25,
+            0x585b_4be1_4ddb_40e3,
+            0xe905_016b_80a5_9aa5,
+        ];
+        assert_eq!(digests, golden);
     }
 
     /// A count-changing alternative `((i, j), (a, b), weight)` of a leap.

@@ -128,7 +128,7 @@ pub fn kernel_dirty_cells() -> &'static Counter {
 }
 
 /// Alias-table rebuilds: the per-state sampling alias plus the per-leap
-/// Walker tables over entry/pair weights.
+/// Walker tables over count-flow weights.
 pub fn alias_rebuilds() -> &'static Counter {
     static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
     handle(

@@ -480,7 +480,7 @@ struct ReplicaOutcome {
 ///
 /// The engine's own `suggested_batch` is `√n`; the harness quadruples it
 /// to amortize the per-leap fixed costs (count-coupled kernel refresh,
-/// active-entry rebuild, draw setup) over more interactions. The
+/// flow weights and alias rebuild, draw setup) over more interactions. The
 /// frozen-count idealization stays `O(batch/n) = O(1/√n)` — the same
 /// vanishing order as the engine default, with a constant factor of 4 —
 /// and the `n/16` clamp keeps small-`n` cells from freezing a

@@ -179,10 +179,10 @@ pub struct GameDynamics {
     span: f64,
     /// One-slot memo for the sampled-BR choice law at the last seen
     /// frequency vector: the law is identical across all `K²` kernel
-    /// cells of one rebuild, so each rebuild computes it once. The two
-    /// buffers (frequency key, law) are reused in place across rebuilds,
-    /// so a warm kernel refresh allocates nothing.
-    sampled_memo: Mutex<Option<(Vec<f64>, Vec<f64>)>>,
+    /// cells of one rebuild, so each rebuild computes it once. The three
+    /// buffers (frequency key, law, power table) are reused in place
+    /// across rebuilds, so a warm kernel refresh allocates nothing.
+    sampled_memo: Mutex<Option<SampledMemo>>,
     /// Flattened sampled-BR composition table, precomputed at
     /// construction: row `c` of `br_comp_counts` (stride `k`) is a
     /// composition of `samples` opponents into strategies,
@@ -415,20 +415,16 @@ impl GameDynamics {
     /// responder strategy `j`, with both comparison payoffs realized
     /// against independent opponents drawn from `freq`:
     /// `E[(u(j, X) − u(i, Y))₊] / κ`, `X, Y ~ freq` iid.
+    ///
+    /// The sum runs over every `(X, Y)` without branches: a pair with no
+    /// mass or no gain adds `fa · fb · max(diff, 0) = ±0`, which leaves the
+    /// sum's bits where skipping it would.
     fn proportional_switch_prob(&self, i: usize, j: usize, freq: &[f64]) -> f64 {
+        let (gain, loss) = (&self.payoff[j], &self.payoff[i]);
         let mut expect = 0.0;
-        for (a, &fa) in freq.iter().enumerate() {
-            if fa == 0.0 {
-                continue;
-            }
-            for (b, &fb) in freq.iter().enumerate() {
-                if fb == 0.0 {
-                    continue;
-                }
-                let diff = self.payoff[j][a] - self.payoff[i][b];
-                if diff > 0.0 {
-                    expect += fa * fb * diff;
-                }
+        for (&fa, &ua) in freq.iter().zip(gain) {
+            for (&fb, &ub) in freq.iter().zip(loss) {
+                expect += fa * fb * (ua - ub).max(0.0);
             }
         }
         (expect / self.span).clamp(0.0, 1.0)
@@ -508,10 +504,27 @@ impl GameDynamics {
     /// and the argmax best reply of every composition were precomputed at
     /// construction ([`build_br_comp_table`]), so each kernel rebuild only
     /// evaluates the frequency-dependent product `coef · Π_t freq[t]^{c_t}`
-    /// per composition row. Writes the law into `rho` (length `k`),
-    /// allocating nothing.
-    fn sampled_br_law_fast(&self, freq: &[f64], rho: &mut [f64]) {
+    /// per composition row. The powers come from `pows`, refilled per call
+    /// with `freq[t].powi(c)` for every `c ≤ samples`: the same `powi`
+    /// calls the rows would make, so the same bits, computed `k·samples`
+    /// times instead of once per row and state. `freq[t]⁰ = 1` and a zero
+    /// row adds `+0`, so neither needs a branch. Writes the law into `rho`
+    /// (length `k`); `pows` is caller-owned, so a warm call allocates
+    /// nothing.
+    fn sampled_br_law_fast(
+        &self,
+        freq: &[f64],
+        samples: usize,
+        rho: &mut [f64],
+        pows: &mut Vec<f64>,
+    ) {
         let k = self.payoff.len();
+        let stride = samples + 1;
+        pows.clear();
+        for &f in freq {
+            pows.push(1.0);
+            pows.extend((1..=samples).map(|c| f.powi(c as i32)));
+        }
         rho.iter_mut().for_each(|r| *r = 0.0);
         for (row, (&coef, &br)) in
             self.br_comp_coef.iter().zip(&self.br_comp_br).enumerate()
@@ -519,13 +532,9 @@ impl GameDynamics {
             let counts = &self.br_comp_counts[row * k..(row + 1) * k];
             let mut prob = coef;
             for (t, &c) in counts.iter().enumerate() {
-                if c > 0 {
-                    prob *= freq[t].powi(c as i32);
-                }
+                prob *= pows[t * stride + c as usize];
             }
-            if prob > 0.0 {
-                rho[br as usize] += prob;
-            }
+            rho[br as usize] += prob;
         }
     }
 
@@ -541,22 +550,25 @@ impl GameDynamics {
         f: impl FnOnce(&[f64]) -> T,
     ) -> T {
         let mut memo = self.sampled_memo.lock().expect("memo lock");
-        let hit = matches!(memo.as_ref(), Some((cached, _)) if cached == freq);
+        let hit = matches!(memo.as_ref(), Some(m) if m.freq == freq);
         if !hit {
             let k = self.payoff.len();
-            let (cached, rho) = memo.get_or_insert_with(|| (Vec::new(), vec![0.0; k]));
-            cached.clear();
-            cached.extend_from_slice(freq);
+            let m = memo.get_or_insert_with(|| SampledMemo {
+                freq: Vec::new(),
+                rho: vec![0.0; k],
+                pows: Vec::new(),
+            });
+            m.freq.clear();
+            m.freq.extend_from_slice(freq);
             if self.reference_laws {
                 let reference = self.sampled_br_law(freq, samples);
-                rho.clear();
-                rho.extend_from_slice(&reference);
+                m.rho.clear();
+                m.rho.extend_from_slice(&reference);
             } else {
-                self.sampled_br_law_fast(freq, rho);
+                self.sampled_br_law_fast(freq, samples, &mut m.rho, &mut m.pows);
             }
         }
-        let (_, rho) = memo.as_ref().expect("memo filled above");
-        f(rho)
+        f(&memo.as_ref().expect("memo filled above").rho)
     }
 
     /// Routes count-coupled law evaluations through the pre-optimization
@@ -588,6 +600,17 @@ impl GameDynamics {
         };
         new_level + 2
     }
+}
+
+/// The buffers behind [`GameDynamics`]'s one-slot sampled-BR memo.
+#[derive(Debug)]
+struct SampledMemo {
+    /// The frequency vector the law was computed at (the memo key).
+    freq: Vec<f64>,
+    /// The choice law at `freq`.
+    rho: Vec<f64>,
+    /// Scratch: `freq[t].powi(c)` at `t * (samples + 1) + c`.
+    pows: Vec<f64>,
 }
 
 /// Enumerates every composition of `samples` opponents into the `k`
@@ -1073,6 +1096,69 @@ mod tests {
     }
 
     #[test]
+    fn branchless_switch_prob_matches_the_skipping_sum_bitwise() {
+        // The same sum with the zero-mass and no-gain pairs skipped: the
+        // ±0 terms the branchless loop adds must leave every bit in place,
+        // including at extinct strategies.
+        let game = crate::scenarios::by_name("random-symmetric-5").unwrap();
+        let d = GameDynamics::new(game.game(), DynamicsRule::PairwiseImitation).unwrap();
+        let mut rng = rng_from_seed(41);
+        for round in 0..200 {
+            let mut freq: Vec<f64> = (0..5).map(|_| rng.gen_range(0..4u32) as f64).collect();
+            freq[round % 5] = 0.0;
+            let total: f64 = freq.iter().sum::<f64>().max(1.0);
+            freq.iter_mut().for_each(|f| *f /= total);
+            for (i, j) in (0..5).flat_map(|i| (0..5).map(move |j| (i, j))) {
+                let mut expect = 0.0;
+                for (a, &fa) in freq.iter().enumerate().filter(|&(_, &f)| f != 0.0) {
+                    for (b, &fb) in freq.iter().enumerate().filter(|&(_, &f)| f != 0.0) {
+                        let diff = d.payoff[j][a] - d.payoff[i][b];
+                        if diff > 0.0 {
+                            expect += fa * fb * diff;
+                        }
+                    }
+                }
+                let skipping = (expect / d.span).clamp(0.0, 1.0);
+                let got = d.proportional_switch_prob(i, j, &freq);
+                assert_eq!(got.to_bits(), skipping.to_bits(), "({i}, {j}) at {freq:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_br_power_table_matches_per_row_powi_bitwise() {
+        // The law with every power taken per row, zero counts and zero
+        // rows skipped: the table must reproduce it bit for bit.
+        let game = crate::scenarios::by_name("random-symmetric-5").unwrap();
+        let samples = 5;
+        let rule = DynamicsRule::SampledBestResponse { samples };
+        let d = GameDynamics::new(game.game(), rule).unwrap();
+        let mut rng = rng_from_seed(43);
+        let (mut fast, mut pows) = (vec![0.0; 5], Vec::new());
+        for round in 0..100 {
+            let mut freq: Vec<f64> = (0..5).map(|_| rng.gen_range(0..4u32) as f64).collect();
+            freq[round % 5] = 0.0;
+            let total: f64 = freq.iter().sum::<f64>().max(1.0);
+            freq.iter_mut().for_each(|f| *f /= total);
+            let mut rho = vec![0.0f64; 5];
+            for (row, (&coef, &br)) in d.br_comp_coef.iter().zip(&d.br_comp_br).enumerate() {
+                let mut prob = coef;
+                for (t, &c) in d.br_comp_counts[row * 5..(row + 1) * 5].iter().enumerate() {
+                    if c > 0 {
+                        prob *= freq[t].powi(c as i32);
+                    }
+                }
+                if prob > 0.0 {
+                    rho[br as usize] += prob;
+                }
+            }
+            d.sampled_br_law_fast(&freq, samples, &mut fast, &mut pows);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&rho), "at {freq:?}");
+        }
+    }
+
+    #[test]
     fn pairwise_imitation_mean_switch_flow_is_replicator_signed() {
         // Net D→H vs H→D flow at freq x must carry the replicator sign:
         // positive toward the better-performing strategy against x.
@@ -1450,7 +1536,7 @@ mod tests {
             ] {
                 let reference = d.sampled_br_law(&freq, samples);
                 let mut fast = vec![0.0; 3];
-                d.sampled_br_law_fast(&freq, &mut fast);
+                d.sampled_br_law_fast(&freq, samples, &mut fast, &mut Vec::new());
                 for (a, (&r, &f)) in reference.iter().zip(&fast).enumerate() {
                     assert!(
                         (r - f).abs() <= 1e-12,
