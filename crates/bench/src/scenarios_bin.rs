@@ -18,7 +18,7 @@
 
 use popgame_dist::divergence::tv_distance;
 use popgame_solver::dynamics::{engine_from_profile, DynamicsRule};
-use popgame_solver::scenarios::{by_name, registry_listing, Scenario};
+use popgame_solver::scenarios::{by_name, registry_listing};
 use popgame_util::json::Json;
 use popgame_util::rng::rng_from_seed;
 use std::process::ExitCode;
@@ -99,7 +99,7 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
 }
 
 fn run_scenario(args: &RunArgs) -> Result<Json, String> {
-    let scenario: Scenario = by_name(&args.name).map_err(|e| e.to_string())?;
+    let scenario = by_name(&args.name).map_err(|e| e.to_string())?;
     let dynamics = scenario.dynamics(args.rule).map_err(|e| e.to_string())?;
     let k = scenario.game().k();
     let uniform = vec![1.0 / k as f64; k];

@@ -106,7 +106,7 @@ fn mean_distance(
 /// The swept scenario-dynamics pairs: every symmetric registry classic,
 /// each under the revision rule whose mean-field rest point is a solver
 /// equilibrium (see the module docs of `popgame_solver::dynamics`).
-fn sweep_pairs() -> Vec<(Scenario, DynamicsRule)> {
+fn sweep_pairs() -> Vec<(&'static Scenario, DynamicsRule)> {
     vec![
         (
             by_name("prisoners-dilemma").expect("registered"),

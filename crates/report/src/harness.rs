@@ -697,7 +697,7 @@ fn convergence_specs(config: &ReportConfig) -> Result<ConvergencePlan, String> {
         } else {
             original.symmetrized()
         };
-        let equilibria = ground_truth(&scenario, &substrate)?;
+        let equilibria = ground_truth(scenario, &substrate)?;
         scenarios.push(ScenarioSummary {
             name: scenario.name().to_string(),
             k: original.k(),
@@ -953,7 +953,7 @@ fn eta_sweep_specs(config: &ReportConfig) -> Result<EtaSweepPlan, String> {
     let n = *config.sizes.last().expect("validated non-empty");
     let mut meta = Vec::new();
     let mut specs = Vec::new();
-    for (row_index, scenario) in registry().into_iter().enumerate() {
+    for (row_index, scenario) in registry().iter().enumerate() {
         if !scenario.game().is_symmetric(1e-9) {
             continue;
         }

@@ -13,13 +13,22 @@
 //! timeout, and `Connection: close`. No chunked transfer, no TLS, no
 //! HTTP/2 — the service sits on loopback or behind a real proxy.
 //!
+//! Framing is strict, since a request framed differently here than by a
+//! proxy in front is the request-smuggling shape: a `Content-Length` must
+//! be digits only (RFC 9110 §8.6) and agree with any repeat of itself, or
+//! the reply is `400`; any `Transfer-Encoding` is answered `501 Not
+//! Implemented`. Both replies close the connection.
+//!
+//! Each response — head and body — goes out in one vectored write, so a
+//! `TCP_NODELAY` socket sends it without a separate head segment.
+//!
 //! Graceful shutdown: raise the flag, nudge the accept loop with a
 //! loopback connection, drop the queue sender, and join every thread.
 //! In-flight requests complete; queued connections are served; nothing
 //! is torn down mid-response.
 
 use popgame_obs::metrics::{registry, Counter, Gauge, GaugeGuard};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, TrySendError};
@@ -63,7 +72,7 @@ fn rejected_counter() -> &'static Arc<Counter> {
     })
 }
 
-/// Requests that failed HTTP parsing (400/413 before reaching a handler).
+/// Requests that failed HTTP parsing (400/413/501 before reaching a handler).
 fn parse_error_counter() -> &'static Arc<Counter> {
     static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
     CELL.get_or_init(|| {
@@ -202,6 +211,7 @@ fn status_text(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
@@ -504,9 +514,14 @@ fn read_request(
         let value = value.trim();
         match name.as_str() {
             "content-length" => {
-                let parsed: usize = value
-                    .parse()
-                    .map_err(|_| ParseError::Bad(400, format!("bad content-length: {value:?}")))?;
+                // RFC 9110 §8.6: `1*DIGIT`. `usize::from_str` also takes a
+                // leading `+`, which another parser in the chain may not.
+                let parsed = match value.parse::<usize>() {
+                    Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
+                    _ => {
+                        return Err(ParseError::Bad(400, format!("bad content-length: {value:?}")))
+                    }
+                };
                 // Duplicate Content-Length headers used to be last-wins —
                 // the request-smuggling shape, where two parsers in the
                 // chain pick different values and disagree on where the
@@ -523,6 +538,16 @@ fn read_request(
                     }
                 }
                 content_length = Some(parsed);
+            }
+            // No chunked (or any other) transfer coding is implemented. A
+            // parser that ignored the header would frame such a body as
+            // empty and read its chunk lines as the next request on the
+            // connection — the smuggling shape again — so refuse and close.
+            "transfer-encoding" => {
+                return Err(ParseError::Bad(
+                    501,
+                    format!("transfer-encoding not implemented: {value:?}"),
+                ));
             }
             "connection" if value.eq_ignore_ascii_case("close") => close = true,
             "connection" if value.eq_ignore_ascii_case("keep-alive") => close = false,
@@ -548,9 +573,33 @@ fn write_response(w: &mut impl Write, response: &Response, keep_alive: bool) -> 
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(response.body.as_bytes())?;
+    let mut slices = [
+        IoSlice::new(head.as_bytes()),
+        IoSlice::new(response.body.as_bytes()),
+    ];
+    write_all_vectored(w, &mut slices)?;
     w.flush()
+}
+
+/// Writes every byte of `slices` in as few `write_vectored` calls as the
+/// writer allows — one, on a socket with room — advancing past partial
+/// writes and retrying on `Interrupted`. (`Write::write_all_vectored` is
+/// still unstable.)
+fn write_all_vectored(w: &mut impl Write, mut slices: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !slices.is_empty() {
+        match w.write_vectored(slices) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole response",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut slices, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -656,11 +705,98 @@ mod tests {
         let server = echo_server(1, 16);
         let reply = raw_request(server.local_addr(), "NONSENSE\r\n\r\n");
         assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+        // Content-Length is `1*DIGIT` only: `+5` parses as a usize but
+        // is not a valid length.
+        for length in ["-3", "+5"] {
+            let reply = raw_request(
+                server.local_addr(),
+                &format!("GET / HTTP/1.1\r\ncontent-length: {length}\r\n\r\nabcde"),
+            );
+            assert!(reply.starts_with("HTTP/1.1 400"), "{length}: {reply}");
+        }
+    }
+
+    #[test]
+    fn transfer_encoding_gets_501_and_close() {
+        let server = echo_server(1, 16);
+        // The chunked body ends in bytes laid out as a second request. A
+        // parser that ignored the header would frame the body as empty
+        // and read on; the daemon must answer once and close.
         let reply = raw_request(
             server.local_addr(),
-            "GET / HTTP/1.1\r\ncontent-length: -3\r\n\r\n",
+            "POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n\
+             5\r\nhello\r\n0\r\n\r\nGET /smuggled HTTP/1.1\r\n\r\n",
         );
-        assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+        assert!(reply.starts_with("HTTP/1.1 501 Not Implemented\r\n"), "{reply}");
+        assert_eq!(reply.matches("HTTP/1.1 ").count(), 1, "{reply}");
+        assert!(reply.contains("connection: close"), "{reply}");
+        assert!(!reply.contains("/smuggled"), "{reply}");
+    }
+
+    /// Accepts at most 7 bytes per `write_vectored` call, across slices,
+    /// and fails the first call with `Interrupted`.
+    struct Trickle {
+        out: Vec<u8>,
+        interrupted: bool,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let mut budget = 7;
+            for buf in bufs {
+                let take = buf.len().min(budget);
+                self.out.extend_from_slice(&buf[..take]);
+                budget -= take;
+            }
+            Ok(7 - budget)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn vectored_write_survives_partial_writes() {
+        for len in [13, 100_003] {
+            let body: String = (0..len).map(|i| char::from(b'a' + (i % 26) as u8)).collect();
+            let response = Response::json(200, body.clone()).with_header("x-test", "1");
+            let mut writer = Trickle {
+                out: Vec::new(),
+                interrupted: false,
+            };
+            write_response(&mut writer, &response, true).unwrap();
+            let expected = format!(
+                "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+                 content-length: {len}\r\nconnection: keep-alive\r\nx-test: 1\r\n\r\n{body}"
+            );
+            assert!(writer.interrupted);
+            assert!(writer.out == expected.as_bytes(), "len {len}: bytes differ");
+        }
+    }
+
+    #[test]
+    fn vectored_write_reports_write_zero() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let response = Response::json(200, "{}".to_string());
+        let err = write_response(&mut Full, &response, false).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]

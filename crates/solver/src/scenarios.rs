@@ -42,6 +42,7 @@ use crate::game::MatrixGame;
 use crate::nash::{enumerate_equilibria, symmetric_equilibria, Equilibrium};
 use popgame_util::rng::rng_from_seed;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// A named, parameterized game instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -377,7 +378,18 @@ impl Scenario {
 
 /// The canonical registry: one instance of every named scenario, with the
 /// parameters used throughout the workspace's tests and experiments.
-pub fn registry() -> Vec<Scenario> {
+///
+/// The registry is process-static: it is built once, on first use, and
+/// every later call returns the same `&'static` slice, so looking a
+/// scenario up never rebuilds the games.
+pub fn registry() -> &'static [Scenario] {
+    static REGISTRY: OnceLock<Vec<Scenario>> = OnceLock::new();
+    REGISTRY.get_or_init(build_registry)
+}
+
+/// Runs once per process, under [`registry`]'s `OnceLock`.
+#[cold]
+fn build_registry() -> Vec<Scenario> {
     vec![
         Scenario::prisoners_dilemma(2.0, 1.0).expect("canonical parameters are valid"),
         Scenario::hawk_dove(2.0, 4.0).expect("canonical parameters are valid"),
@@ -419,15 +431,16 @@ pub fn registry_listing() -> popgame_util::json::Json {
     }))
 }
 
-/// Looks a canonical scenario up by name.
+/// Looks a canonical scenario up by name in the process-static
+/// [`registry`]; the result borrows the registry entry for `'static`.
 ///
 /// # Errors
 ///
 /// Returns [`SolverError::UnknownScenario`] when the name is not in
 /// [`registry`].
-pub fn by_name(name: &str) -> Result<Scenario, SolverError> {
+pub fn by_name(name: &str) -> Result<&'static Scenario, SolverError> {
     registry()
-        .into_iter()
+        .iter()
         .find(|s| s.name() == name)
         .ok_or_else(|| SolverError::UnknownScenario { name: name.into() })
 }
@@ -442,7 +455,7 @@ mod tests {
     fn registry_names_are_unique_and_resolvable() {
         let all = registry();
         assert!(all.len() >= 12, "at least twelve named scenarios");
-        for s in &all {
+        for s in all {
             let found = by_name(s.name()).unwrap();
             assert_eq!(found.game(), s.game());
         }
