@@ -56,7 +56,8 @@
 
 use crate::counts::CountedPopulation;
 use crate::error::PopulationError;
-use crate::protocol::{EnumerableProtocol, KernelDeps};
+use crate::metrics::Tally;
+use crate::protocol::{EnumerableProtocol, KernelDeps, KernelLaws};
 use popgame_util::sampler::{sample_binomial, AliasTable};
 use rand::Rng;
 use std::hint::select_unpredictable;
@@ -212,14 +213,23 @@ impl KernelTable {
     /// probabilities do not form a pmf (negative/non-finite mass or a
     /// total away from 1) — a protocol bug, named as such.
     pub fn build<P: EnumerableProtocol>(protocol: &P) -> Result<Option<Self>, PopulationError> {
-        Self::build_with(protocol, |p, i, j| p.pair_kernel(i, j))
+        let k = protocol.num_states();
+        let mut laws = KernelLaws::default();
+        for cell in 0..k * k {
+            let Some(entries) = protocol.pair_kernel(cell / k, cell % k) else {
+                break;
+            };
+            laws.entries.extend(entries);
+            laws.ends.push(laws.entries.len());
+        }
+        Self::from_laws(k, &laws)
     }
 
     /// Tabulates a *count-coupled* protocol's outcome kernel at the given
-    /// population frequencies, via
-    /// [`EnumerableProtocol::pair_kernel_at`]. The engine calls this on
-    /// every rebuild — after each count change under exact stepping, once
-    /// per leap under τ-leaping.
+    /// population frequencies, in one
+    /// [`EnumerableProtocol::pair_kernels_at_into`] call over every cell.
+    /// The engine calls this at construction, and on every count change
+    /// on the reference path ([`BatchedEngine::set_reference_leap`]).
     ///
     /// # Errors
     ///
@@ -228,35 +238,32 @@ impl KernelTable {
         protocol: &P,
         freq: &[f64],
     ) -> Result<Option<Self>, PopulationError> {
-        Self::build_with(protocol, |p, i, j| p.pair_kernel_at(i, j, freq))
+        let k = protocol.num_states();
+        let mut laws = KernelLaws::default();
+        protocol.pair_kernels_at_into(freq, &vec![true; k * k], &mut laws);
+        Self::from_laws(k, &laws)
     }
 
-    fn build_with<P: EnumerableProtocol>(
-        protocol: &P,
-        kernel_of: impl Fn(&P, usize, usize) -> Option<Vec<((usize, usize), f64)>>,
-    ) -> Result<Option<Self>, PopulationError> {
-        let k = protocol.num_states();
+    /// Validates the cells `laws` holds, row by row from `(0, 0)`; `None`
+    /// when it holds fewer than all `k²`.
+    fn from_laws(k: usize, laws: &KernelLaws) -> Result<Option<Self>, PopulationError> {
         let mut cells = Vec::with_capacity(k * k);
         let mut identity = Vec::with_capacity(k * k);
-        for i in 0..k {
-            for j in 0..k {
-                let Some(outcomes) = kernel_of(protocol, i, j) else {
-                    return Ok(None);
-                };
-                let mut cell = Vec::with_capacity(outcomes.len());
-                identity.push(fill_cell(k, i, j, &outcomes, &mut cell)?);
-                cells.push(cell);
-            }
+        for (index, outcomes) in laws.cells().enumerate() {
+            let mut cell = Vec::with_capacity(outcomes.len());
+            identity.push(fill_cell(k, index / k, index % k, outcomes, &mut cell)?);
+            cells.push(cell);
         }
-        Ok(Some(KernelTable { k, cells, identity }))
+        Ok((cells.len() == k * k).then_some(KernelTable { k, cells, identity }))
     }
 
     /// Refreshes the table in place at new frequencies, recomputing only
     /// the cells flagged in `dirty` (`dirty[i * k + j]`) and reusing every
     /// cell's allocation — the incremental counterpart of a full
-    /// [`KernelTable::build_at`] rebuild. `scratch` is a caller-owned
-    /// buffer reused across calls, so a warm refresh performs no heap
-    /// allocation at all.
+    /// [`KernelTable::build_at`] rebuild. The dirty cells' laws come from
+    /// one [`EnumerableProtocol::pair_kernels_at_into`] call into `laws`,
+    /// caller-owned buffers reused across calls, so a warm refresh
+    /// performs no heap allocation at all.
     ///
     /// Provided the protocol's [`EnumerableProtocol::pair_kernel_deps`]
     /// declarations are truthful and `dirty` covers every cell whose
@@ -275,27 +282,29 @@ impl KernelTable {
         protocol: &P,
         freq: &[f64],
         dirty: &[bool],
-        scratch: &mut Vec<((usize, usize), f64)>,
+        laws: &mut KernelLaws,
     ) -> Result<(), PopulationError> {
         let k = self.k;
         debug_assert_eq!(dirty.len(), k * k, "dirty mask must cover every cell");
+        laws.clear();
+        protocol.pair_kernels_at_into(freq, dirty, laws);
+        let mut written = laws.cells();
         for i in 0..k {
             for j in 0..k {
                 let cell_index = i * k + j;
                 if !dirty[cell_index] {
                     continue;
                 }
-                scratch.clear();
-                if !protocol.pair_kernel_at_into(i, j, freq, scratch) {
+                let Some(outcomes) = written.next() else {
                     return Err(PopulationError::InvalidArgument {
                         reason: format!(
                             "count-coupled protocol declined to state the law for \
                              pair ({i}, {j}) mid-run"
                         ),
                     });
-                }
+                };
                 self.identity[cell_index] =
-                    fill_cell(k, i, j, scratch, &mut self.cells[cell_index])?;
+                    fill_cell(k, i, j, outcomes, &mut self.cells[cell_index])?;
             }
         }
         Ok(())
@@ -377,8 +386,8 @@ pub struct BatchedEngine<P: EnumerableProtocol> {
     dirty_cells: Vec<bool>,
     /// Scratch: current frequencies, reused across refreshes.
     freq_scratch: Vec<f64>,
-    /// Scratch: one cell's raw declared law, reused across refreshes.
-    law_scratch: Vec<((usize, usize), f64)>,
+    /// Scratch: the dirty cells' declared laws, reused across refreshes.
+    cell_laws: KernelLaws,
     /// The table's or kernel's count-changing alternatives, classified by
     /// effect ([`LeapLaw::classify`]).
     law: LeapLaw,
@@ -405,6 +414,9 @@ pub struct BatchedEngine<P: EnumerableProtocol> {
     /// change, per-cell outcome chains). Kept for equivalence tests and
     /// benchmark baselines; see [`Self::set_reference_leap`].
     reference: bool,
+    /// Work done since the last public call returned; published to the
+    /// [`crate::metrics`] counters as each one returns.
+    work: Tally,
 }
 
 /// One count flow of a leap: each of its draws moves one agent `i → a`
@@ -718,7 +730,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             stale: vec![false; k],
             dirty_cells: vec![false; k * k],
             freq_scratch: Vec::with_capacity(k),
-            law_scratch: Vec::new(),
+            cell_laws: KernelLaws::default(),
             law,
             law_stale: false,
             flows: Vec::with_capacity(k * k),
@@ -729,6 +741,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             alias_small: Vec::with_capacity(k * k),
             alias_large: Vec::with_capacity(k * k),
             reference: false,
+            work: Tally::default(),
         })
     }
 
@@ -802,7 +815,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             let weights: Vec<f64> = self.counts.iter().map(|&c| c as f64).collect();
             self.alias = Some(AliasTable::new(&weights).expect("population non-empty"));
             self.alias_dirty = false;
-            crate::metrics::alias_rebuilds().inc();
+            self.work.alias_rebuilds += 1;
         }
     }
 
@@ -830,7 +843,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             self.kernel = KernelTable::build_at(&self.protocol, &freq)
                 .expect("count-coupled kernel law broke mid-run (protocol bug)");
             debug_assert!(self.kernel.is_some(), "validated at construction");
-            crate::metrics::kernel_full_builds().inc();
+            self.work.kernel_full_builds += 1;
         } else {
             let _span = crate::metrics::kernel_refresh_span();
             self.freq_scratch.clear();
@@ -848,8 +861,8 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
                 };
                 recomputed += u64::from(*dirty);
             }
-            crate::metrics::kernel_refreshes().inc();
-            crate::metrics::kernel_dirty_cells().add(recomputed);
+            self.work.kernel_refreshes += 1;
+            self.work.dirty_cells += recomputed;
             let kernel = self
                 .kernel
                 .as_mut()
@@ -859,7 +872,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
                     &self.protocol,
                     &self.freq_scratch,
                     &self.dirty_cells,
-                    &mut self.law_scratch,
+                    &mut self.cell_laws,
                 )
                 .expect("count-coupled kernel law broke mid-run (protocol bug)");
         }
@@ -878,6 +891,13 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
     /// from the *current* frequencies before the outcome is drawn (an
     /// `O(K²)` rebuild after every count change).
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> (usize, usize) {
+        let pair = self.exact_step(rng);
+        self.work.publish();
+        pair
+    }
+
+    /// [`Self::step`] without publishing its work.
+    fn exact_step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> (usize, usize) {
         self.ensure_kernel();
         self.ensure_alias();
         let alias = self.alias.as_ref().expect("built above");
@@ -934,7 +954,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             }
         }
         self.interactions += 1;
-        crate::metrics::exact_steps().inc();
+        self.work.exact_steps += 1;
         (i, j)
     }
 
@@ -950,27 +970,44 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         batch: u64,
         rng: &mut R,
     ) -> Result<(), PopulationError> {
+        self.check_pairs()?;
+        self.batch_step(batch, rng);
+        self.work.publish();
+        Ok(())
+    }
+
+    /// A pair needs two agents.
+    fn check_pairs(&self) -> Result<(), PopulationError> {
         if self.n < 2 {
             return Err(PopulationError::TooFewAgents { n: self.n as usize });
-        }
-        if self.table.is_none() && self.kernel.is_none() {
-            // Randomized transitions without a declared kernel cannot be
-            // tabulated; stay exact.
-            for _ in 0..batch {
-                self.step(rng);
-            }
-            return Ok(());
-        }
-        if self.reference {
-            self.leap_reference(batch, rng);
-        } else {
-            self.leap(batch, rng);
         }
         Ok(())
     }
 
+    /// [`Self::step_batch`] past its check, without publishing its work.
+    /// Returns whether its last leap found the population absorbed: every
+    /// later leap is then a no-op that draws no random number.
+    fn batch_step<R: Rng + ?Sized>(&mut self, batch: u64, rng: &mut R) -> bool {
+        if self.table.is_none() && self.kernel.is_none() {
+            // Randomized transitions without a declared kernel cannot be
+            // tabulated; stay exact.
+            for _ in 0..batch {
+                self.exact_step(rng);
+            }
+            return false;
+        }
+        if self.reference {
+            self.leap_reference(batch, rng)
+        } else {
+            self.leap(batch, rng)
+        }
+    }
+
     /// Runs `total` interactions in leaps of `batch` (the final leap is
-    /// ragged).
+    /// ragged). Once a leap finds the population absorbed, the clock jumps
+    /// to the end of the run: the leaps left could neither change a count
+    /// nor draw a random number, so the result and the RNG stream are
+    /// those of running them.
     ///
     /// # Errors
     ///
@@ -986,7 +1023,8 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
 
     /// [`Self::run_batched`] with bounded-memory trajectory capture: the
     /// count vector is offered to `recorder` before the first leap and
-    /// after every leap, and the final state is always retained
+    /// after every leap (in the skipped absorbed tail, at the clocks the
+    /// recorder keeps), and the final state is always retained
     /// ([`crate::trajectory::TrajectoryRecorder::force`]). The recorder never consumes
     /// randomness, so a recorded run draws exactly the same RNG stream —
     /// and reaches exactly the same final counts — as an unrecorded
@@ -1008,6 +1046,10 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
 
     /// The shared leap loop behind [`Self::run_batched`] and
     /// [`Self::run_recorded`]; the recorder is observation-only.
+    ///
+    /// Once a leap finds the population absorbed, no later leap can change
+    /// a count or draw a random number, so the loop jumps the clock to the
+    /// end of the run ([`Self::skip_absorbed`]) instead of leaping on.
     fn run_loop<R: Rng + ?Sized>(
         &mut self,
         total: u64,
@@ -1019,19 +1061,57 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         if let Some(rec) = recorder.as_deref_mut() {
             rec.offer(self.interactions, &self.counts);
         }
+        if total > 0 {
+            self.check_pairs()?;
+        }
         let mut executed = 0u64;
         while executed < total {
             let burst = batch.min(total - executed);
-            self.step_batch(burst, rng)?;
+            let absorbed = self.batch_step(burst, rng);
             executed += burst;
             if let Some(rec) = recorder.as_deref_mut() {
                 rec.offer(self.interactions, &self.counts);
+            }
+            if absorbed {
+                self.skip_absorbed(total - executed, batch, recorder.as_deref_mut());
+                break;
             }
         }
         if let Some(rec) = recorder {
             rec.force(self.interactions, &self.counts);
         }
+        self.work.publish();
         Ok(())
+    }
+
+    /// Advances the clock over the `rest` interactions that leaps of
+    /// `batch` would spend on an absorbed population. Those leaps would
+    /// offer the recorder the clocks `start + m · batch` below `start +
+    /// rest`, then `start + rest`, all with the same counts; only the
+    /// clocks it keeps are offered, so it ends in the same state.
+    fn skip_absorbed(
+        &mut self,
+        rest: u64,
+        batch: u64,
+        recorder: Option<&mut crate::trajectory::TrajectoryRecorder>,
+    ) {
+        let (start, end) = (self.interactions, self.interactions + rest);
+        if let Some(rec) = recorder {
+            loop {
+                // The first clock those leaps offer at or past the due one.
+                let due = rec.next_due();
+                let leaps = due.saturating_sub(start).div_ceil(batch).max(1);
+                let clock = start + leaps.saturating_mul(batch).min(rest);
+                if clock < due {
+                    break;
+                }
+                rec.offer(clock, &self.counts);
+                if clock == end {
+                    break;
+                }
+            }
+        }
+        self.interactions = end;
     }
 
     /// A batch size balancing leap overhead against τ-leap drift:
@@ -1074,9 +1154,12 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
     /// `cvttsd2si` serves `i64` and `u32`): counts convert through `i64`
     /// and alias slots are `u32`. Both are exact, as every value is below
     /// 2⁵³, so the stream is the one plain `u64`/`usize` casts would give.
-    fn leap<R: Rng + ?Sized>(&mut self, batch: u64, rng: &mut R) {
+    ///
+    /// Returns whether the leap found the population absorbed: no flow
+    /// has weight, so it draws nothing and neither can any later leap.
+    fn leap<R: Rng + ?Sized>(&mut self, batch: u64, rng: &mut R) -> bool {
         let _leap_span = crate::metrics::leap_span();
-        crate::metrics::leaps().inc();
+        self.work.leaps += 1;
         self.ensure_kernel();
         let k = self.counts.len();
         debug_assert!(
@@ -1134,7 +1217,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         if active_weight <= 0.0 {
             // Absorbed: every remaining interaction is a no-op.
             self.interactions += batch;
-            return;
+            return true;
         }
         let total_weight = self.n as f64 * (self.n - 1) as f64;
         // How many of the `batch` interactions change anything at all.
@@ -1194,13 +1277,14 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
                 }
             }
         }
-        self.commit_or_split(batch, rng);
+        self.commit_or_split(batch, rng)
     }
 
     /// Applies the leap's `deltas` to the counts. A leap that would
     /// overdraw a state is instead split in half; each half sees refreshed
-    /// counts, shrinking the draw.
-    fn commit_or_split<R: Rng + ?Sized>(&mut self, batch: u64, rng: &mut R) {
+    /// counts, shrinking the draw. Returns whether the last half found
+    /// the population absorbed.
+    fn commit_or_split<R: Rng + ?Sized>(&mut self, batch: u64, rng: &mut R) -> bool {
         let overdraws = self
             .counts
             .iter()
@@ -1209,18 +1293,19 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         if overdraws {
             if batch == 1 {
                 // A single interaction can never overdraw; replay exactly.
-                self.step(rng);
-                return;
+                self.exact_step(rng);
+                return false;
             }
             let half = batch / 2;
+            let mut absorbed = false;
             for part in [half, batch - half] {
-                if self.reference {
-                    self.leap_reference(part, rng);
+                absorbed = if self.reference {
+                    self.leap_reference(part, rng)
                 } else {
-                    self.leap(part, rng);
-                }
+                    self.leap(part, rng)
+                };
             }
-            return;
+            return absorbed;
         }
         let mut changed = false;
         for (s, delta) in self.deltas.iter().enumerate() {
@@ -1235,6 +1320,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             self.alias_dirty = true;
             self.kernel_dirty = true;
         }
+        false
     }
 
     /// Rebuilds the Walker alias table over the current flow weights
@@ -1244,7 +1330,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
     /// allocations.
     fn rebuild_flow_alias(&mut self, total: f64) {
         let _span = crate::metrics::alias_rebuild_span();
-        crate::metrics::alias_rebuilds().inc();
+        self.work.alias_rebuilds += 1;
         let entries = self.flows.len();
         self.alias_prob.clear();
         self.alias_prob
@@ -1292,10 +1378,11 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
     /// per-outcome chains and no identity-mass fusion. Identical in law to
     /// [`Self::leap`] (equivalence-tested), different in RNG stream; kept
     /// as the benchmark baseline and test oracle behind
-    /// [`Self::set_reference_leap`].
-    fn leap_reference<R: Rng + ?Sized>(&mut self, batch: u64, rng: &mut R) {
+    /// [`Self::set_reference_leap`]. Returns whether it found no active
+    /// cell, like [`Self::leap`].
+    fn leap_reference<R: Rng + ?Sized>(&mut self, batch: u64, rng: &mut R) -> bool {
         let _leap_span = crate::metrics::leap_span();
-        crate::metrics::leaps().inc();
+        self.work.leaps += 1;
         self.ensure_kernel();
         let k = self.counts.len();
         debug_assert!(
@@ -1332,7 +1419,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         if self.active_cells.is_empty() {
             // Absorbed: every remaining interaction is a no-op.
             self.interactions += batch;
-            return;
+            return true;
         }
         // How many of the `batch` interactions change anything at all.
         let p_active = (active_weight / total_weight).min(1.0);
@@ -1395,7 +1482,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
                 }
             }
         }
-        self.commit_or_split(batch, rng);
+        self.commit_or_split(batch, rng)
     }
 }
 
@@ -2536,7 +2623,7 @@ mod tests {
             };
             let mut table = build(&freq_of(&counts));
             let mut rng = rng_from_seed(seed);
-            let mut scratch = Vec::new();
+            let mut scratch = KernelLaws::default();
             for _ in 0..moves {
                 let from = rng.gen_range(0..k);
                 let to = rng.gen_range(0..k);

@@ -3,11 +3,17 @@
 //! Process-global [`popgame_obs`] counters tracking how much work the
 //! batched engine actually performs: leaps vs exact steps, full vs
 //! incremental kernel rebuilds, dirty cells recomputed, and alias-table
-//! rebuilds. Every counter is a relaxed atomic incremented at *amortized*
-//! points (once per leap, refresh, or rebuild — never per drawn agent),
-//! so the n=1e8 hot path is unaffected; nothing here feeds the RNG or
-//! the simulation results, so instrumented runs remain bitwise identical
-//! to uninstrumented ones.
+//! rebuilds. Each engine counts its own work in a private tally and
+//! publishes it to these counters when a public call
+//! ([`crate::BatchedEngine::step`], `step_batch`, `run_batched`,
+//! `run_recorded`) returns, so the leap path touches no atomic that
+//! another thread's engine also writes, and the counters are exact
+//! whenever no engine call is in flight. `leaps` counts executed leaps
+//! only: once a leap finds the population absorbed, `run_batched` and
+//! `run_recorded` skip the rest of the run instead of leaping on, so the
+//! no-op leaps of the absorbed tail are neither run nor counted.
+//! Nothing here feeds the RNG or the simulation results, so instrumented
+//! runs remain bitwise identical to uninstrumented ones.
 //!
 //! The `*_span` accessors are the tracing siblings: each engine phase
 //! (kernel full build, incremental refresh, alias rebuild, leap chunk)
@@ -136,4 +142,35 @@ pub fn alias_rebuilds() -> &'static Counter {
         "popgame_engine_alias_rebuilds_total",
         "Alias-table rebuilds (state alias and per-leap Walker entry/pair tables).",
     )
+}
+
+/// One engine's work since it last published: the six counters above,
+/// kept in plain fields on the hot path.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tally {
+    pub(crate) leaps: u64,
+    pub(crate) exact_steps: u64,
+    pub(crate) kernel_full_builds: u64,
+    pub(crate) kernel_refreshes: u64,
+    pub(crate) dirty_cells: u64,
+    pub(crate) alias_rebuilds: u64,
+}
+
+impl Tally {
+    /// Adds the tally to the process-global counters and zeroes it.
+    pub(crate) fn publish(&mut self) {
+        let work = std::mem::take(self);
+        for (count, counter) in [
+            (work.leaps, leaps as fn() -> &'static Counter),
+            (work.exact_steps, exact_steps),
+            (work.kernel_full_builds, kernel_full_builds),
+            (work.kernel_refreshes, kernel_refreshes),
+            (work.dirty_cells, kernel_dirty_cells),
+            (work.alias_rebuilds, alias_rebuilds),
+        ] {
+            if count > 0 {
+                counter().add(count);
+            }
+        }
+    }
 }

@@ -22,6 +22,36 @@ pub enum KernelDeps {
     States(Vec<usize>),
 }
 
+/// Caller-owned buffers of one
+/// [`EnumerableProtocol::pair_kernels_at_into`] call, reused across calls
+/// so a warm kernel refresh allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct KernelLaws {
+    /// `((initiator'_idx, responder'_idx), probability)` entries of every
+    /// written cell, cell after cell.
+    pub entries: Vec<((usize, usize), f64)>,
+    /// Per written cell, the end of its entries in `entries`.
+    pub ends: Vec<usize>,
+    /// Scratch for the protocol's intermediate values.
+    pub scratch: Vec<f64>,
+}
+
+impl KernelLaws {
+    /// Empties `entries` and `ends`, keeping every allocation.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.ends.clear();
+    }
+
+    /// The written cells' entries, in the order they were written.
+    pub fn cells(&self) -> impl Iterator<Item = &[((usize, usize), f64)]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.entries[start..end])
+    }
+}
+
 /// A population protocol: a (possibly randomized) transition function
 /// applied to a sampled ordered pair of agents.
 ///
@@ -185,28 +215,34 @@ pub trait EnumerableProtocol: Protocol {
         self.pair_kernel(i, j)
     }
 
-    /// Allocation-free variant of [`pair_kernel_at`](Self::pair_kernel_at):
-    /// appends the law's entries to `out` (cleared by the caller) and
-    /// returns whether a law was stated at all. The default delegates to
+    /// The laws of every cell flagged in `cells` (`cells[i * k + j]`, row
+    /// by row) at `freq`, written in one call into the caller-owned
+    /// buffers of `laws`: for each flagged cell in order, its entries are
+    /// appended to [`KernelLaws::entries`] and the new length pushed to
+    /// [`KernelLaws::ends`]. The caller clears both first
+    /// ([`KernelLaws::clear`]); [`KernelLaws::scratch`] is the protocol's
+    /// own. A protocol that cannot state a flagged cell's law stops
+    /// there, so fewer cells than flagged are written.
+    ///
+    /// This is the engine's only law entry point: a kernel build flags
+    /// every cell and a refresh the dirty ones, so a protocol whose cells
+    /// share work (one choice law per frequency vector, one pass over
+    /// opponent pairs) does it once per refresh, not once per cell. The
+    /// default delegates cell by cell to
     /// [`pair_kernel_at`](Self::pair_kernel_at); hot count-coupled
-    /// protocols should override it to write entries directly, so the
-    /// engine's per-leap kernel refresh performs no heap allocation. An
-    /// override must produce exactly the entries (values and order) of
+    /// protocols override it to write entries directly, so a warm refresh
+    /// performs no heap allocation. An override must write exactly the
+    /// entries (values and order) of
     /// [`pair_kernel_at`](Self::pair_kernel_at) — engines rely on the two
-    /// paths being bitwise interchangeable.
-    fn pair_kernel_at_into(
-        &self,
-        i: usize,
-        j: usize,
-        freq: &[f64],
-        out: &mut Vec<((usize, usize), f64)>,
-    ) -> bool {
-        match self.pair_kernel_at(i, j, freq) {
-            Some(entries) => {
-                out.extend(entries);
-                true
-            }
-            None => false,
+    /// being bitwise interchangeable.
+    fn pair_kernels_at_into(&self, freq: &[f64], cells: &[bool], laws: &mut KernelLaws) {
+        let k = self.num_states();
+        for (cell, _) in cells.iter().enumerate().filter(|&(_, &flagged)| flagged) {
+            let Some(entries) = self.pair_kernel_at(cell / k, cell % k, freq) else {
+                return;
+            };
+            laws.entries.extend(entries);
+            laws.ends.push(laws.entries.len());
         }
     }
 

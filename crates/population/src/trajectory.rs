@@ -138,6 +138,11 @@ impl TrajectoryRecorder {
         self.points
     }
 
+    /// The smallest clock [`Self::offer`] keeps next.
+    pub(crate) fn next_due(&self) -> u64 {
+        self.next_due
+    }
+
     /// The current stride between accepted samples.
     pub fn stride(&self) -> u64 {
         self.stride

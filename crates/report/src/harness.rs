@@ -479,8 +479,11 @@ struct ReplicaOutcome {
 /// The harness leap size: `4·√n`, clamped to `[√n, max(√n, n/16)]`.
 ///
 /// The engine's own `suggested_batch` is `√n`; the harness quadruples it
-/// to amortize the per-leap fixed costs (count-coupled kernel refresh,
-/// flow weights and alias rebuild, draw setup) over more interactions. The
+/// to amortize the per-leap fixed costs (the count-coupled kernel refresh,
+/// one law evaluation over the dirty cells; the pair and flow weights; the
+/// flow-alias rebuild; the draw setup) over more interactions. Work
+/// counters cost nothing per leap, and a run that absorbs skips its
+/// remaining leaps. The
 /// frozen-count idealization stays `O(batch/n) = O(1/√n)` — the same
 /// vanishing order as the engine default, with a constant factor of 4 —
 /// and the `n/16` clamp keeps small-`n` cells from freezing a

@@ -58,9 +58,8 @@ use crate::error::SolverError;
 use crate::game::MatrixGame;
 use popgame_population::batch::BatchedEngine;
 use popgame_population::error::PopulationError;
-use popgame_population::protocol::{EnumerableProtocol, KernelDeps, Protocol};
+use popgame_population::protocol::{EnumerableProtocol, KernelDeps, KernelLaws, Protocol};
 use rand::Rng;
-use std::sync::Mutex;
 
 /// `AC` fraction of the canonical k-IGT population.
 pub const KIGT_ALPHA: f64 = 0.3;
@@ -162,7 +161,7 @@ impl DynamicsRule {
 /// // Sample-of-one best response contracts toward the uniform equilibrium.
 /// assert!(freq.iter().all(|&f| (f - 1.0 / 3.0).abs() < 0.1), "{freq:?}");
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GameDynamics {
     /// Row payoffs `u[i][j]` of the symmetric game.
     payoff: Vec<Vec<f64>>,
@@ -177,12 +176,12 @@ pub struct GameDynamics {
     /// Payoff span `max u − min u`, the proportional-imitation normalizer
     /// `κ` (1 for constant games, where the rule is a no-op anyway).
     span: f64,
-    /// One-slot memo for the sampled-BR choice law at the last seen
-    /// frequency vector: the law is identical across all `K²` kernel
-    /// cells of one rebuild, so each rebuild computes it once. The three
-    /// buffers (frequency key, law, power table) are reused in place
-    /// across rebuilds, so a warm kernel refresh allocates nothing.
-    sampled_memo: Mutex<Option<SampledMemo>>,
+    /// Pairwise-imitation gain table, precomputed at construction:
+    /// `switch_gain[(a * k + b) * k² + i * k + j] = (u(j, a) − u(i, b))₊`,
+    /// the comparison gain of a strategy-`i` initiator observing `j` when
+    /// the two comparison opponents play `a` and `b`. `k⁴` entries, the
+    /// size of one full refresh's work. Empty for every other rule.
+    switch_gain: Vec<f64>,
     /// Flattened sampled-BR composition table, precomputed at
     /// construction: row `c` of `br_comp_counts` (stride `k`) is a
     /// composition of `samples` opponents into strategies,
@@ -203,28 +202,12 @@ pub struct GameDynamics {
     reference_laws: bool,
 }
 
-impl Clone for GameDynamics {
-    fn clone(&self) -> Self {
-        GameDynamics {
-            payoff: self.payoff.clone(),
-            rule: self.rule,
-            best_reply: self.best_reply.clone(),
-            logit_cdf: self.logit_cdf.clone(),
-            span: self.span,
-            // The memo is a cache, not state: clones start cold.
-            sampled_memo: Mutex::new(None),
-            br_comp_counts: self.br_comp_counts.clone(),
-            br_comp_coef: self.br_comp_coef.clone(),
-            br_comp_br: self.br_comp_br.clone(),
-            reference_laws: self.reference_laws,
-        }
-    }
-}
-
 impl PartialEq for GameDynamics {
     fn eq(&self, other: &Self) -> bool {
-        // The memo is excluded: two dynamics are equal when they encode
-        // the same game under the same rule.
+        // The precomputed tables follow from the game and the rule, and
+        // the reference knob picks an evaluation path, not a law: two
+        // dynamics are equal when they encode the same game under the
+        // same rule.
         self.payoff == other.payoff && self.rule == other.rule
     }
 }
@@ -332,6 +315,20 @@ impl GameDynamics {
         let max = payoff.iter().flatten().copied().fold(f64::NEG_INFINITY, f64::max);
         let min = payoff.iter().flatten().copied().fold(f64::INFINITY, f64::min);
         let span = if max > min { max - min } else { 1.0 };
+        let switch_gain = match rule {
+            DynamicsRule::PairwiseImitation => {
+                let mut gain = Vec::with_capacity(k * k * k * k);
+                for a in 0..k {
+                    for b in 0..k {
+                        for i in 0..k {
+                            gain.extend((0..k).map(|j| (payoff[j][a] - payoff[i][b]).max(0.0)));
+                        }
+                    }
+                }
+                gain
+            }
+            _ => Vec::new(),
+        };
         let (br_comp_counts, br_comp_coef, br_comp_br) = match rule {
             DynamicsRule::SampledBestResponse { samples } => {
                 build_br_comp_table(&payoff, samples)
@@ -344,7 +341,7 @@ impl GameDynamics {
             best_reply,
             logit_cdf,
             span,
-            sampled_memo: Mutex::new(None),
+            switch_gain,
             br_comp_counts,
             br_comp_coef,
             br_comp_br,
@@ -504,28 +501,28 @@ impl GameDynamics {
     /// and the argmax best reply of every composition were precomputed at
     /// construction ([`build_br_comp_table`]), so each kernel rebuild only
     /// evaluates the frequency-dependent product `coef · Π_t freq[t]^{c_t}`
-    /// per composition row. The powers come from `pows`, refilled per call
-    /// with `freq[t].powi(c)` for every `c ≤ samples`: the same `powi`
-    /// calls the rows would make, so the same bits, computed `k·samples`
-    /// times instead of once per row and state. `freq[t]⁰ = 1` and a zero
-    /// row adds `+0`, so neither needs a branch. Writes the law into `rho`
-    /// (length `k`); `pows` is caller-owned, so a warm call allocates
-    /// nothing.
-    fn sampled_br_law_fast(
+    /// per composition row. The powers come from a table refilled per
+    /// call with `freq[t].powi(c)` for every `c ≤ samples`: the same
+    /// `powi` calls the rows would make, so the same bits, computed
+    /// `k·samples` times instead of once per row and state. `freq[t]⁰ = 1`
+    /// and a zero row adds `+0`, so neither needs a branch. The power table
+    /// and then the law (length `k`, returned) are laid out in `scratch`,
+    /// which is caller-owned, so a warm call allocates nothing.
+    fn sampled_br_law_fast<'s>(
         &self,
         freq: &[f64],
         samples: usize,
-        rho: &mut [f64],
-        pows: &mut Vec<f64>,
-    ) {
+        scratch: &'s mut Vec<f64>,
+    ) -> &'s [f64] {
         let k = self.payoff.len();
         let stride = samples + 1;
-        pows.clear();
+        scratch.clear();
         for &f in freq {
-            pows.push(1.0);
-            pows.extend((1..=samples).map(|c| f.powi(c as i32)));
+            scratch.push(1.0);
+            scratch.extend((1..=samples).map(|c| f.powi(c as i32)));
         }
-        rho.iter_mut().for_each(|r| *r = 0.0);
+        scratch.resize(k * stride + k, 0.0);
+        let (pows, rho) = scratch.split_at_mut(k * stride);
         for (row, (&coef, &br)) in
             self.br_comp_coef.iter().zip(&self.br_comp_br).enumerate()
         {
@@ -536,39 +533,49 @@ impl GameDynamics {
             }
             rho[br as usize] += prob;
         }
+        rho
     }
 
-    /// Runs `f` on the sampled-BR law at `freq`, behind the one-slot memo:
-    /// the engine rebuilds the kernel cell-by-cell at one frozen `freq`,
-    /// and the law is shared by every cell of that rebuild. Warm calls —
-    /// a memo hit, or a miss once the buffers exist — allocate nothing
-    /// on the fast path.
-    fn with_sampled_br<T>(
-        &self,
-        freq: &[f64],
-        samples: usize,
-        f: impl FnOnce(&[f64]) -> T,
-    ) -> T {
-        let mut memo = self.sampled_memo.lock().expect("memo lock");
-        let hit = matches!(memo.as_ref(), Some(m) if m.freq == freq);
-        if !hit {
-            let k = self.payoff.len();
-            let m = memo.get_or_insert_with(|| SampledMemo {
-                freq: Vec::new(),
-                rho: vec![0.0; k],
-                pows: Vec::new(),
-            });
-            m.freq.clear();
-            m.freq.extend_from_slice(freq);
-            if self.reference_laws {
-                let reference = self.sampled_br_law(freq, samples);
-                m.rho.clear();
-                m.rho.extend_from_slice(&reference);
-            } else {
-                self.sampled_br_law_fast(freq, samples, &mut m.rho, &mut m.pows);
+    /// Writes the pairwise-imitation law of every cell flagged in `cells`
+    /// into `laws`. All switch probabilities are summed in one pass over
+    /// the comparison-opponent pairs `(a, b)` and the gain table, into one
+    /// accumulator per cell in `laws.scratch`: every cell takes its terms
+    /// `freq[a] · freq[b] · (u(j, a) − u(i, b))₊` in the `(a, b)` order
+    /// [`Self::proportional_switch_prob`] adds them in, from the same
+    /// `0.0`, so each probability carries that method's bits. Every cell
+    /// is summed, flagged or not, so the pass has no branch.
+    fn switch_laws(&self, freq: &[f64], cells: &[bool], laws: &mut KernelLaws) {
+        let k = self.payoff.len();
+        let expect = &mut laws.scratch;
+        expect.clear();
+        expect.resize(k * k, 0.0);
+        let mut gains = self.switch_gain.chunks_exact(k * k);
+        for &fa in freq {
+            for &fb in freq {
+                let w = fa * fb;
+                let gains = gains.next().expect("the gain table has k² rows");
+                for (sum, &gain) in expect.iter_mut().zip(gains) {
+                    *sum += w * gain;
+                }
             }
         }
-        f(&memo.as_ref().expect("memo filled above").rho)
+        for i in 0..k {
+            for j in 0..k {
+                if !cells[i * k + j] {
+                    continue;
+                }
+                if i == j {
+                    // Copying one's own strategy is a no-op regardless of
+                    // the sampled payoffs.
+                    laws.entries.push(((i, j), 1.0));
+                } else {
+                    let p = (expect[i * k + j] / self.span).clamp(0.0, 1.0);
+                    laws.entries.push(((j, j), p));
+                    laws.entries.push(((i, j), 1.0 - p));
+                }
+                laws.ends.push(laws.entries.len());
+            }
+        }
     }
 
     /// Routes count-coupled law evaluations through the pre-optimization
@@ -581,8 +588,6 @@ impl GameDynamics {
     /// within that reassociation tolerance.
     pub fn set_reference_laws(&mut self, reference: bool) {
         self.reference_laws = reference;
-        // The memo may hold a law computed by the other path.
-        *self.sampled_memo.lock().expect("memo lock") = None;
     }
 
     /// The k-IGT level walk: `AC`(0) and `AD`(1) are immutable; a GTFT
@@ -600,17 +605,6 @@ impl GameDynamics {
         };
         new_level + 2
     }
-}
-
-/// The buffers behind [`GameDynamics`]'s one-slot sampled-BR memo.
-#[derive(Debug)]
-struct SampledMemo {
-    /// The frequency vector the law was computed at (the memo key).
-    freq: Vec<f64>,
-    /// The choice law at `freq`.
-    rho: Vec<f64>,
-    /// Scratch: `freq[t].powi(c)` at `t * (samples + 1) + c`.
-    pows: Vec<f64>,
 }
 
 /// Enumerates every composition of `samples` opponents into the `k`
@@ -789,46 +783,56 @@ impl EnumerableProtocol for GameDynamics {
         j: usize,
         freq: &[f64],
     ) -> Option<Vec<((usize, usize), f64)>> {
-        // Expressed through the allocation-free writer so the two entry
-        // points are bitwise interchangeable, as the trait contract
-        // requires.
-        let mut out = Vec::new();
-        self.pair_kernel_at_into(i, j, freq, &mut out).then_some(out)
-    }
-
-    fn pair_kernel_at_into(
-        &self,
-        i: usize,
-        j: usize,
-        freq: &[f64],
-        out: &mut Vec<((usize, usize), f64)>,
-    ) -> bool {
         match self.rule {
+            // Copying one's own strategy is a no-op regardless of the
+            // sampled payoffs.
+            DynamicsRule::PairwiseImitation if i == j => Some(vec![((i, j), 1.0)]),
             DynamicsRule::PairwiseImitation => {
-                if i == j {
-                    // Copying one's own strategy is a no-op regardless of
-                    // the sampled payoffs.
-                    out.push(((i, j), 1.0));
-                } else {
-                    let p = self.proportional_switch_prob(i, j, freq);
-                    out.push(((j, j), p));
-                    out.push(((i, j), 1.0 - p));
-                }
-                true
+                let p = self.proportional_switch_prob(i, j, freq);
+                Some(vec![((j, j), p), ((i, j), 1.0 - p)])
             }
             DynamicsRule::SampledBestResponse { samples } => {
-                self.with_sampled_br(freq, samples, |rho| {
-                    out.extend(rho.iter().enumerate().map(|(a, &p)| ((a, j), p)));
-                });
-                true
+                let rho = if self.reference_laws {
+                    self.sampled_br_law(freq, samples)
+                } else {
+                    self.sampled_br_law_fast(freq, samples, &mut Vec::new()).to_vec()
+                };
+                Some(rho.into_iter().enumerate().map(|(a, p)| ((a, j), p)).collect())
             }
-            _ => match self.pair_kernel(i, j) {
-                Some(entries) => {
-                    out.extend(entries);
-                    true
+            _ => self.pair_kernel(i, j),
+        }
+    }
+
+    fn pair_kernels_at_into(&self, freq: &[f64], cells: &[bool], laws: &mut KernelLaws) {
+        let k = self.num_states();
+        match self.rule {
+            DynamicsRule::PairwiseImitation => self.switch_laws(freq, cells, laws),
+            DynamicsRule::SampledBestResponse { samples } => {
+                // The choice law reads neither agent's state: one
+                // evaluation serves every cell.
+                let reference;
+                let rho = if self.reference_laws {
+                    reference = self.sampled_br_law(freq, samples);
+                    &reference
+                } else {
+                    self.sampled_br_law_fast(freq, samples, &mut laws.scratch)
+                };
+                for flagged in cells.chunks_exact(k) {
+                    for (j, _) in flagged.iter().enumerate().filter(|&(_, &f)| f) {
+                        laws.entries.extend(rho.iter().enumerate().map(|(a, &p)| ((a, j), p)));
+                        laws.ends.push(laws.entries.len());
+                    }
                 }
-                None => false,
-            },
+            }
+            _ => {
+                for (cell, _) in cells.iter().enumerate().filter(|&(_, &f)| f) {
+                    let Some(entries) = self.pair_kernel(cell / k, cell % k) else {
+                        return;
+                    };
+                    laws.entries.extend(entries);
+                    laws.ends.push(laws.entries.len());
+                }
+            }
         }
     }
 
@@ -1134,7 +1138,7 @@ mod tests {
         let rule = DynamicsRule::SampledBestResponse { samples };
         let d = GameDynamics::new(game.game(), rule).unwrap();
         let mut rng = rng_from_seed(43);
-        let (mut fast, mut pows) = (vec![0.0; 5], Vec::new());
+        let mut scratch = Vec::new();
         for round in 0..100 {
             let mut freq: Vec<f64> = (0..5).map(|_| rng.gen_range(0..4u32) as f64).collect();
             freq[round % 5] = 0.0;
@@ -1152,9 +1156,9 @@ mod tests {
                     rho[br as usize] += prob;
                 }
             }
-            d.sampled_br_law_fast(&freq, samples, &mut fast, &mut pows);
+            let fast = d.sampled_br_law_fast(&freq, samples, &mut scratch);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&fast), bits(&rho), "at {freq:?}");
+            assert_eq!(bits(fast), bits(&rho), "at {freq:?}");
         }
     }
 
@@ -1516,6 +1520,101 @@ mod tests {
         }
     }
 
+    /// Two-way max-consensus: both agents adopt the larger state.
+    #[derive(Clone, Copy)]
+    struct MaxConsensus;
+
+    impl Protocol for MaxConsensus {
+        type State = u8;
+        fn interact<R: Rng + ?Sized>(&self, i: u8, r: u8, _rng: &mut R) -> (u8, u8) {
+            (i.max(r), i.max(r))
+        }
+    }
+
+    impl EnumerableProtocol for MaxConsensus {
+        fn num_states(&self) -> usize {
+            3
+        }
+        fn state_index(&self, s: u8) -> usize {
+            s as usize
+        }
+        fn state_at(&self, i: usize) -> u8 {
+            i as u8
+        }
+    }
+
+    /// Runs `total` interactions in leaps of `batch` through
+    /// `run_recorded` and `run_batched`, which skip the absorbed tail, and
+    /// through a `step_batch` loop offering every leap clock, which does
+    /// not; all three must agree on the trajectory (capacity 4), the final
+    /// counts, the clock and the RNG stream. Returns the final counts.
+    fn assert_absorbed_tail_skip_is_unobservable<P: EnumerableProtocol + Clone>(
+        protocol: P,
+        counts: &[u64],
+        total: u64,
+        batch: u64,
+        seed: u64,
+    ) -> Vec<u64> {
+        use popgame_population::trajectory::TrajectoryRecorder;
+        assert_ne!(total % batch, 0, "the final leap is ragged");
+        let mut every = BatchedEngine::from_counts(protocol.clone(), counts.to_vec()).unwrap();
+        let mut rng = rng_from_seed(seed);
+        let mut oracle = TrajectoryRecorder::new(4).unwrap();
+        oracle.offer(every.interactions(), every.counts());
+        let (mut executed, mut stride_at_last_change) = (0, oracle.stride());
+        while executed < total {
+            let before = every.counts().to_vec();
+            let burst = batch.min(total - executed);
+            every.step_batch(burst, &mut rng).unwrap();
+            executed += burst;
+            oracle.offer(every.interactions(), every.counts());
+            if every.counts() != before {
+                stride_at_last_change = oracle.stride();
+            }
+        }
+        oracle.force(every.interactions(), every.counts());
+        let next_draw = rng.gen::<u64>();
+        // The premise: the run absorbed, and the recorder thinned its
+        // points again inside the absorbed tail.
+        assert!(oracle.stride() > stride_at_last_change, "no thinning in the tail");
+
+        let mut recorded = BatchedEngine::from_counts(protocol.clone(), counts.to_vec()).unwrap();
+        let mut rng = rng_from_seed(seed);
+        let mut rec = TrajectoryRecorder::new(4).unwrap();
+        recorded.run_recorded(total, batch, &mut rng, &mut rec).unwrap();
+        assert_eq!(rec.points(), oracle.points());
+        assert_eq!(rec.stride(), oracle.stride());
+        assert_eq!(recorded.counts(), every.counts());
+        assert_eq!(recorded.interactions(), every.interactions());
+        assert_eq!(rng.gen::<u64>(), next_draw);
+
+        let mut plain = BatchedEngine::from_counts(protocol, counts.to_vec()).unwrap();
+        let mut rng = rng_from_seed(seed);
+        plain.run_batched(total, batch, &mut rng).unwrap();
+        assert_eq!(plain.counts(), every.counts());
+        assert_eq!(plain.interactions(), every.interactions());
+        assert_eq!(rng.gen::<u64>(), next_draw);
+        every.counts().to_vec()
+    }
+
+    #[test]
+    fn skipping_the_absorbed_tail_is_unobservable() {
+        let max = assert_absorbed_tail_skip_is_unobservable(MaxConsensus, &[6, 4, 2], 1_003, 5, 71);
+        assert_eq!(max, [0, 0, 12]);
+        // Coordination pays nothing off the diagonal, so every encounter
+        // is a tie and two-way imitation is absorbed from the start.
+        let coordination = crate::scenarios::by_name("coordination").unwrap();
+        let rule = DynamicsRule::TwoWayImitation;
+        let two_way = GameDynamics::new(coordination.game(), rule).unwrap();
+        let tied = assert_absorbed_tail_skip_is_unobservable(two_way, &[4, 4, 4], 1_001, 4, 73);
+        assert_eq!(tied, [4, 4, 4]);
+        // Count-coupled: pairwise imitation fixes one strategy.
+        let pd = crate::scenarios::by_name("prisoners-dilemma").unwrap();
+        let ppi = GameDynamics::new(pd.game(), DynamicsRule::PairwiseImitation).unwrap();
+        let fixed = assert_absorbed_tail_skip_is_unobservable(ppi, &[6, 6], 20_002, 3, 79);
+        assert!(fixed.contains(&12), "{fixed:?}");
+    }
+
     #[test]
     fn sampled_br_fast_law_matches_the_reference_recursion() {
         // The construction-time composition table must reproduce the
@@ -1535,8 +1634,7 @@ mod tests {
                 [1.0, 0.0, 0.0],
             ] {
                 let reference = d.sampled_br_law(&freq, samples);
-                let mut fast = vec![0.0; 3];
-                d.sampled_br_law_fast(&freq, samples, &mut fast, &mut Vec::new());
+                let fast = d.sampled_br_law_fast(&freq, samples, &mut Vec::new()).to_vec();
                 for (a, (&r, &f)) in reference.iter().zip(&fast).enumerate() {
                     assert!(
                         (r - f).abs() <= 1e-12,
@@ -1574,40 +1672,126 @@ mod tests {
         }
     }
 
+    /// A kernel entry with its probability as bits.
+    type BitsEntry = ((usize, usize), u64);
+
+    /// The entries of every cell flagged in `cells`, as
+    /// `pair_kernels_at_into` writes them and as per-cell `pair_kernel_at`
+    /// states them, with each probability as bits.
+    fn both_entry_points(
+        d: &GameDynamics,
+        freq: &[f64],
+        cells: &[bool],
+        laws: &mut KernelLaws,
+    ) -> (Option<Vec<BitsEntry>>, Option<Vec<BitsEntry>>) {
+        let k = d.num_states();
+        let bits = |entries: &[((usize, usize), f64)]| {
+            entries.iter().map(|&(ab, p)| (ab, p.to_bits())).collect::<Vec<_>>()
+        };
+        laws.clear();
+        d.pair_kernels_at_into(freq, cells, laws);
+        let written = cells.iter().filter(|&&c| c).count() == laws.ends.len();
+        let batched = written.then(|| laws.cells().flat_map(bits).collect());
+        let per_cell = (0..k * k)
+            .filter(|&cell| cells[cell])
+            .map(|cell| d.pair_kernel_at(cell / k, cell % k, freq).map(|e| bits(&e)))
+            .collect::<Option<Vec<_>>>()
+            .map(|cells| cells.concat());
+        (batched, per_cell)
+    }
+
+    /// The engine's dirty mask after the states flagged in `changed` moved.
+    fn dirty_mask(d: &GameDynamics, changed: &[bool]) -> Vec<bool> {
+        let k = d.num_states();
+        (0..k * k)
+            .map(|cell| match d.pair_kernel_deps(cell / k, cell % k) {
+                KernelDeps::None => false,
+                KernelDeps::All => changed.iter().any(|&c| c),
+                KernelDeps::States(states) => states.iter().any(|&s| changed[s]),
+            })
+            .collect()
+    }
+
     #[test]
     fn pair_kernel_entry_points_are_bitwise_interchangeable() {
-        // The trait contract: `pair_kernel_at_into` must write exactly
-        // the entries `pair_kernel_at` returns, for every rule that
-        // states a frequency-dependent law.
-        for rule in [
-            DynamicsRule::PairwiseImitation,
-            DynamicsRule::SampledBestResponse { samples: 4 },
-            DynamicsRule::Logit { eta: 2.0 },
-        ] {
-            let d = GameDynamics::new(&rps(), rule).unwrap();
-            let freq = [0.2, 0.5, 0.3];
-            for i in 0..3 {
-                for j in 0..3 {
-                    let boxed = d.pair_kernel_at(i, j, &freq);
-                    let mut written = Vec::new();
-                    let stated = d.pair_kernel_at_into(i, j, &freq, &mut written);
-                    assert_eq!(boxed.is_some(), stated, "{rule:?} ({i},{j})");
-                    if let Some(entries) = boxed {
-                        assert_eq!(entries.len(), written.len(), "{rule:?} ({i},{j})");
-                        for (a, b) in entries.iter().zip(&written) {
-                            assert_eq!(a.0, b.0, "{rule:?} ({i},{j})");
-                            assert_eq!(
-                                a.1.to_bits(),
-                                b.1.to_bits(),
-                                "{rule:?} ({i},{j}): {} vs {}",
-                                a.1,
-                                b.1
-                            );
+        use popgame_population::batch::KernelTable;
+        // The trait contract: `pair_kernels_at_into` must write exactly
+        // the entries per-cell `pair_kernel_at` returns, in order, for
+        // every rule that states a frequency-dependent law — over every
+        // cell and over a refresh's partial mask, on both sampled-BR
+        // evaluation paths.
+        let mut laws = KernelLaws::default();
+        let logit = GameDynamics::new(&rps(), DynamicsRule::Logit { eta: 2.0 }).unwrap();
+        let full = vec![true; 9];
+        let (batched, per_cell) = both_entry_points(&logit, &[0.2, 0.5, 0.3], &full, &mut laws);
+        assert!(batched.is_some());
+        assert_eq!(batched, per_cell);
+        let mut rng = rng_from_seed(61);
+        let symmetric = crate::scenarios::registry()
+            .iter()
+            .filter(|scenario| scenario.game().is_symmetric(1e-9));
+        let mut checked = 0;
+        for scenario in symmetric {
+            for rule in [
+                DynamicsRule::PairwiseImitation,
+                DynamicsRule::SampledBestResponse { samples: 1 },
+                DynamicsRule::SampledBestResponse { samples: 5 },
+                DynamicsRule::SampledBestResponse { samples: MAX_BR_SAMPLES },
+            ] {
+                for reference in [false, true] {
+                    let mut d = GameDynamics::new(scenario.game(), rule).unwrap();
+                    d.set_reference_laws(reference);
+                    let k = d.num_states();
+                    let label = format!("{} {rule:?} reference={reference}", scenario.name());
+                    // Counts of 0..4 per state, one state emptied on the
+                    // first round.
+                    let mut counts: Vec<u64> = (0..k).map(|_| rng.gen_range(1..4u64)).collect();
+                    counts[0] = 0;
+                    let freq_of = |counts: &[u64]| {
+                        let n = counts.iter().sum::<u64>() as f64;
+                        counts.iter().map(|&c| c as f64 / n).collect::<Vec<_>>()
+                    };
+                    let mut freq = freq_of(&counts);
+                    let mut table = KernelTable::build_at(&d, &freq).unwrap().unwrap();
+                    let mut refresh_laws = KernelLaws::default();
+                    let every = vec![true; k * k];
+                    for round in 0..20 {
+                        let partial: Vec<bool> = (0..k * k).map(|_| rng.gen_bool(0.5)).collect();
+                        for cells in [&every, &partial] {
+                            let (batched, per_cell) =
+                                both_entry_points(&d, &freq, cells, &mut laws);
+                            assert!(batched.is_some(), "{label}");
+                            assert_eq!(batched, per_cell, "{label} round {round} at {freq:?}");
                         }
+                        // Move one agent, refresh, and compare against a
+                        // fresh build bit for bit.
+                        let occupied: Vec<usize> = (0..k).filter(|&s| counts[s] > 0).collect();
+                        let from = occupied[round % occupied.len()];
+                        let to = (from + 1 + round % (k - 1)) % k;
+                        counts[from] -= 1;
+                        counts[to] += 1;
+                        let mut changed = vec![false; k];
+                        (changed[from], changed[to]) = (true, true);
+                        freq = freq_of(&counts);
+                        let dirty = dirty_mask(&d, &changed);
+                        table.refresh_at(&d, &freq, &dirty, &mut refresh_laws).unwrap();
+                        let rebuilt = KernelTable::build_at(&d, &freq).unwrap().unwrap();
+                        for cell in 0..k * k {
+                            let (i, j) = (cell / k, cell % k);
+                            let bits = |t: &KernelTable| {
+                                t.outcomes(i, j)
+                                    .iter()
+                                    .map(|&(ab, p)| (ab, p.to_bits()))
+                                    .collect::<Vec<_>>()
+                            };
+                            assert_eq!(bits(&table), bits(&rebuilt), "{label} ({i},{j})");
+                        }
+                        checked += 1;
                     }
                 }
             }
         }
+        assert!(checked >= 20 * 8 * 4, "{checked} rounds");
     }
 
     #[test]
