@@ -1,7 +1,6 @@
 //! Subcommand implementations. Each returns `Ok(())` or a [`CliError`]
 //! that `main` maps onto the process exit code.
 
-use popgame_obs::perf;
 use popgame_obs::trace;
 use popgame_report::{
     render, run_report, run_report_profiled, run_report_sequential, ReportConfig,
@@ -10,13 +9,10 @@ use popgame_service::api::{
     execute_simulate, execute_solve, SimulateRequest, SolveRequest,
 };
 use popgame_service::{PopgameService, ServiceConfig, SERVE_USAGE};
-use popgame_solver::dynamics::{engine_from_profile, DynamicsRule, GameDynamics};
-use popgame_solver::scenarios::{by_name, registry_listing};
+use popgame_solver::scenarios::registry_listing;
 use popgame_util::json::Json;
-use popgame_util::rng::stream_rng;
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
-use std::time::Instant;
 
 /// How a subcommand failed: bad invocation (exit 2) or a failure while
 /// doing the work (exit 1).
@@ -403,240 +399,4 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
             std::thread::park();
         }
     }
-}
-
-const BENCH_USAGE: &str = "usage: popgame bench [--quick] [--n N] [--interactions I] \
-     [--seed S] [--workers W] [--check] [--baseline PATH] [--history PATH] [--no-history]";
-
-/// `popgame bench` — a quick batched-engine throughput probe over four
-/// dynamics rules on rock-paper-scissors (including the count-coupled
-/// pairwise-imitation path, whose kernel rebuilds every leap). Timings
-/// are machine-dependent (unlike every other subcommand's output); the
-/// counts and final frequencies are deterministic.
-///
-/// Every run appends one schema-versioned JSONL row per metric to the
-/// history file (default `BENCH_history.jsonl`; `--no-history` skips).
-/// `--check` additionally gates the probe against a committed baseline
-/// (default `BENCH_baseline.json`): any metric regressing past its
-/// per-metric tolerance — or missing from the probe — fails the run
-/// with a nonzero exit. This is the CI perf gate.
-pub fn bench(args: &[String]) -> Result<(), CliError> {
-    let mut n: u64 = 1_000_000;
-    let mut interactions: Option<u64> = None;
-    let mut seed: u64 = 7;
-    let mut quick = false;
-    let mut check = false;
-    let mut baseline_path = "BENCH_baseline.json".to_string();
-    let mut history_path: Option<String> = Some("BENCH_history.jsonl".to_string());
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--help" => {
-                println!("{BENCH_USAGE}");
-                return Ok(());
-            }
-            "--quick" => {
-                n = 100_000;
-                quick = true;
-            }
-            "--n" => n = parse_u64("--n", &take_value(&mut it, "--n")?)?,
-            "--interactions" => {
-                interactions = Some(parse_u64(
-                    "--interactions",
-                    &take_value(&mut it, "--interactions")?,
-                )?);
-            }
-            "--seed" => seed = parse_u64("--seed", &take_value(&mut it, "--seed")?)?,
-            "--workers" => {
-                let w = parse_u64("--workers", &take_value(&mut it, "--workers")?)?;
-                popgame_runner::set_worker_threads(Some(w as usize));
-            }
-            "--check" => check = true,
-            "--baseline" => baseline_path = take_value(&mut it, "--baseline")?,
-            "--history" => history_path = Some(take_value(&mut it, "--history")?),
-            "--no-history" => history_path = None,
-            other => return usage(format!("unknown flag {other}\n{BENCH_USAGE}")),
-        }
-    }
-    if n < 3 {
-        return usage("--n must be at least 3 (three strategies)");
-    }
-    let total = interactions.unwrap_or(20 * n);
-    let scenario = by_name("rock-paper-scissors").map_err(|e| CliError::Runtime(e.to_string()))?;
-    let uniform = vec![1.0 / 3.0; 3];
-    let mut results = Vec::new();
-    let mut metrics = Vec::new();
-    for (index, rule) in [
-        DynamicsRule::BestResponse,
-        DynamicsRule::Logit { eta: 2.0 },
-        DynamicsRule::Imitation,
-        DynamicsRule::PairwiseImitation,
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let dynamics = GameDynamics::new(scenario.game(), rule)
-            .map_err(|e| CliError::Runtime(e.to_string()))?;
-        let mut engine = engine_from_profile(dynamics, &uniform, n)
-            .map_err(|e| CliError::Runtime(e.to_string()))?;
-        let mut rng = stream_rng(seed, index as u64);
-        let batch = engine.suggested_batch();
-        let start = Instant::now();
-        engine
-            .run_batched(total, batch, &mut rng)
-            .map_err(|e| CliError::Runtime(e.to_string()))?;
-        let elapsed = start.elapsed().as_secs_f64();
-        let ips = total as f64 / elapsed.max(1e-9);
-        metrics.push(perf::Metric::new(
-            format!("ips_{}", rule.label()),
-            ips,
-            "per_sec",
-        ));
-        results.push(Json::obj([
-            ("dynamics", Json::from(rule.label())),
-            ("interactions", Json::from(total)),
-            ("seconds", Json::from(elapsed)),
-            ("interactions_per_sec", Json::from(ips)),
-            ("final_frequencies", Json::floats(&engine.frequencies())),
-        ]));
-    }
-    // Time-constant estimator throughput: a synthetic replica ensemble
-    // pushed through the full analytics battery (t_mix envelope fit,
-    // absorption statistics, cycle metrology — bootstraps included).
-    // The inputs are deterministic; only the timing is machine-dependent.
-    let analytics_bench = bench_analytics(seed).map_err(CliError::Runtime)?;
-    metrics.push(perf::Metric::new(
-        "bench_analytics",
-        analytics_bench.get("batteries_per_sec").unwrap().as_f64().unwrap(),
-        "per_sec",
-    ));
-    // Two-instance consistent-hash serving probe: warmed cached hits
-    // routed over a hash ring, in-process. Cheap (a fraction of a
-    // second), so every bench run produces the fleet-aggregate metric
-    // the perf gate checks.
-    let fleet_bench = crate::fleet::in_process_fleet_probe().map_err(CliError::Runtime)?;
-    metrics.push(perf::Metric::new(
-        "fleet_cached_rps",
-        fleet_bench.get("cached_rps").unwrap().as_f64().unwrap(),
-        "per_sec",
-    ));
-    let mode = if quick { "quick" } else { "default" };
-    if let Some(history) = &history_path {
-        perf::append_history(Path::new(history), "popgame-bench", mode, &metrics)
-            .map_err(|e| CliError::Runtime(format!("appending {history}: {e}")))?;
-    }
-    let doc = Json::obj([
-        ("bench", Json::from("batched-engine dynamics throughput")),
-        ("scenario", Json::from("rock-paper-scissors")),
-        ("n", Json::from(n)),
-        ("seed", Json::from(seed)),
-        ("results", Json::arr(results)),
-        ("analytics", analytics_bench),
-        ("fleet", fleet_bench),
-    ]);
-    print!("{}", doc.pretty());
-    if check {
-        let text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| CliError::Runtime(format!("reading {baseline_path}: {e}")))?;
-        let baseline = perf::Baseline::parse(&text).map_err(CliError::Runtime)?;
-        let outcomes = perf::check(&baseline, &metrics);
-        let mut failed = Vec::new();
-        for outcome in &outcomes {
-            let verdict = if outcome.ok { "ok" } else { "REGRESSION" };
-            match outcome.current {
-                Some(current) => eprintln!(
-                    "check {}: baseline {:.3e}, current {:.3e}, regression {:+.1}% \
-                     (tolerance {:.0}%) — {verdict}",
-                    outcome.name,
-                    outcome.baseline,
-                    current,
-                    outcome.regression * 100.0,
-                    outcome.tolerance * 100.0,
-                ),
-                None => eprintln!(
-                    "check {}: baseline {:.3e}, metric missing from probe — {verdict}",
-                    outcome.name, outcome.baseline,
-                ),
-            }
-            if !outcome.ok {
-                failed.push(outcome.name.clone());
-            }
-        }
-        if !failed.is_empty() {
-            return Err(CliError::Runtime(format!(
-                "perf gate failed: {} of {} metrics regressed past tolerance ({})",
-                failed.len(),
-                outcomes.len(),
-                failed.join(", ")
-            )));
-        }
-        eprintln!("perf gate: all {} metrics within tolerance", outcomes.len());
-    }
-    Ok(())
-}
-
-/// One timed pass of the time-constant battery over a synthetic
-/// ensemble: 48 replicas × 240 trajectory points, roughly the shape the
-/// report harness feeds the estimators. Returns the measurement as JSON;
-/// the `batteries_per_sec` field is the `bench_analytics` gate metric.
-fn bench_analytics(seed: u64) -> Result<Json, String> {
-    use popgame_analytics::{
-        absorption_stats_ci, cycle_over_replicas, tmix_mean_tv, AbsorptionObservation,
-        BootstrapConfig,
-    };
-    let replicas = 48usize;
-    let points = 240usize;
-    let boot = |stream: u64| BootstrapConfig {
-        resamples: 200,
-        confidence: 0.95,
-        seed: seed ^ stream,
-    };
-    let clocks: Vec<u64> = (0..points as u64).map(|i| i * 50).collect();
-    // TV decaying through ε = 0.1 with a replica-dependent wiggle, so the
-    // envelope fit and its bootstrap both do real work.
-    let tv_series: Vec<Vec<f64>> = (0..replicas)
-        .map(|r| {
-            (0..points)
-                .map(|i| {
-                    let t = i as f64 / (points - 1) as f64;
-                    (1.0 - t) * (0.85 + 0.15 * ((r * 7 + i) as f64).sin().abs())
-                })
-                .collect()
-        })
-        .collect();
-    // An oscillating first-strategy frequency for the cycle fit.
-    let freq0: Vec<Vec<f64>> = (0..replicas)
-        .map(|r| {
-            (0..points)
-                .map(|i| 0.5 + 0.3 * (i as f64 * 0.35 + r as f64 * 0.2).sin())
-                .collect()
-        })
-        .collect();
-    let horizon = clocks[points - 1] as f64;
-    let observations: Vec<AbsorptionObservation> = (0..replicas)
-        .map(|r| AbsorptionObservation {
-            time: horizon * (0.2 + 0.6 * (r as f64 / replicas as f64)),
-            absorbed: r % 5 != 0,
-        })
-        .collect();
-    let batteries = 6u32;
-    let start = Instant::now();
-    for round in 0..u64::from(batteries) {
-        tmix_mean_tv(&clocks, &tv_series, 0.1, &boot(round * 3))
-            .map_err(|e| e.to_string())?;
-        absorption_stats_ci(&observations, horizon, &boot(round * 3 + 1))
-            .map_err(|e| e.to_string())?;
-        cycle_over_replicas(&clocks, &freq0, &boot(round * 3 + 2))
-            .map_err(|e| e.to_string())?;
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let per_sec = f64::from(batteries) / elapsed.max(1e-9);
-    Ok(Json::obj([
-        ("bench", Json::from("time-constant estimator battery")),
-        ("batteries", Json::from(u64::from(batteries))),
-        ("replicas", Json::from(replicas as u64)),
-        ("points", Json::from(points as u64)),
-        ("seconds", Json::from(elapsed)),
-        ("batteries_per_sec", Json::from(per_sec)),
-    ]))
 }

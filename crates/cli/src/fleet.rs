@@ -1,4 +1,4 @@
-//! `popgame fleet` — a share-nothing multi-instance loadgen with
+//! `popgame fleet` — a share-nothing multi-instance load generator with
 //! consistent-hash routing.
 //!
 //! The fleet spawns N independent `popgame serve` processes (ephemeral
@@ -18,19 +18,16 @@
 //!
 //! Every 200-response body is checked byte-for-byte against the
 //! instance-independent expected body (the determinism contract across
-//! processes). Results land in the `fleet` block of
-//! `BENCH_service.json` and as `popgame-fleet` rows in
-//! `BENCH_history.jsonl`.
+//! processes); any mismatch fails the run. The fleet document goes to
+//! stdout, and to `--out PATH` when given.
 
 use crate::commands::{take_value, usage, CliError};
-use popgame_obs::perf;
 use popgame_service::ring::{HashRing, DEFAULT_VNODES};
-use popgame_service::{PopgameService, ServiceConfig};
 use popgame_util::json::Json;
+use popgame_util::stats::quantile;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -265,17 +262,13 @@ fn run_phase(
     })
 }
 
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
 fn summarize(label: &str, instances: usize, stats: Vec<ThreadStats>, window: Duration) -> Json {
-    let mut latencies: Vec<u64> = stats.iter().flat_map(|s| s.latencies_us.clone()).collect();
-    latencies.sort_unstable();
+    let latencies: Vec<f64> = stats
+        .iter()
+        .flat_map(|s| s.latencies_us.iter().map(|&us| us as f64))
+        .collect();
+    // Whole microseconds; an empty phase (no 200s) reports 0.
+    let percentile = |q: f64| quantile(&latencies, q).map_or(0, |us| us.round() as u64);
     let requests: u64 = stats.iter().map(|s| s.requests).sum();
     let hits: u64 = stats.iter().map(|s| s.hits).sum();
     let errors: u64 = stats.iter().map(|s| s.errors).sum();
@@ -286,8 +279,8 @@ fn summarize(label: &str, instances: usize, stats: Vec<ThreadStats>, window: Dur
         ("instances", Json::from(instances as u64)),
         ("requests", Json::from(requests)),
         ("requests_per_sec", Json::from((rps * 10.0).round() / 10.0)),
-        ("p50_us", Json::from(percentile(&latencies, 0.50))),
-        ("p99_us", Json::from(percentile(&latencies, 0.99))),
+        ("p50_us", Json::from(percentile(0.50))),
+        ("p99_us", Json::from(percentile(0.99))),
         (
             "cache_hit_rate",
             Json::from(if requests > 0 {
@@ -302,7 +295,7 @@ fn summarize(label: &str, instances: usize, stats: Vec<ThreadStats>, window: Dur
 }
 
 const FLEET_USAGE: &str = "usage: popgame fleet [--instances N] [--keys K] [--clients C] \
-     [--window-ms MS] [--quick] [--out PATH] [--history PATH] [--no-history]";
+     [--window-ms MS] [--quick] [--out PATH]";
 
 /// `popgame fleet` — spawn, route, rebalance, measure (see the module
 /// docs for the phase semantics).
@@ -317,8 +310,7 @@ pub fn fleet(args: &[String]) -> Result<(), CliError> {
     let mut clients = 4usize;
     let mut window = Duration::from_millis(1000);
     let mut quick = false;
-    let mut out_path = "BENCH_service.json".to_string();
-    let mut history_path: Option<String> = Some("BENCH_history.jsonl".to_string());
+    let mut out_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -354,9 +346,7 @@ pub fn fleet(args: &[String]) -> Result<(), CliError> {
                     .map_err(|e| CliError::Usage(format!("--window-ms: {e}")))?;
                 window = Duration::from_millis(ms);
             }
-            "--out" => out_path = take_value(&mut it, "--out")?,
-            "--history" => history_path = Some(take_value(&mut it, "--history")?),
-            "--no-history" => history_path = None,
+            "--out" => out_path = Some(take_value(&mut it, "--out")?),
             other => return usage(format!("unknown flag {other}\n{FLEET_USAGE}")),
         }
     }
@@ -449,7 +439,6 @@ pub fn fleet(args: &[String]) -> Result<(), CliError> {
         instance.shutdown();
     }
 
-    let field = |phase: &Json, name: &str| phase.get(name).and_then(Json::as_f64).unwrap_or(0.0);
     let mismatches = [&steady, &add_shard, &remove_shard]
         .iter()
         .map(|p| p.get("body_mismatches").and_then(Json::as_u64).unwrap_or(u64::MAX))
@@ -467,135 +456,22 @@ pub fn fleet(args: &[String]) -> Result<(), CliError> {
                 ("total", Json::from(keys as u64)),
             ]),
         ),
-        ("steady", steady.clone()),
-        ("add_shard", add_shard.clone()),
-        ("remove_shard", remove_shard.clone()),
+        ("steady", steady),
+        ("add_shard", add_shard),
+        ("remove_shard", remove_shard),
         ("byte_identical", Json::from(mismatches == 0)),
     ]);
 
-    // Merge into BENCH_service.json: the loadgen's single-instance rows
-    // stay, the fleet block is replaced.
-    let merged = match std::fs::read_to_string(&out_path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(existing) => {
-                let fields = existing.as_object().map(|f| f.to_vec()).unwrap_or_default();
-                let mut fields: Vec<(String, Json)> =
-                    fields.into_iter().filter(|(k, _)| k != "fleet").collect();
-                fields.push(("fleet".to_string(), fleet_doc.clone()));
-                Json::obj(fields)
-            }
-            Err(_) => Json::obj([("fleet", fleet_doc.clone())]),
-        },
-        Err(_) => Json::obj([("fleet", fleet_doc.clone())]),
-    };
-    std::fs::write(&out_path, merged.pretty())
-        .map_err(|e| CliError::Runtime(format!("writing {out_path}: {e}")))?;
+    if let Some(path) = &out_path {
+        std::fs::write(path, fleet_doc.pretty())
+            .map_err(|e| CliError::Runtime(format!("writing {path}: {e}")))?;
+    }
     println!("{}", fleet_doc.pretty());
 
-    if let Some(history) = &history_path {
-        let metrics = [
-            perf::Metric::new("fleet_steady_rps", field(&steady, "requests_per_sec"), "per_sec"),
-            perf::Metric::new("fleet_steady_p99_us", field(&steady, "p99_us"), "us"),
-            perf::Metric::new("fleet_add_rps", field(&add_shard, "requests_per_sec"), "per_sec"),
-            perf::Metric::new("fleet_add_p99_us", field(&add_shard, "p99_us"), "us"),
-            perf::Metric::new(
-                "fleet_remove_rps",
-                field(&remove_shard, "requests_per_sec"),
-                "per_sec",
-            ),
-            perf::Metric::new(
-                "fleet_remove_p99_us",
-                field(&remove_shard, "p99_us"),
-                "us",
-            ),
-        ];
-        let mode = if quick { "quick" } else { "full" };
-        perf::append_history(Path::new(history), "popgame-fleet", mode, &metrics)
-            .map_err(|e| CliError::Runtime(format!("appending {history}: {e}")))?;
-    }
     if mismatches > 0 {
         return Err(CliError::Runtime(format!(
             "fleet responses were not byte-identical ({mismatches} mismatches)"
         )));
     }
     Ok(())
-}
-
-/// The in-process fleet probe behind `popgame bench`'s
-/// `fleet_cached_rps` metric: two `PopgameService` instances in this
-/// process, a hash ring over their addresses, and a short
-/// single-threaded cached-hit loop. Cheap enough to run on every bench
-/// invocation, which is what lets `bench --check` gate on the metric.
-///
-/// # Errors
-///
-/// A message when an instance fails to boot or a request fails.
-pub fn in_process_fleet_probe() -> Result<Json, String> {
-    let boot = || {
-        PopgameService::start(ServiceConfig {
-            http_workers: 2,
-            ..ServiceConfig::default()
-        })
-        .map_err(|e| format!("booting in-process instance: {e}"))
-    };
-    let a = boot()?;
-    let b = boot()?;
-    let ids = [a.local_addr().to_string(), b.local_addr().to_string()];
-    let ring = HashRing::with_nodes(ids.iter().cloned(), DEFAULT_VNODES);
-    let work = workload(16);
-    let mut connections: HashMap<String, Client> = HashMap::new();
-    let post = |connections: &mut HashMap<String, Client>,
-                    canonical: &str,
-                    body: &str|
-     -> Result<(u16, bool, String), String> {
-        let node = ring.route(canonical).expect("two nodes");
-        let client = match connections.entry(node.to_string()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => e.insert(
-                Client::connect(node).map_err(|e| format!("connecting {node}: {e}"))?,
-            ),
-        };
-        client
-            .post("/simulate", body)
-            .map_err(|e| format!("posting to {node}: {e}"))
-    };
-    for (canonical, body) in &work {
-        let (status, _, reply) = post(&mut connections, canonical, body)?;
-        if status != 200 {
-            return Err(format!("fleet probe warm request got {status}: {reply}"));
-        }
-    }
-    let window = Duration::from_millis(200);
-    let start = Instant::now();
-    let mut requests = 0u64;
-    let mut hits = 0u64;
-    let mut index = 0usize;
-    while start.elapsed() < window {
-        let (canonical, body) = &work[index % work.len()];
-        index += 1;
-        let (status, hit, _) = post(&mut connections, canonical, body)?;
-        if status == 200 {
-            requests += 1;
-            hits += u64::from(hit);
-        }
-    }
-    drop(connections);
-    a.shutdown();
-    b.shutdown();
-    let rps = requests as f64 / window.as_secs_f64();
-    Ok(Json::obj([
-        ("instances", Json::from(2u64)),
-        ("keys", Json::from(work.len() as u64)),
-        ("window_ms", Json::from(window.as_millis() as u64)),
-        ("requests", Json::from(requests)),
-        ("cached_rps", Json::from((rps * 10.0).round() / 10.0)),
-        (
-            "cache_hit_rate",
-            Json::from(if requests > 0 {
-                (hits as f64 / requests as f64 * 1e4).round() / 1e4
-            } else {
-                0.0
-            }),
-        ),
-    ]))
 }

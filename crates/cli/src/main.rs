@@ -8,7 +8,6 @@
 //! popgame analytics --scenario stag-hunt --n 1000  # + time-constant CIs
 //! popgame reproduce --quick              # REPORT.md + REPORT.json
 //! popgame serve --addr 127.0.0.1:8095    # boot popgamed in-process
-//! popgame bench --quick                  # engine throughput probe
 //! ```
 //!
 //! Every subcommand drives the same code paths as the `popgamed` daemon:
@@ -35,8 +34,7 @@ commands:
   reproduce [--quick|--full] ...  regenerate REPORT.md + REPORT.json
                                   (--trace TRACE.json adds a span timeline)
   serve [daemon flags]            boot the popgamed HTTP service
-  bench [--quick] [--check]       throughput probe / perf-regression gate
-  fleet [--instances N] [--quick] multi-instance loadgen with hash-ring
+  fleet [--instances N] [--quick] multi-instance load test with hash-ring
                                   routing and add/remove-shard rebalance
 
 run `popgame <command> --help` for per-command flags.";
@@ -58,7 +56,6 @@ fn main() -> ExitCode {
         "analytics" => commands::analytics(rest),
         "reproduce" => commands::reproduce(rest),
         "serve" => commands::serve(rest),
-        "bench" => commands::bench(rest),
         "fleet" => popgame_cli::fleet::fleet(rest),
         other => {
             eprintln!("unknown command: {other}\n\n{USAGE}");

@@ -2,14 +2,14 @@
 
 //! `popgame-obs` — the workspace's observability layer, pure std.
 //!
-//! Four pieces:
+//! Three pieces:
 //!
 //! * [`metrics`] — a process-global, lock-light metrics registry:
 //!   atomic [`Counter`]s and [`Gauge`]s, a log₂-bucketed latency
 //!   [`LatencyHistogram`] (the atomic sibling of
 //!   `popgame_util::histogram::IntHistogram`), RAII [`ScopedTimer`]s and
 //!   [`GaugeGuard`]s, and a Prometheus text-exposition renderer plus the
-//!   matching parser (shared by tests and the load generator).
+//!   matching parser (shared by tests and perfbench's serve-mix scrape).
 //! * [`log`] — a leveled structured-logging facade: one record per event
 //!   on stderr (JSONL by default, single-line text via
 //!   `POPGAME_LOG_FORMAT=text`), gated by
@@ -18,9 +18,6 @@
 //! * [`trace`] — span tracing into per-thread lock-free ring buffers,
 //!   exported as Chrome trace-event JSON (`chrome://tracing`/Perfetto)
 //!   and JSONL; disabled spans cost one atomic load.
-//! * [`perf`] — the perf-regression harness: schema-versioned
-//!   `BENCH_history.jsonl` rows and the tolerance-gated baseline
-//!   comparison behind `popgame bench --check`.
 //!
 //! Everything here is **out-of-band** by construction: handles are plain
 //! atomics, nothing consumes randomness, and no simulation or response
@@ -46,7 +43,6 @@
 
 pub mod log;
 pub mod metrics;
-pub mod perf;
 pub mod trace;
 
 pub use metrics::{

@@ -299,7 +299,7 @@ mod tests {
     fn record_is_one_json_line() {
         let line = format_record(
             Level::Info,
-            "loadgen",
+            "fleet",
             "phase \"cached\" done",
             &[("requests", Json::Int(128)), ("p99_ms", Json::Num(1.25))],
             42,
@@ -307,7 +307,7 @@ mod tests {
         assert!(!line.contains('\n'));
         let parsed = Json::parse(&line).expect("record must be valid JSON");
         assert_eq!(parsed.get("level").and_then(Json::as_str), Some("info"));
-        assert_eq!(parsed.get("target").and_then(Json::as_str), Some("loadgen"));
+        assert_eq!(parsed.get("target").and_then(Json::as_str), Some("fleet"));
         assert_eq!(parsed.get("ts_ms").and_then(Json::as_i64), Some(42));
         assert_eq!(parsed.get("requests").and_then(Json::as_i64), Some(128));
     }
@@ -321,7 +321,7 @@ mod tests {
         ];
         // JSON mode: parse the line, recover every field.
         let json_line =
-            format_record(Level::Warn, "loadgen", "phase \"cached\" done", &fields, 42);
+            format_record(Level::Warn, "fleet", "phase \"cached\" done", &fields, 42);
         let parsed = Json::parse(&json_line).expect("json line parses");
         assert_eq!(parsed.get("msg").and_then(Json::as_str), Some("phase \"cached\" done"));
         assert_eq!(parsed.get("requests").and_then(Json::as_i64), Some(128));
@@ -330,7 +330,7 @@ mod tests {
         // Text mode: one line, split on spaces outside quotes, every
         // key=value recovers the same values.
         let text_line =
-            format_record_text(Level::Warn, "loadgen", "phase \"cached\" done", &fields, 42);
+            format_record_text(Level::Warn, "fleet", "phase \"cached\" done", &fields, 42);
         assert!(!text_line.contains('\n'));
         let mut pairs = Vec::new();
         let mut rest = text_line.as_str();
@@ -370,7 +370,7 @@ mod tests {
         };
         assert_eq!(find("ts_ms"), "42");
         assert_eq!(find("level"), "warn");
-        assert_eq!(find("target"), "loadgen");
+        assert_eq!(find("target"), "fleet");
         assert_eq!(
             Json::parse(&find("msg")).unwrap().as_str(),
             Some("phase \"cached\" done")

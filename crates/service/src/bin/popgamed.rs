@@ -39,7 +39,7 @@ fn main() -> ExitCode {
         }
     };
     // The stdout line is the machine-readable readiness signal (CI and
-    // the loadgen grep for it); the structured record is for log streams.
+    // perfbench grep for it); the structured record is for log streams.
     println!("popgamed listening on http://{}", service.local_addr());
     let _ = std::io::stdout().flush();
     obs_log::info(

@@ -630,6 +630,21 @@ mod tests {
             .unwrap();
             assert!(gap < 1e-7, "seed {seed}: LP profile gap {gap}");
         }
+        // Wider ensembles are out of enumeration's reach; the LP alone
+        // must still solve them, and its profile must certify.
+        for k in [8, 16] {
+            for seed in 0..64 {
+                let s = Scenario::random_zero_sum(k, seed).unwrap();
+                let sol = solve_zero_sum(s.game().row_matrix()).unwrap();
+                let gap = crate::certify::bimatrix_gap(
+                    s.game(),
+                    &sol.row_strategy,
+                    &sol.col_strategy,
+                )
+                .unwrap();
+                assert!(gap < 1e-7, "k = {k}, seed {seed}: LP profile gap {gap}");
+            }
+        }
     }
 
     #[test]

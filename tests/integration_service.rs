@@ -205,8 +205,9 @@ fn metrics_exposition_spans_every_layer() {
     assert_eq!(status, 200);
     // Every response carries a correlation id for the structured logs.
     assert!(head.contains("x-popgame-request-id:"), "{head}");
-    let (_, _, warm) = post(addr, "/simulate", SIM);
+    let (_, warm_head, warm) = post(addr, "/simulate", SIM);
     assert_eq!(cold, warm, "metrics must stay out-of-band of response bytes");
+    assert!(warm_head.contains("x-popgame-cache: hit"), "{warm_head}");
     let (status, _, body) = post(addr, "/jobs", SIM);
     assert_eq!(status, 202, "{body}");
     let id = Json::parse(&body).unwrap().get("job_id").unwrap().as_u64().unwrap();
@@ -279,6 +280,13 @@ fn metrics_exposition_spans_every_layer() {
         .expect("simulate series")
         .value;
     assert!(simulate_requests >= 3.0, "{simulate_requests}");
+    // The server counts the warm hit the client saw in its headers.
+    let cache_hits = samples
+        .iter()
+        .find(|s| s.name == "popgame_cache_hits_total")
+        .expect("cache hits series")
+        .value;
+    assert!(cache_hits >= 1.0, "{cache_hits}");
     let done_jobs = samples
         .iter()
         .find(|s| s.name == "popgame_jobs_total" && s.label("state") == Some("done"))
