@@ -1,7 +1,7 @@
 //! `reproduce` — regenerates every table/figure-equivalent of the paper.
 //!
 //! ```text
-//! reproduce all          # every experiment, E1..E16 (minutes)
+//! reproduce all          # every experiment, E1..E15 (minutes)
 //! reproduce e7 e12       # a subset
 //! reproduce --list       # what exists
 //! ```
@@ -12,7 +12,7 @@
 //! CLI instead: `popgame reproduce --quick` (see `crates/cli` and
 //! `crates/report`).
 
-use popgame::experiments::{dynamics, equilibrium, mixing, payoffs, scenarios, stationary, walks};
+use popgame::experiments::{dynamics, equilibrium, mixing, payoffs, stationary, walks};
 use std::process::ExitCode;
 
 const SEED: u64 = 20240717;
@@ -33,7 +33,6 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ("e13", "Theorem 2.9 footnote 4 — failure for lambda near 1"),
     ("e14", "Def. 2.1 remark — action-observed variant"),
     ("e15", "Section 1.1.2 — noise motivates generosity"),
-    ("e16", "Scenario sweep — empirical distance to exact solver equilibria"),
 ];
 
 fn run(id: &str) -> bool {
@@ -54,7 +53,6 @@ fn run(id: &str) -> bool {
         "e13" => println!("{}", equilibrium::run_e13()),
         "e14" => println!("{}", dynamics::run_e14(SEED)),
         "e15" => println!("{}", dynamics::run_e15(4_000, SEED)),
-        "e16" => println!("{}", scenarios::run_e16(SEED)),
         other => {
             eprintln!("unknown experiment: {other} (try --list)");
             return false;
@@ -66,7 +64,7 @@ fn run(id: &str) -> bool {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("usage: reproduce [--list] [all | e1 e2 ... e16]");
+        println!("usage: reproduce [--list] [all | e1 e2 ... e15]");
         return ExitCode::SUCCESS;
     }
     if args.iter().any(|a| a == "--list") {

@@ -2,9 +2,7 @@
 //! that `main` maps onto the process exit code.
 
 use popgame_obs::trace;
-use popgame_report::{
-    render, run_report, run_report_profiled, run_report_sequential, ReportConfig,
-};
+use popgame_report::{render, run_report, run_report_sequential, ReportConfig};
 use popgame_service::api::{
     execute_simulate, execute_solve, SimulateRequest, SolveRequest,
 };
@@ -211,8 +209,15 @@ fn simulate_impl(
 
 const REPRODUCE_USAGE: &str = "usage: popgame reproduce [--quick|--full] [--seed S] \
      [--out DIR] [--sizes N1,N2,...] [--replicas R] [--horizon H] \
-     [--trajectory-points P] [--workers W] [--sequential] [--profile] \
-     [--trace TRACE.json]";
+     [--trajectory-points P] [--workers W] [--sequential] [--trace TRACE.json]";
+
+/// Per-thread span ring of a traced `reproduce`, in slots. A `--full`
+/// run records about 64k spans, most of them on the worker threads
+/// (4,720 `cell:` spans alone), so the default 16,384-slot ring wraps
+/// and drops spans; 2^17 slots keep every one. Each slot is 13 words
+/// (104 bytes), so the ring costs about 13.6 MB per recording thread,
+/// allocated only under `--trace`.
+const REPRODUCE_TRACE_CAPACITY: usize = 1 << 17;
 
 /// The documented default seed of the reproduction harness — shared
 /// with `POST /reproduce` so daemon-rendered reports match in-process
@@ -231,7 +236,6 @@ pub fn reproduce(args: &[String]) -> Result<(), CliError> {
     let mut horizon: Option<u64> = None;
     let mut trajectory: Option<usize> = None;
     let mut sequential = false;
-    let mut profile = false;
     let mut trace_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -243,7 +247,6 @@ pub fn reproduce(args: &[String]) -> Result<(), CliError> {
             "--quick" => preset = Some("quick"),
             "--full" => preset = Some("full"),
             "--sequential" => sequential = true,
-            "--profile" => profile = true,
             "--trace" => trace_path = Some(take_value(&mut it, "--trace")?),
             "--workers" => {
                 let w = parse_u64("--workers", &take_value(&mut it, "--workers")?)?;
@@ -292,22 +295,17 @@ pub fn reproduce(args: &[String]) -> Result<(), CliError> {
         config.trajectory_capacity = trajectory;
     }
     config.validate().map_err(CliError::Usage)?;
-    if profile && sequential {
-        return usage("--profile profiles the task pool; drop --sequential");
-    }
 
     // Tracing is strictly out-of-band: spans never touch the RNG or the
     // report, so traced REPORT artifacts are byte-identical to plain ones.
     if trace_path.is_some() {
-        trace::enable();
+        trace::enable_with_capacity(REPRODUCE_TRACE_CAPACITY);
     }
 
-    let (report, sweep_profile) = if sequential {
-        run_report_sequential(&config).map(|report| (report, None))
-    } else if profile {
-        run_report_profiled(&config).map(|(report, profile)| (report, Some(profile)))
+    let report = if sequential {
+        run_report_sequential(&config)
     } else {
-        run_report(&config).map(|report| (report, None))
+        run_report(&config)
     }
     .map_err(CliError::Runtime)?;
     let trace_snapshot = trace_path.as_ref().map(|_| {
@@ -326,22 +324,6 @@ pub fn reproduce(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::Runtime(format!("writing {}: {e}", json_path.display())))?;
     std::fs::write(&md_path, &md)
         .map_err(|e| CliError::Runtime(format!("writing {}: {e}", md_path.display())))?;
-    if let Some(sweep_profile) = &sweep_profile {
-        let profile_path = dir.join("PROFILE.json");
-        let rendered = render::profile_json(sweep_profile);
-        std::fs::write(&profile_path, &rendered).map_err(|e| {
-            CliError::Runtime(format!("writing {}: {e}", profile_path.display()))
-        })?;
-        println!(
-            "profile: {} cells, {} tasks, {:.1}ms wall / {:.1}ms busy on {} workers — {}",
-            sweep_profile.cells.len(),
-            sweep_profile.cells.iter().map(|c| c.tasks).sum::<u64>(),
-            sweep_profile.wall_clock_us as f64 / 1_000.0,
-            sweep_profile.busy_us as f64 / 1_000.0,
-            sweep_profile.workers,
-            profile_path.display()
-        );
-    }
     if let (Some(path), Some(snapshot)) = (&trace_path, &trace_snapshot) {
         let chrome = trace::chrome_trace_json(snapshot);
         std::fs::write(path, &chrome)

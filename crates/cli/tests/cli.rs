@@ -137,52 +137,6 @@ fn reproduce_reports_are_byte_identical_across_runs() {
 }
 
 #[test]
-fn reproduce_profile_is_a_pure_observer() {
-    // --profile must add PROFILE.json without perturbing a single byte of
-    // the report artifacts.
-    let dir_plain = temp_dir("profile-plain");
-    let dir_prof = temp_dir("profile-on");
-    for (dir, extra) in [(&dir_plain, None), (&dir_prof, Some("--profile"))] {
-        let mut args = TINY_REPRODUCE.to_vec();
-        args.extend(extra);
-        args.push("--out");
-        let dir_text = dir.to_str().unwrap();
-        args.push(dir_text);
-        let out = popgame(&args);
-        assert!(out.status.success(), "{}", stderr(&out));
-    }
-    assert_eq!(
-        std::fs::read(dir_plain.join("REPORT.json")).unwrap(),
-        std::fs::read(dir_prof.join("REPORT.json")).unwrap(),
-        "REPORT.json must be byte-identical with --profile"
-    );
-    assert_eq!(
-        std::fs::read(dir_plain.join("REPORT.md")).unwrap(),
-        std::fs::read(dir_prof.join("REPORT.md")).unwrap(),
-        "REPORT.md must be byte-identical with --profile"
-    );
-    assert!(
-        !dir_plain.join("PROFILE.json").exists(),
-        "plain runs must not write a profile"
-    );
-    let profile = std::fs::read_to_string(dir_prof.join("PROFILE.json")).unwrap();
-    for needle in [
-        "\"wall_clock_us\"",
-        "\"busy_us\"",
-        "\"workers\"",
-        "\"cells\"",
-        "\"convergence\"",
-        "\"eta-sweep\"",
-        "\"divergence\"",
-    ] {
-        assert!(profile.contains(needle), "PROFILE.json missing {needle}");
-    }
-    for dir in [dir_plain, dir_prof] {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-}
-
-#[test]
 fn usage_errors_exit_two_with_a_usage_message() {
     for (args, needle) in [
         (vec!["frobnicate"], "unknown command"),
@@ -204,10 +158,7 @@ fn usage_errors_exit_two_with_a_usage_message() {
         (vec!["reproduce", "--sizes", "100,50"], "ascending"),
         (vec!["reproduce", "--sizes", "ten"], "--sizes"),
         (vec!["reproduce", "--replicas", "0"], "replicas"),
-        (
-            vec!["reproduce", "--profile", "--sequential"],
-            "--profile profiles the task pool",
-        ),
+        (vec!["reproduce", "--profile"], "unknown flag --profile"),
         (vec!["serve", "--nonsense"], "unknown argument"),
         (vec!["bench", "--quick"], "unknown command: bench"),
         (vec!["fleet", "--no-history"], "unknown flag --no-history"),
@@ -379,10 +330,11 @@ fn simulate_serves_the_new_dynamics_and_scenarios() {
 #[test]
 fn reproduce_trace_is_a_pure_observer() {
     // --trace must add a span timeline without perturbing a single byte
-    // of the report artifacts (tracing is out-of-band, like --profile).
+    // of the report artifacts (tracing is out-of-band).
     let dir_plain = temp_dir("trace-plain");
     let dir_trace = temp_dir("trace-on");
     let trace_path = dir_trace.join("TRACE.json");
+    let mut traced_stdout = String::new();
     for (dir, extra) in [
         (&dir_plain, vec![]),
         (&dir_trace, vec!["--trace", trace_path.to_str().unwrap()]),
@@ -394,7 +346,9 @@ fn reproduce_trace_is_a_pure_observer() {
         args.push(dir_text);
         let out = popgame(&args);
         assert!(out.status.success(), "{}", stderr(&out));
+        traced_stdout = stdout(&out);
     }
+    assert!(traced_stdout.contains("(0 dropped)"), "{traced_stdout}");
     assert_eq!(
         std::fs::read(dir_plain.join("REPORT.json")).unwrap(),
         std::fs::read(dir_trace.join("REPORT.json")).unwrap(),
@@ -438,6 +392,24 @@ fn reproduce_trace_is_a_pure_observer() {
         let row = Json::parse(line).expect("TRACE.jsonl line parses");
         assert!(row.get("start_ns").unwrap().as_u64().is_some());
     }
+
+    // Per-cell timing lives in the `cell:` spans: one per (cell, replica)
+    // task of every section, so the span count is the report's cell
+    // count times its replicas.
+    let report = Json::parse(&std::fs::read_to_string(dir_trace.join("REPORT.json")).unwrap())
+        .expect("REPORT.json parses");
+    let section_len = |key: &str| report.get(key).and_then(Json::as_array).unwrap().len();
+    let divergence_rows = report
+        .get("divergence")
+        .and_then(|d| d.get("rows"))
+        .and_then(Json::as_array)
+        .unwrap()
+        .len();
+    let cells = section_len("convergence") * 2 + section_len("eta_sweep") * 5 + divergence_rows;
+    let cell_spans: Vec<&str> =
+        jsonl.lines().filter(|line| line.contains("\"name\":\"cell:")).collect();
+    assert_eq!(cell_spans.len(), cells * 2, "2 sizes, 5 etas, 2 replicas");
+    assert!(cell_spans.iter().any(|line| line.contains("logit eta=")));
 
     for dir in [dir_plain, dir_trace] {
         let _ = std::fs::remove_dir_all(dir);

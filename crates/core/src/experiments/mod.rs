@@ -25,13 +25,11 @@
 //! | [`equilibrium::run_e13`] | Thm 2.9 fn. 4 | DE failure for `λ ∈ (1/2, 2)` |
 //! | [`dynamics::run_e14`] | Def. 2.1 rem. | action-observed ≈ strategy-typed |
 //! | [`dynamics::run_e15`] | §1.1.2 | TFT collapses under noise; GTFT doesn't |
-//! | [`scenarios::run_e16`] | §1.2 outlook | scenario × dynamics sweep vs exact solver equilibria |
 
 pub mod dynamics;
 pub mod equilibrium;
 pub mod mixing;
 pub mod payoffs;
-pub mod scenarios;
 pub mod stationary;
 pub mod table;
 pub mod walks;

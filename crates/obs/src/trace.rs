@@ -56,7 +56,7 @@ use std::time::Instant;
 pub const NAME_CAP: usize = 48;
 
 /// Ring capacity per thread (events), unless [`enable_with_capacity`]
-/// overrides it. Each slot is 14 machine words.
+/// overrides it. Each slot is 13 machine words (104 bytes).
 pub const DEFAULT_CAPACITY: usize = 16_384;
 
 /// Which layer a span belongs to — the `cat` field of the Chrome trace

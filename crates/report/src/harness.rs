@@ -14,7 +14,6 @@ use popgame_solver::game::MatrixGame;
 use popgame_solver::nash::symmetric_equilibria;
 use popgame_solver::scenarios::{by_name, registry, Scenario};
 use popgame_solver::zerosum::solve_zero_sum;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Logit inverse temperatures swept by the η-sweep section.
@@ -31,7 +30,7 @@ pub const REPRODUCE_SEED: u64 = 20240717;
 /// task with the wall-clock nanoseconds that task consumed. Strictly
 /// out-of-band — observers wrap the replica runs but never feed them, so
 /// observed and unobserved sweeps produce byte-identical reports. The
-/// service adapts its per-job progress tracker to this trait so
+/// service's per-job progress tracker implements this trait so
 /// `GET /jobs/{id}` can show a reproduce job's completion mid-flight.
 pub trait SweepObserver: Sync {
     /// The sweep is starting; `total` tasks will run.
@@ -505,58 +504,9 @@ struct CellSpec {
     start: Vec<f64>,
     n: u64,
     seed: u64,
-    /// Profile labels only — never consulted by the run itself.
-    section: &'static str,
+    /// Trace-span labels only — never consulted by the run itself.
     scenario: String,
     dynamics_label: String,
-}
-
-/// One cell of the sweep profile: where wall-clock went.
-///
-/// `busy_us` is the wall-clock spent *inside* this cell's replica runs,
-/// summed across whichever workers executed them — under the pool it can
-/// exceed the sweep's elapsed time. Strictly out-of-band: timing is
-/// measured around `run_replica`, never fed into it, so profiled and
-/// plain runs produce byte-identical reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellProfile {
-    /// Report section: `convergence`, `eta-sweep`, or `divergence`.
-    pub section: &'static str,
-    /// Scenario name.
-    pub scenario: String,
-    /// Dynamics label (η-sweep cells carry the swept η).
-    pub dynamics: String,
-    /// Population size.
-    pub n: u64,
-    /// Replica tasks executed for this cell.
-    pub tasks: u64,
-    /// Summed wall-clock of those tasks, microseconds.
-    pub busy_us: u64,
-}
-
-/// The whole-sweep profile written by `popgame reproduce --profile`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReportProfile {
-    /// Preset label echoed from the config.
-    pub mode: String,
-    /// Base seed echoed from the config.
-    pub seed: u64,
-    /// Replicas per cell.
-    pub replicas: u64,
-    /// Simulation pool width the sweep ran under.
-    pub workers: usize,
-    /// Elapsed time of the whole task sweep, microseconds.
-    pub wall_clock_us: u64,
-    /// Sum of per-cell busy time (≈ `wall_clock_us × utilized workers`).
-    pub busy_us: u64,
-    /// One entry per sweep cell, spec order.
-    pub cells: Vec<CellProfile>,
-}
-
-/// Per-cell timing accumulated by [`run_cells`].
-struct CellTiming {
-    tasks: u64,
-    busy_us: u64,
 }
 
 /// Runs one replica of one cell. Pure in `(spec, replica)`: the RNG is
@@ -609,7 +559,7 @@ fn run_cells(
     config: &ReportConfig,
     sequential: bool,
     observer: Option<&dyn SweepObserver>,
-) -> Result<(Vec<Vec<ReplicaOutcome>>, Vec<CellTiming>), String> {
+) -> Result<Vec<Vec<ReplicaOutcome>>, String> {
     // Probe each cell's engine construction once up front so errors
     // surface as messages, not worker panics.
     for spec in cells {
@@ -621,52 +571,35 @@ fn run_cells(
     if let Some(observer) = observer {
         observer.begin(total);
     }
-    // Out-of-band profile accumulators: wall-clock inside the replica
-    // runs and the task tally, per cell. Timing wraps `run_replica` but
-    // never feeds it, so the outcomes — and the rendered report bytes —
-    // are identical with and without a profile consumer.
-    let busy_ns: Vec<AtomicU64> = (0..cells.len()).map(|_| AtomicU64::new(0)).collect();
-    let tasks: Vec<AtomicU64> = (0..cells.len()).map(|_| AtomicU64::new(0)).collect();
-    let timed = |t: u64| {
-        let cell = (t / replicas) as usize;
-        // Cell span (trace) and busy timing (profile/progress) are both
+    let run = |t: u64| {
+        let spec = &cells[(t / replicas) as usize];
+        // The cell span (trace) and the task timing (progress) are
         // out-of-band: they wrap the replica run, never feed it.
         let _cell_span = popgame_obs::trace::is_enabled().then(|| {
-            let spec = &cells[cell];
             popgame_obs::trace::span(
                 popgame_obs::trace::Family::Report,
                 &format!("cell:{}/{}@{}", spec.scenario, spec.dynamics_label, spec.n),
             )
         });
         let started = Instant::now();
-        let outcome = run_replica(&cells[cell], t % replicas, config);
-        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        busy_ns[cell].fetch_add(nanos, Ordering::Relaxed);
-        tasks[cell].fetch_add(1, Ordering::Relaxed);
+        let outcome = run_replica(spec, t % replicas, config);
         if let Some(observer) = observer {
-            observer.task_done(nanos);
+            let busy_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            observer.task_done(busy_ns);
         }
         outcome
     };
     let outcomes: Vec<ReplicaOutcome> = if sequential {
-        (0..total).map(timed).collect()
+        (0..total).map(run).collect()
     } else {
-        run_tasks(total, timed)
+        run_tasks(total, run)
     };
     let mut grouped: Vec<Vec<ReplicaOutcome>> = Vec::with_capacity(cells.len());
     let mut it = outcomes.into_iter();
     for _ in 0..cells.len() {
         grouped.push(it.by_ref().take(replicas as usize).collect());
     }
-    let timings = busy_ns
-        .iter()
-        .zip(&tasks)
-        .map(|(ns, t)| CellTiming {
-            tasks: t.load(Ordering::Relaxed),
-            busy_us: ns.load(Ordering::Relaxed) / 1_000,
-        })
-        .collect();
-    Ok((grouped, timings))
+    Ok(grouped)
 }
 
 /// Identity of one convergence row; its cells occupy `sizes.len()`
@@ -733,7 +666,6 @@ fn convergence_specs(config: &ReportConfig) -> Result<ConvergencePlan, String> {
                     start: start.clone(),
                     n,
                     seed: cell_seed(config.seed, pair_index, size_index as u64),
-                    section: "convergence",
                     scenario: scenario.name().to_string(),
                     dynamics_label: rule.label().to_string(),
                 });
@@ -812,7 +744,7 @@ fn run_report_impl(
     config: &ReportConfig,
     sequential: bool,
     observer: Option<&dyn SweepObserver>,
-) -> Result<(Report, ReportProfile), String> {
+) -> Result<Report, String> {
     config.validate()?;
     use popgame_obs::trace::{self, Family};
     let _report_span = trace::is_enabled()
@@ -827,39 +759,10 @@ fn run_report_impl(
     specs.extend(divergence_specs(config)?);
     drop(plan_span);
 
-    let sweep_started = Instant::now();
     let sweep_span =
         trace::is_enabled().then(|| trace::span(Family::Report, "report:sweep"));
-    let (outcomes, timings) = run_cells(&specs, config, sequential, observer)?;
+    let outcomes = run_cells(&specs, config, sequential, observer)?;
     drop(sweep_span);
-    let wall_clock_us =
-        u64::try_from(sweep_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-
-    let cells: Vec<CellProfile> = specs
-        .iter()
-        .zip(&timings)
-        .map(|(spec, timing)| CellProfile {
-            section: spec.section,
-            scenario: spec.scenario.clone(),
-            dynamics: spec.dynamics_label.clone(),
-            n: spec.n,
-            tasks: timing.tasks,
-            busy_us: timing.busy_us,
-        })
-        .collect();
-    let profile = ReportProfile {
-        mode: config.mode.clone(),
-        seed: config.seed,
-        replicas: config.replicas,
-        workers: if sequential {
-            1
-        } else {
-            popgame_runner::worker_threads()
-        },
-        wall_clock_us,
-        busy_us: cells.iter().map(|c| c.busy_us).sum(),
-        cells,
-    };
 
     let _assemble_span =
         trace::is_enabled().then(|| trace::span(Family::Report, "report:assemble"));
@@ -871,7 +774,7 @@ fn run_report_impl(
         &outcomes[eta_end..],
         config,
     )?;
-    let report = Report {
+    Ok(Report {
         config: config.clone(),
         scenarios,
         convergence,
@@ -879,8 +782,7 @@ fn run_report_impl(
         eta_sweep: assemble_eta_sweep(&eta_meta, &outcomes[conv_end..eta_end]),
         divergence: assemble_divergence(&outcomes[eta_end..], config),
         time_constants,
-    };
-    Ok((report, profile))
+    })
 }
 
 /// Runs the full experiment matrix and assembles the report.
@@ -898,7 +800,7 @@ fn run_report_impl(
 /// has no exact equilibrium to measure against (cannot happen for the
 /// shipped registry).
 pub fn run_report(config: &ReportConfig) -> Result<Report, String> {
-    run_report_impl(config, false, None).map(|(report, _)| report)
+    run_report_impl(config, false, None)
 }
 
 /// [`run_report`] with a live [`SweepObserver`]: `begin` fires with the
@@ -914,23 +816,7 @@ pub fn run_report_observed(
     config: &ReportConfig,
     observer: &dyn SweepObserver,
 ) -> Result<Report, String> {
-    run_report_impl(config, false, Some(observer)).map(|(report, _)| report)
-}
-
-/// [`run_report`] plus the sweep profile: where wall-clock went, cell by
-/// cell. The profile is measured strictly out-of-band — timing wraps the
-/// replica runs without feeding them — so the returned [`Report`] (and
-/// its rendered bytes) is identical to a plain [`run_report`] of the same
-/// config. The profile itself is *not* deterministic: it reports this
-/// machine, this run.
-///
-/// # Errors
-///
-/// As for [`run_report`].
-pub fn run_report_profiled(
-    config: &ReportConfig,
-) -> Result<(Report, ReportProfile), String> {
-    run_report_impl(config, false, None)
+    run_report_impl(config, false, Some(observer))
 }
 
 /// Single-threaded reference path: the same flattened task list as
@@ -942,7 +828,7 @@ pub fn run_report_profiled(
 ///
 /// As for [`run_report`].
 pub fn run_report_sequential(config: &ReportConfig) -> Result<Report, String> {
-    run_report_impl(config, true, None).map(|(report, _)| report)
+    run_report_impl(config, true, None)
 }
 
 /// The η-sweep plan: one `(scenario, n)` meta entry per row, each owning
@@ -982,7 +868,6 @@ fn eta_sweep_specs(config: &ReportConfig) -> Result<EtaSweepPlan, String> {
                     row_index as u64,
                     eta_index as u64,
                 ),
-                section: "eta-sweep",
                 scenario: scenario.name().to_string(),
                 dynamics_label: format!("logit eta={eta}"),
             });
@@ -1031,7 +916,7 @@ fn assemble_eta_sweep(
 pub fn run_eta_sweep(config: &ReportConfig) -> Result<Vec<EtaSweepRow>, String> {
     config.validate()?;
     let (meta, specs) = eta_sweep_specs(config)?;
-    let (outcomes, _) = run_cells(&specs, config, false, None)?;
+    let outcomes = run_cells(&specs, config, false, None)?;
     Ok(assemble_eta_sweep(&meta, &outcomes))
 }
 
@@ -1057,7 +942,7 @@ fn divergence_rules() -> Vec<DynamicsRule> {
 pub fn run_divergence_panel(config: &ReportConfig) -> Result<DivergencePanel, String> {
     config.validate()?;
     let specs = divergence_specs(config)?;
-    let (outcomes, _) = run_cells(&specs, config, false, None)?;
+    let outcomes = run_cells(&specs, config, false, None)?;
     Ok(assemble_divergence(&outcomes, config))
 }
 
@@ -1089,7 +974,6 @@ fn divergence_specs(config: &ReportConfig) -> Result<Vec<CellSpec>, String> {
                 start: DIVERGENCE_START.to_vec(),
                 n,
                 seed: cell_seed(config.seed ^ 0xD17E_26E5_0000_0001, rule_index as u64, 0),
-                section: "divergence",
                 scenario: DIVERGENCE_SCENARIO.to_string(),
                 dynamics_label: rule.label().to_string(),
             })
@@ -1541,52 +1425,6 @@ mod tests {
         popgame_runner::set_worker_threads(None);
         assert_eq!(sweep_a, sweep_b);
         assert_eq!(panel_a, panel_b);
-    }
-
-    #[test]
-    fn profiled_run_renders_byte_identical_reports() {
-        // The --profile acceptance claim: profiling is a pure observer.
-        // Timing wraps the replica runs without feeding RNG streams or
-        // aggregation, so the profiled report's rendered bytes equal the
-        // plain run's exactly.
-        let plain = run_report(&tiny()).unwrap();
-        let (profiled, profile) = run_report_profiled(&tiny()).unwrap();
-        assert_eq!(profiled, plain);
-        assert_eq!(
-            crate::render::report_json(&profiled),
-            crate::render::report_json(&plain)
-        );
-        assert_eq!(
-            crate::render::report_markdown(&profiled),
-            crate::render::report_markdown(&plain)
-        );
-        // The profile covers every sweep cell with exactly `replicas`
-        // tasks each, labelled by section.
-        let config = tiny();
-        assert_eq!(profile.replicas, config.replicas);
-        assert!(!profile.cells.is_empty());
-        assert!(profile.wall_clock_us > 0);
-        let mut sections = std::collections::BTreeSet::new();
-        for cell in &profile.cells {
-            assert_eq!(cell.tasks, config.replicas, "{}/{}", cell.scenario, cell.dynamics);
-            sections.insert(cell.section);
-        }
-        assert_eq!(
-            sections.into_iter().collect::<Vec<_>>(),
-            vec!["convergence", "divergence", "eta-sweep"]
-        );
-        // Busy time sums the per-cell entries.
-        assert_eq!(
-            profile.busy_us,
-            profile.cells.iter().map(|c| c.busy_us).sum::<u64>()
-        );
-        // And the rendered PROFILE.json is structurally sound.
-        let rendered = crate::render::profile_json(&profile);
-        let doc = popgame_util::json::Json::parse(&rendered).expect("PROFILE.json parses");
-        assert_eq!(
-            doc.get("cells").unwrap().as_array().unwrap().len(),
-            profile.cells.len()
-        );
     }
 
     #[test]

@@ -57,8 +57,7 @@ pub mod harness;
 pub mod render;
 
 pub use harness::{
-    run_report, run_report_observed, run_report_profiled, run_report_sequential, CellProfile,
-    ConvergenceCell, ConvergenceRow, CycleRow, Report, ReportConfig, ReportProfile,
-    ScenarioSummary, SweepObserver, TimeConstantRow, TimeConstants, TrajectorySeries,
-    REPRODUCE_SEED, TMIX_EPSILON,
+    run_report, run_report_observed, run_report_sequential, ConvergenceCell, ConvergenceRow,
+    CycleRow, Report, ReportConfig, ScenarioSummary, SweepObserver, TimeConstantRow,
+    TimeConstants, TrajectorySeries, REPRODUCE_SEED, TMIX_EPSILON,
 };

@@ -7,7 +7,7 @@
 //! fixed-width formatting of already-deterministic numbers. Golden-file
 //! tests and the CI reproduction smoke compare whole files byte-for-byte.
 
-use crate::harness::{Report, ReportProfile, TimeConstants, TrajectorySeries};
+use crate::harness::{Report, TimeConstants, TrajectorySeries};
 use popgame_analytics::{
     absorption_stats_json, bootstrap_ci_json, cycle_ensemble_json, tmix_fit_json, TmixFit,
 };
@@ -193,37 +193,6 @@ pub fn report_json(report: &Report) -> String {
             ]),
         ),
         ("time_constants", time_constants_json(&report.time_constants)),
-    ]);
-    doc.pretty()
-}
-
-/// Renders `PROFILE.json` — the `popgame reproduce --profile` companion
-/// artifact. Unlike the report renderers this output is **not**
-/// deterministic across runs: it records where this machine spent its
-/// wall-clock. Its *structure* is deterministic (cell order is spec
-/// order, field order is fixed), only the timing values vary.
-pub fn profile_json(profile: &ReportProfile) -> String {
-    let doc = Json::obj([
-        ("schema_version", Json::from(1u64)),
-        ("mode", Json::from(profile.mode.as_str())),
-        ("seed", Json::from(profile.seed)),
-        ("replicas", Json::from(profile.replicas)),
-        ("workers", Json::from(profile.workers)),
-        ("wall_clock_us", Json::from(profile.wall_clock_us)),
-        ("busy_us", Json::from(profile.busy_us)),
-        (
-            "cells",
-            Json::arr(profile.cells.iter().map(|c| {
-                Json::obj([
-                    ("section", Json::from(c.section)),
-                    ("scenario", Json::from(c.scenario.as_str())),
-                    ("dynamics", Json::from(c.dynamics.as_str())),
-                    ("n", Json::from(c.n)),
-                    ("tasks", Json::from(c.tasks)),
-                    ("busy_us", Json::from(c.busy_us)),
-                ])
-            })),
-        ),
     ]);
     doc.pretty()
 }

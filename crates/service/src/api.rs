@@ -845,11 +845,7 @@ pub fn execute_simulate(
 /// endpoints poll the same [`JobProgress`] for `GET /jobs/{id}`.
 /// Progress is write-only here and strictly out-of-band — results are
 /// byte-identical whichever variant runs.
-///
-/// # Errors
-///
-/// As [`execute_simulate`].
-pub fn execute_simulate_observed(
+fn execute_simulate_observed(
     request: &SimulateRequest,
     cancel: &AtomicBool,
     progress: &JobProgress,
@@ -1217,24 +1213,6 @@ pub fn job_canonical(doc: &Json) -> Result<String, String> {
     }
 }
 
-/// Bridges the report harness's sweep progress into a job's
-/// [`JobProgress`]: `begin` sizes the task counter to the full
-/// cell × replica matrix, and every finished replica task bumps it.
-/// Observation-only — report bytes are identical with or without it.
-struct ProgressBridge<'a> {
-    progress: &'a JobProgress,
-}
-
-impl SweepObserver for ProgressBridge<'_> {
-    fn begin(&self, total: u64) {
-        self.progress.begin(total);
-    }
-
-    fn task_done(&self, busy_ns: u64) {
-        self.progress.task_done(busy_ns);
-    }
-}
-
 /// Runs a validated reproduce request: the full report harness sweep,
 /// rendered to `REPORT.json`/`REPORT.md`. Both renderings are stored in
 /// `artifacts` (when given) under the request's artifact id; the
@@ -1244,11 +1222,7 @@ impl SweepObserver for ProgressBridge<'_> {
 /// Cancellation is coarse: the flag is honoured before the sweep starts
 /// and the result of a sweep that finished after cancellation is
 /// discarded, but a running sweep is not interrupted mid-flight.
-///
-/// # Errors
-///
-/// Propagates harness errors, or `"cancelled"`.
-pub fn execute_reproduce_observed(
+fn execute_reproduce_observed(
     request: &ReproduceRequest,
     cancel: &AtomicBool,
     progress: &JobProgress,
@@ -1258,7 +1232,7 @@ pub fn execute_reproduce_observed(
         return Err("cancelled".to_string());
     }
     let config = request.config();
-    let report = run_report_observed(&config, &ProgressBridge { progress })?;
+    let report = run_report_observed(&config, progress)?;
     if cancel.load(Ordering::Relaxed) {
         return Err("cancelled".to_string());
     }
@@ -1300,42 +1274,21 @@ fn filter_sections(doc: &Json, sections: &[String]) -> Json {
     )
 }
 
-/// Executes a canonical request string (the job executor's core, also
-/// used by the daemon's warmup). The canonical form parses with the same
-/// validators clients go through.
+/// Executes a canonical request string: the job executor's core. The
+/// canonical form parses with the same validators clients go through.
+/// `progress` sees simulations at replica granularity, reproduce sweeps
+/// at `(cell, replica)` granularity and solves as a single task;
+/// `GET /jobs/{id}` polls it. Reproduce runs
+/// store their rendered `REPORT.json`/`REPORT.md` in `artifacts` when
+/// given (the daemon passes its result cache, so `GET /artifacts/{id}`
+/// serves the exact stored bytes, and a disk-backed cache persists them
+/// across restarts); simulate and solve ignore it.
 ///
 /// # Errors
 ///
-/// Propagates executor errors (including `"cancelled"`).
-pub fn execute_canonical(canonical: &str, cancel: &AtomicBool) -> Result<Json, String> {
-    execute_canonical_observed(canonical, cancel, &JobProgress::new())
-}
-
-/// [`execute_canonical`] with a live progress sink: simulations report
-/// at replica granularity, solves as a single task. The async job path
-/// uses this so `GET /jobs/{id}` can show completion mid-flight.
-///
-/// # Errors
-///
-/// As [`execute_canonical`].
-pub fn execute_canonical_observed(
-    canonical: &str,
-    cancel: &AtomicBool,
-    progress: &JobProgress,
-) -> Result<Json, String> {
-    execute_canonical_with_artifacts(canonical, cancel, progress, None)
-}
-
-/// [`execute_canonical_observed`] with an artifact sink: reproduce runs
-/// store their rendered `REPORT.json`/`REPORT.md` in `artifacts` (the
-/// daemon passes its result cache, so `GET /artifacts/{id}` serves the
-/// exact stored bytes — and a disk-backed cache persists them across
-/// restarts). Simulate and solve ignore the sink.
-///
-/// # Errors
-///
-/// As [`execute_canonical`].
-pub fn execute_canonical_with_artifacts(
+/// A message for a corrupt canonical form; otherwise propagates executor
+/// errors (including `"cancelled"`).
+pub fn execute(
     canonical: &str,
     cancel: &AtomicBool,
     progress: &JobProgress,
@@ -1823,15 +1776,16 @@ mod tests {
     }
 
     #[test]
-    fn canonical_round_trip_through_execute_canonical() {
+    fn canonical_round_trip_through_execute() {
         let doc = Json::parse(r#"{"scenario": "stag-hunt", "n": 500, "replicas": 2}"#).unwrap();
         let request = SimulateRequest::from_json(&doc).unwrap();
         let never = AtomicBool::new(false);
         let direct = execute_simulate(&request, &never).unwrap();
-        let via_canonical = execute_canonical(&request.canonical(), &never).unwrap();
+        let via_canonical =
+            execute(&request.canonical(), &never, &JobProgress::new(), None).unwrap();
         assert_eq!(direct.encode(), via_canonical.encode());
-        assert!(execute_canonical("{}", &never).is_err());
-        assert!(execute_canonical("not json", &never).is_err());
+        assert!(execute("{}", &never, &JobProgress::new(), None).is_err());
+        assert!(execute("not json", &never, &JobProgress::new(), None).is_err());
     }
 
     #[test]
@@ -2047,7 +2001,7 @@ mod tests {
         .unwrap();
         let canonical = job_canonical(&doc).unwrap();
         let never = AtomicBool::new(false);
-        let via_job = execute_canonical(&canonical, &never).unwrap();
+        let via_job = execute(&canonical, &never, &JobProgress::new(), None).unwrap();
         let direct = execute_solve(&SolveRequest::from_json(&doc).unwrap()).unwrap();
         assert_eq!(via_job.encode(), direct.encode());
         // Bimatrix (with col) round-trips too.
@@ -2056,6 +2010,6 @@ mod tests {
         )
         .unwrap();
         let canonical = job_canonical(&doc).unwrap();
-        assert!(execute_canonical(&canonical, &never).is_ok());
+        assert!(execute(&canonical, &never, &JobProgress::new(), None).is_ok());
     }
 }

@@ -21,6 +21,7 @@
 
 use popgame_obs::metrics::{registry, Counter};
 use popgame_obs::trace::{self, Family};
+use popgame_report::SweepObserver;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
@@ -143,19 +144,6 @@ impl JobProgress {
         Self::default()
     }
 
-    /// Declares the task count and stamps the start time; called once by
-    /// the executor when the work shape is known.
-    pub fn begin(&self, total: u64) {
-        self.tasks_total.store(total, Ordering::Relaxed);
-        self.start_ns.store(trace::now_ns().max(1), Ordering::Relaxed);
-    }
-
-    /// Records one finished task and the executor time it consumed.
-    pub fn task_done(&self, busy_ns: u64) {
-        self.tasks_done.fetch_add(1, Ordering::Relaxed);
-        self.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
-    }
-
     /// Freezes the elapsed clock (the job retired).
     pub fn finish(&self) {
         self.end_ns.store(trace::now_ns().max(1), Ordering::Relaxed);
@@ -177,6 +165,23 @@ impl JobProgress {
             busy_ns: self.busy_ns.load(Ordering::Relaxed),
             elapsed_ns,
         }
+    }
+}
+
+/// The executors report through the report harness's observer trait,
+/// so a reproduce sweep feeds a job's progress directly.
+impl SweepObserver for JobProgress {
+    /// Declares the task count and stamps the start time; called once by
+    /// the executor when the work shape is known.
+    fn begin(&self, total: u64) {
+        self.tasks_total.store(total, Ordering::Relaxed);
+        self.start_ns.store(trace::now_ns().max(1), Ordering::Relaxed);
+    }
+
+    /// Records one finished task and the executor time it consumed.
+    fn task_done(&self, busy_ns: u64) {
+        self.tasks_done.fetch_add(1, Ordering::Relaxed);
+        self.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
     }
 }
 

@@ -50,6 +50,7 @@ use api::AppState;
 use cache::ResultCache;
 use http::{Handler, HttpConfig, HttpServer};
 use jobs::{Executor, JobStore};
+use popgame_report::SweepObserver;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
@@ -219,12 +220,7 @@ impl PopgameService {
                 progress.task_done(0);
                 return Ok(body);
             }
-            let doc = api::execute_canonical_with_artifacts(
-                canonical,
-                cancel,
-                progress,
-                Some(&executor_cache),
-            )?;
+            let doc = api::execute(canonical, cancel, progress, Some(&executor_cache))?;
             let body = Arc::new(doc.encode());
             if !cancel.load(Ordering::Relaxed) {
                 executor_cache.insert(canonical.to_string(), Arc::clone(&body));

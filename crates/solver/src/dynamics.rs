@@ -51,8 +51,8 @@
 //! These are the pairwise-protocol forms of the textbook dynamics studied
 //! for population protocols by Bournez et al. and
 //! Chatzigiannakis–Spirakis; their mean-field rest points are measured
-//! against the exact solver equilibria in `popgame::experiments` (E16)
-//! and the `popgame-report` reproduction harness.
+//! against the exact solver equilibria by the `popgame-report`
+//! reproduction harness (REPORT's convergence matrix).
 
 use crate::error::SolverError;
 use crate::game::MatrixGame;

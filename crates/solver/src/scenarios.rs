@@ -33,8 +33,8 @@
 //! Each [`Scenario`] exposes (a) its exact equilibria through
 //! [`crate::nash`] and (b) pairwise population dynamics
 //! ([`crate::dynamics::GameDynamics`]) runnable on the batched count-level
-//! engine — the ground-truth/empirical pairing the E16 experiment and the
-//! report harness sweep.
+//! engine — the ground-truth/empirical pairing the report harness
+//! sweeps.
 
 use crate::dynamics::{DynamicsRule, GameDynamics};
 use crate::error::SolverError;
