@@ -1,12 +1,11 @@
 //! Experiment harnesses regenerating every table/figure-equivalent of the
-//! paper (E1–E15 in `DESIGN.md` / `EXPERIMENTS.md`).
+//! paper (E1–E15, tabulated below).
 //!
 //! The paper is a theory paper: its "evaluation" is a set of exact
 //! theorems. Each experiment here re-derives one quantitative claim
 //! empirically and returns a displayable report whose `Display` output is
-//! the table the `reproduce` binary prints (and that `EXPERIMENTS.md`
-//! records). Reports carry the raw numbers too, so integration tests and
-//! benches can assert on them.
+//! the table the `reproduce` binary prints. Reports carry the raw numbers
+//! too, so integration tests and benches can assert on them.
 //!
 //! | fn | paper item | claim |
 //! |----|-----------|-------|

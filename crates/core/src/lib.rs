@@ -25,8 +25,8 @@
 //! Every result is re-derived *computationally* in this workspace: exact
 //! finite-chain verification where the state space is enumerable, coupling
 //! bounds at scale, and Monte-Carlo cross-checks everywhere else. The
-//! [`experiments`] module packages each table/figure-equivalent (E1–E15 in
-//! `DESIGN.md`) as a runnable report.
+//! [`experiments`] module packages each table/figure-equivalent (the E1–E15
+//! table in its module docs) as a runnable report.
 //!
 //! ## Crate map
 //!

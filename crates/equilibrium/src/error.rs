@@ -3,14 +3,9 @@
 use std::error::Error;
 use std::fmt;
 
-/// Error raised when constructing games or checking equilibrium regimes.
+/// Error raised when checking strategy distributions or equilibrium regimes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EquilibriumError {
-    /// Utility matrices must be square and of matching dimensions.
-    InvalidUtilities {
-        /// Human-readable description.
-        reason: String,
-    },
     /// A strategy distribution was not a pmf over the strategy set.
     InvalidDistribution {
         /// Human-readable description.
@@ -26,9 +21,6 @@ pub enum EquilibriumError {
 impl fmt::Display for EquilibriumError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EquilibriumError::InvalidUtilities { reason } => {
-                write!(f, "invalid utility matrices: {reason}")
-            }
             EquilibriumError::InvalidDistribution { reason } => {
                 write!(f, "invalid strategy distribution: {reason}")
             }
@@ -47,11 +39,6 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        assert!(EquilibriumError::InvalidUtilities {
-            reason: "not square".into()
-        }
-        .to_string()
-        .contains("not square"));
         assert!(EquilibriumError::InvalidDistribution {
             reason: "sums to 2".into()
         }

@@ -5,10 +5,10 @@
 //!
 //! A distribution `µ` over strategies is an *ε-approximate distributional
 //! equilibrium* when no unilateral deviation improves the expected payoff
-//! of the average interaction by more than `ε`. This crate provides:
+//! of the average interaction by more than `ε`. For a generic matrix game
+//! that gap is `popgame_solver::certify::bimatrix_gap(g, µ, µ)`. This crate
+//! provides:
 //!
-//! * [`de`] — the generic Definition 1.1 checker for arbitrary finite
-//!   two-player games given by utility matrices;
 //! * [`rd`] — the `(α, β, γ)`-population specialization (Definition 1.2):
 //!   the induced distribution `µ̂`, the equilibrium gap
 //!   `Ψ(µ) = max_i E[f(g_i, S)] − E[f(g, S)]`, and the ε(k) decay curve of
@@ -39,7 +39,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod de;
 pub mod error;
 pub mod rd;
 pub mod regime;

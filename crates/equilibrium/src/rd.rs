@@ -13,11 +13,10 @@
 //! (`popgame-game`), so the equilibrium gap `Ψ(µ)` is exact up to floating
 //! point.
 
-use crate::de::DistributionalGame;
-use crate::error::EquilibriumError;
 use popgame_game::payoff::{expected_payoff_kinds, gtft_payoff_closed};
 use popgame_game::strategy::StrategyKind;
 use popgame_igt::params::IgtConfig;
+use popgame_solver::{MatrixGame, SolverError};
 
 /// The induced distribution `µ̂` over `S = {AC, AD, g_1, …, g_k}` (eq. 3),
 /// indexed `[AC, AD, g_1, …, g_k]`.
@@ -146,22 +145,23 @@ pub fn net_payoff_slope(config: &IgtConfig, mu: &[f64], g: f64) -> f64 {
 /// Empirically (experiment E13) this is *stronger* than Theorem 2.9's
 /// literal conditions near `λ = 2`: configurations can satisfy every stated
 /// inequality while the net slope is negative, pinning the best response to
-/// `g = 0` and stalling the decay. See `EXPERIMENTS.md`.
+/// `g = 0` and stalling the decay. See E13 in the E1–E15 table of
+/// `popgame::experiments` (`crates/core/src/experiments/mod.rs`).
 pub fn in_effective_decay_regime(config: &IgtConfig) -> bool {
     let mu = popgame_igt::stationary::mean_stationary_mu(config);
     net_payoff_slope(config, &mu, config.grid().g_max()) > 0.0
 }
 
-/// Builds the full `(k+2) × (k+2)` symmetric [`DistributionalGame`] over
+/// Builds the full `(k+2) × (k+2)` symmetric [`MatrixGame`] over
 /// `S = {AC, AD, g_1, …, g_k}` via the exact linear-algebra payoffs — used
-/// to cross-check Definition 1.2 against the generic Definition 1.1
-/// machinery.
+/// to cross-check Definition 1.2 against the generic Definition 1.1 gap
+/// `popgame_solver::certify::bimatrix_gap(g, µ, µ)`.
 ///
 /// # Errors
 ///
-/// Propagates [`EquilibriumError::InvalidUtilities`] (cannot occur for
-/// finite payoffs).
-pub fn full_distributional_game(config: &IgtConfig) -> Result<DistributionalGame, EquilibriumError> {
+/// Propagates [`SolverError::InvalidGame`] (cannot occur for finite
+/// payoffs).
+pub fn full_distributional_game(config: &IgtConfig) -> Result<MatrixGame, SolverError> {
     let grid = config.grid();
     let game = config.game();
     let kinds: Vec<StrategyKind> = std::iter::once(StrategyKind::AllC)
@@ -177,7 +177,7 @@ pub fn full_distributional_game(config: &IgtConfig) -> Result<DistributionalGame
                 .collect()
         })
         .collect();
-    DistributionalGame::symmetric(u1)
+    MatrixGame::symmetric(u1)
 }
 
 #[cfg(test)]
@@ -284,7 +284,7 @@ mod tests {
         let mut avg_matrix = 0.0;
         for (i, &mu_i) in mu.iter().enumerate() {
             for (s, &hat_s) in hat.iter().enumerate() {
-                avg_matrix += mu_i * hat_s * game.utility_row(2 + i, s);
+                avg_matrix += mu_i * hat_s * game.row(2 + i, s);
             }
         }
         let avg_closed = average_gtft_payoff(&cfg, &mu);
@@ -298,7 +298,7 @@ mod tests {
             let matrix_val: f64 = hat
                 .iter()
                 .enumerate()
-                .map(|(s, &hat_s)| hat_s * game.utility_row(2 + i, s))
+                .map(|(s, &hat_s)| hat_s * game.row(2 + i, s))
                 .sum();
             let closed_val = level_payoff(&cfg, &mu, i);
             assert!(
@@ -313,7 +313,7 @@ mod tests {
             .map(|i| {
                 hat.iter()
                     .enumerate()
-                    .map(|(s, &hat_s)| hat_s * game.utility_row(2 + i, s))
+                    .map(|(s, &hat_s)| hat_s * game.row(2 + i, s))
                     .sum::<f64>()
             })
             .fold(f64::NEG_INFINITY, f64::max);

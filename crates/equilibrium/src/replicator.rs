@@ -15,10 +15,10 @@
 //! while unconstrained replication may drive the population elsewhere
 //! entirely (e.g. to `AD` in one-shot-like regimes). Fixed points of the
 //! replicator map with full support are exact distributional equilibria,
-//! which the tests verify through [`crate::de::DistributionalGame`].
+//! which the tests verify through `popgame_solver::certify::bimatrix_gap`.
 
-use crate::de::DistributionalGame;
 use crate::error::EquilibriumError;
+use popgame_solver::MatrixGame;
 
 /// Result of running the replicator map.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,12 +43,12 @@ pub struct ReplicatorOutcome {
 /// Returns [`EquilibriumError::InvalidDistribution`] when `initial` is not
 /// a pmf over the game's strategy set.
 pub fn run_replicator(
-    game: &DistributionalGame,
+    game: &MatrixGame,
     initial: &[f64],
     tol: f64,
     max_iter: usize,
 ) -> Result<ReplicatorOutcome, EquilibriumError> {
-    let n = game.num_strategies();
+    let n = game.k();
     if initial.len() != n {
         return Err(EquilibriumError::InvalidDistribution {
             reason: format!("initial shares have length {}, need {n}", initial.len()),
@@ -64,7 +64,7 @@ pub fn run_replicator(
     let mut min_payoff = f64::INFINITY;
     for i in 0..n {
         for j in 0..n {
-            min_payoff = min_payoff.min(game.utility_row(i, j));
+            min_payoff = min_payoff.min(game.row(i, j));
         }
     }
     let shift = 1.0 - min_payoff.min(0.0);
@@ -79,7 +79,7 @@ pub fn run_replicator(
                 shift
                     + x.iter()
                         .enumerate()
-                        .map(|(j, &xj)| xj * game.utility_row(i, j))
+                        .map(|(j, &xj)| xj * game.row(i, j))
                         .sum::<f64>()
             })
             .collect();
@@ -109,10 +109,11 @@ mod tests {
     use super::*;
     use popgame_game::params::GameParams;
     use popgame_igt::params::{GenerosityGrid, IgtConfig, PopulationComposition};
+    use popgame_solver::certify::bimatrix_gap;
 
     /// One-shot prisoner's dilemma (donation b=2, c=1): defection dominates.
-    fn one_shot_pd() -> DistributionalGame {
-        DistributionalGame::symmetric(vec![vec![1.0, -1.0], vec![2.0, 0.0]]).unwrap()
+    fn one_shot_pd() -> MatrixGame {
+        MatrixGame::donation(2.0, 1.0).unwrap()
     }
 
     #[test]
@@ -129,14 +130,14 @@ mod tests {
         let out = run_replicator(&game, &[0.9, 0.1], 1e-12, 100_000).unwrap();
         assert!(out.shares[1] > 0.999, "shares {:?}", out.shares);
         // The limit is an exact DE of the one-shot game.
-        assert!(game.epsilon(&out.shares).unwrap() < 1e-6);
+        assert!(bimatrix_gap(&game, &out.shares, &out.shares).unwrap() < 1e-6);
     }
 
     #[test]
     fn interior_fixed_point_of_matching_pennies_like_game() {
         // Symmetric Hawk–Dove: interior mixed equilibrium.
         // Payoffs: H vs H: -1, H vs D: 2, D vs H: 0, D vs D: 1.
-        let game = DistributionalGame::symmetric(vec![
+        let game = MatrixGame::symmetric(vec![
             vec![-1.0, 2.0],
             vec![0.0, 1.0],
         ])
@@ -144,7 +145,7 @@ mod tests {
         let out = run_replicator(&game, &[0.3, 0.7], 1e-13, 1_000_000).unwrap();
         // Mixed NE: H share solves -h + 2(1-h) = 0·h + 1(1-h) ⇒ h = 1/2.
         assert!((out.shares[0] - 0.5).abs() < 1e-4, "shares {:?}", out.shares);
-        assert!(game.epsilon(&out.shares).unwrap() < 1e-3);
+        assert!(bimatrix_gap(&game, &out.shares, &out.shares).unwrap() < 1e-3);
     }
 
     #[test]
@@ -194,14 +195,14 @@ mod tests {
             .map(|i| {
                 out.shares[i]
                     * (0..k + 2)
-                        .map(|j| out.shares[j] * game.utility_row(i, j))
+                        .map(|j| out.shares[j] * game.row(i, j))
                         .sum::<f64>()
             })
             .sum();
         assert!((mean_payoff - 76.0).abs() < 1.0, "mean payoff {mean_payoff}");
         // …but the boundary point is invadable by AD: not a DE.
         assert!(
-            game.epsilon(&out.shares).unwrap() > 1.0,
+            bimatrix_gap(&game, &out.shares, &out.shares).unwrap() > 1.0,
             "replicator limit unexpectedly an equilibrium"
         );
     }

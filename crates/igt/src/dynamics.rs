@@ -10,7 +10,8 @@
 //! (iii) g_j + AD  →  Dec(g_j) + AD
 //! ```
 //!
-//! Variants (ablations called out in DESIGN.md):
+//! Variants (ablations; none of the E1–E15 experiments tabulated in
+//! `crates/core/src/experiments/mod.rs` uses them):
 //!
 //! * [`IgtVariant::StrictIncrease`] — increment only on meeting another
 //!   GTFT agent (the adjustment discussed after Proposition 2.2, which

@@ -31,8 +31,8 @@
 //!
 //! The worker count comes from [`worker_threads`]: an in-process override
 //! ([`set_worker_threads`], wired to the CLI `--workers` flag), else the
-//! `POPGAME_WORKERS` / `POPGAME_THREADS` environment variables, else the
-//! machine's available parallelism.
+//! `POPGAME_WORKERS` environment variable, else the machine's available
+//! parallelism.
 //!
 //! # Example
 //!
@@ -70,29 +70,23 @@ static WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets (or with `None` clears) a process-wide override of the worker
 /// count used by [`run_tasks`] and [`run_replicas`]. Takes precedence
-/// over the `POPGAME_WORKERS` / `POPGAME_THREADS` environment variables;
-/// the CLI's `--workers` flag lands here. Values are clamped to at
-/// least 1.
+/// over the `POPGAME_WORKERS` environment variable; the CLI's
+/// `--workers` flag lands here. Values are clamped to at least 1.
 pub fn set_worker_threads(workers: Option<usize>) {
     WORKER_OVERRIDE.store(workers.map_or(0, |w| w.max(1)), Ordering::Relaxed);
 }
 
 /// The number of worker threads used by [`run_tasks`] /
 /// [`run_replicas`]: the [`set_worker_threads`] override when set, else
-/// the `POPGAME_WORKERS` environment variable, else `POPGAME_THREADS`
-/// (the historical name, kept for compatibility), else the machine's
+/// the `POPGAME_WORKERS` environment variable, else the machine's
 /// available parallelism.
 pub fn worker_threads() -> usize {
     let forced = WORKER_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
     }
-    for var in ["POPGAME_WORKERS", "POPGAME_THREADS"] {
-        if let Ok(v) = std::env::var(var) {
-            if let Ok(n) = v.parse::<usize>() {
-                return n.max(1);
-            }
-        }
+    if let Some(n) = std::env::var("POPGAME_WORKERS").ok().and_then(|v| v.parse::<usize>().ok()) {
+        return n.max(1);
     }
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)

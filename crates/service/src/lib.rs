@@ -82,7 +82,7 @@ pub struct ServiceConfig {
     pub remote_shutdown: bool,
     /// Simulation worker threads for the replica task pool (`--workers`).
     /// `None` leaves the runner's own resolution in force
-    /// (`POPGAME_WORKERS` / `POPGAME_THREADS` / available parallelism).
+    /// (`POPGAME_WORKERS`, else available parallelism).
     pub sim_workers: Option<usize>,
     /// Directory for the persistent cache tier (`--cache-dir`). `None`
     /// keeps the cache memory-only; with a directory, every cacheable

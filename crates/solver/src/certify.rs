@@ -1,18 +1,10 @@
-//! ε-Nash certification, compatible with the paper's Definition 1.1
-//! checker (`popgame_equilibrium::de`).
+//! ε-Nash certification.
 //!
-//! Two gap notions coexist in the workspace:
-//!
-//! * the **bimatrix gap** of a profile `(x, y)` — the larger of the two
-//!   players' best unilateral deviation gains;
-//! * the **distributional gap** of a single distribution `µ` — Definition
-//!   1.1, where both interaction partners are drawn from `µ`.
-//!
-//! They agree on symmetric profiles: `bimatrix_gap(g, µ, µ)` equals
-//! `DistributionalGame::epsilon(µ)` exactly (same arithmetic, same order
-//! of operations), which is what lets solver-certified equilibria flow
-//! into the `de`-based experiment harnesses unchanged. The tests pin that
-//! equality to `1e-12`.
+//! The **bimatrix gap** of a profile `(x, y)` is the larger of the two
+//! players' best unilateral deviation gains. On a symmetric profile it is
+//! the paper's Definition 1.1 **distributional gap**: `bimatrix_gap(g, µ,
+//! µ)` is the smallest `ε` for which `µ` is an ε-approximate distributional
+//! equilibrium, with both interaction partners drawn from `µ`.
 
 use crate::error::SolverError;
 use crate::game::MatrixGame;
@@ -51,24 +43,9 @@ pub fn is_epsilon_nash(
     Ok(bimatrix_gap(game, x, y)? <= epsilon)
 }
 
-/// The Definition 1.1 distributional gap of `µ` — evaluated through
-/// `popgame_equilibrium::de` itself, so solver certification and the
-/// paper-side checker can never drift apart.
-///
-/// # Errors
-///
-/// Returns [`SolverError::InvalidProfile`] when `µ` is not a pmf.
-pub fn distributional_gap(game: &MatrixGame, mu: &[f64]) -> Result<f64, SolverError> {
-    let de = game.to_distributional()?;
-    de.epsilon(mu).map_err(|e| SolverError::InvalidProfile {
-        reason: format!("{e:?}"),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn gap_zero_exactly_at_equilibria() {
@@ -77,6 +54,11 @@ mod tests {
         assert!((bimatrix_gap(&g, &[1.0, 0.0], &[1.0, 0.0]).unwrap() - 1.0).abs() < 1e-12);
         assert!(is_epsilon_nash(&g, &[0.0, 1.0], &[0.0, 1.0], 1e-9).unwrap());
         assert!(!is_epsilon_nash(&g, &[1.0, 0.0], &[1.0, 0.0], 0.5).unwrap());
+        // Matching pennies (zero-sum): the uniform mix is exact; against
+        // pure heads the column player gains 1 − (−1) by switching.
+        let mp = MatrixGame::zero_sum(vec![vec![1.0, -1.0], vec![-1.0, 1.0]]).unwrap();
+        assert!(bimatrix_gap(&mp, &[0.5, 0.5], &[0.5, 0.5]).unwrap() < 1e-12);
+        assert_eq!(bimatrix_gap(&mp, &[1.0, 0.0], &[1.0, 0.0]).unwrap(), 2.0);
     }
 
     #[test]
@@ -84,24 +66,6 @@ mod tests {
         let g = MatrixGame::donation(2.0, 1.0).unwrap();
         assert!(bimatrix_gap(&g, &[1.0], &[0.0, 1.0]).is_err());
         assert!(bimatrix_gap(&g, &[0.8, 0.8], &[0.0, 1.0]).is_err());
-        assert!(distributional_gap(&g, &[0.8, 0.8]).is_err());
-    }
-
-    proptest! {
-        /// On symmetric profiles the bimatrix gap IS the Definition 1.1
-        /// distributional gap, to the last bit of reasonable tolerance.
-        #[test]
-        fn prop_symmetric_profile_gap_matches_de(
-            payoffs in proptest::collection::vec(-5.0..5.0f64, 9),
-            weights in proptest::collection::vec(0.01..1.0f64, 3),
-        ) {
-            let rows: Vec<Vec<f64>> = payoffs.chunks(3).map(<[f64]>::to_vec).collect();
-            let g = MatrixGame::symmetric(rows).unwrap();
-            let total: f64 = weights.iter().sum();
-            let mu: Vec<f64> = weights.iter().map(|w| w / total).collect();
-            let ours = bimatrix_gap(&g, &mu, &mu).unwrap();
-            let theirs = distributional_gap(&g, &mu).unwrap();
-            prop_assert!((ours - theirs).abs() < 1e-12, "{ours} vs {theirs}");
-        }
+        assert!(bimatrix_gap(&g, &[-0.5, 1.5], &[-0.5, 1.5]).is_err());
     }
 }

@@ -8,7 +8,6 @@
 //! get an exact LP value through [`crate::zerosum`].
 
 use crate::error::SolverError;
-use popgame_equilibrium::de::DistributionalGame;
 
 /// A finite two-player game in bimatrix form.
 #[derive(Debug, Clone, PartialEq)]
@@ -256,22 +255,6 @@ impl MatrixGame {
             .collect();
         Self::symmetric(rows).expect("shifted finite payoffs stay finite")
     }
-
-    /// Converts to the paper's [`DistributionalGame`] so solver output can
-    /// be certified by the Definition 1.1 ε-gap checker in
-    /// `popgame_equilibrium::de`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the distributional game's own validation (which accepts
-    /// every valid [`MatrixGame`]).
-    pub fn to_distributional(&self) -> Result<DistributionalGame, SolverError> {
-        DistributionalGame::new(self.row.clone(), self.col.clone()).map_err(|e| {
-            SolverError::InvalidGame {
-                reason: format!("distributional conversion failed: {e:?}"),
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -353,14 +336,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn distributional_conversion_agrees_on_the_gap() {
-        let g = MatrixGame::donation(2.0, 1.0).unwrap();
-        let de = g.to_distributional().unwrap();
-        // All-defect is the exact equilibrium of the one-shot game.
-        assert!(de.epsilon(&[0.0, 1.0]).unwrap() < 1e-12);
-        assert!((de.epsilon(&[1.0, 0.0]).unwrap() - 1.0).abs() < 1e-12);
     }
 }

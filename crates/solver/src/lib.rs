@@ -24,8 +24,8 @@
 //!   symmetric-equilibrium search used by one-population dynamics.
 //! * [`zerosum`] — the minimax value and optimal strategies of a (possibly
 //!   rectangular) zero-sum game via a self-contained dense simplex method.
-//! * [`certify`] — ε-Nash certification, bit-compatible with the
-//!   Definition 1.1 checker in `popgame_equilibrium::de`.
+//! * [`certify`] — ε-Nash certification; on a symmetric profile `(µ, µ)`
+//!   the gap is the paper's Definition 1.1 distributional gap.
 //! * [`scenarios`] — the named-scenario registry: Prisoner's Dilemma,
 //!   Hawk–Dove, Rock–Paper–Scissors, Matching Pennies, Stag Hunt,
 //!   coordination, and seeded random games, each exposing its exact
@@ -48,9 +48,9 @@
 //! let eqs = scenario.symmetric_equilibria();
 //! assert_eq!(eqs.len(), 1);
 //! assert!((eqs[0].x[0] - 0.5).abs() < 1e-12);
-//! // The solver's output passes the paper's Definition 1.1 gap checker.
-//! let de = scenario.game().to_distributional().unwrap();
-//! assert!(de.epsilon(&eqs[0].x).unwrap() <= 1e-9);
+//! // The solver's output passes the paper's Definition 1.1 gap check.
+//! let mu = &eqs[0].x;
+//! assert!(popgame_solver::certify::bimatrix_gap(scenario.game(), mu, mu).unwrap() <= 1e-9);
 //! ```
 
 pub mod certify;

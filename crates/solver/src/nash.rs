@@ -379,9 +379,8 @@ mod tests {
     #[test]
     fn equilibria_are_certified_and_deterministic() {
         let g = MatrixGame::symmetric(vec![vec![-1.0, 2.0], vec![0.0, 1.0]]).unwrap();
-        let de = g.to_distributional().unwrap();
         for eq in symmetric_equilibria(&g).unwrap() {
-            assert!(de.epsilon(&eq.x).unwrap() <= CERT_TOL);
+            assert!(bimatrix_gap(&g, &eq.x, &eq.x).unwrap() <= CERT_TOL);
         }
         assert_eq!(enumerate_equilibria(&g), enumerate_equilibria(&g));
     }

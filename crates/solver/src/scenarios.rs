@@ -448,7 +448,7 @@ pub fn by_name(name: &str) -> Result<&'static Scenario, SolverError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certify::distributional_gap;
+    use crate::certify::bimatrix_gap;
     use crate::zerosum::solve_zero_sum;
 
     #[test]
@@ -503,13 +503,13 @@ mod tests {
         assert!((closed[1] - 0.2).abs() < 1e-12, "{closed:?}");
         assert_eq!(closed[2], 0.0);
         // The solver finds exactly this (and only this) symmetric
-        // equilibrium, certified through the de.rs checker at 1e-9.
+        // equilibrium, certified by the Definition 1.1 gap at 1e-9.
         let sym = s.symmetric_equilibria();
         assert_eq!(sym.len(), 1, "{sym:?}");
         for (a, b) in sym[0].x.iter().zip(&closed) {
             assert!((a - b).abs() < 1e-9, "{:?} vs {closed:?}", sym[0].x);
         }
-        let gap = distributional_gap(s.game(), &closed).unwrap();
+        let gap = bimatrix_gap(s.game(), &closed, &closed).unwrap();
         assert!(gap <= 1e-9, "closed form gap {gap}");
         // Water-filling handles all-equal weights (uniform split) and a
         // dominant cheap route (pure) too, and the result is always a pmf
@@ -517,11 +517,7 @@ mod tests {
         for w in [vec![2.0, 2.0, 2.0], vec![1.0, 5.0, 9.0], vec![3.0, 1.0, 2.0, 1.5]] {
             let x = Scenario::congestion_equilibrium(&w);
             assert!((x.iter().sum::<f64>() - 1.0).abs() < 1e-9, "{w:?}: {x:?}");
-            let gap = distributional_gap(
-                Scenario::congestion(w.clone()).unwrap().game(),
-                &x,
-            )
-            .unwrap();
+            let gap = bimatrix_gap(Scenario::congestion(w.clone()).unwrap().game(), &x, &x).unwrap();
             assert!(gap <= 1e-9, "{w:?}: gap {gap}");
         }
     }
@@ -579,7 +575,7 @@ mod tests {
     fn every_symmetric_equilibrium_passes_the_de_checker() {
         for s in registry() {
             for eq in s.symmetric_equilibria() {
-                let gap = distributional_gap(s.game(), &eq.x).unwrap();
+                let gap = bimatrix_gap(s.game(), &eq.x, &eq.x).unwrap();
                 assert!(gap <= 1e-9, "{}: gap {gap}", s.name());
             }
         }
@@ -658,7 +654,7 @@ mod tests {
             let sym = s.symmetric_equilibria();
             assert!(!sym.is_empty(), "seed {seed}: no symmetric equilibrium");
             for eq in &sym {
-                let gap = distributional_gap(s.game(), &eq.x).unwrap();
+                let gap = bimatrix_gap(s.game(), &eq.x, &eq.x).unwrap();
                 assert!(gap <= 1e-9, "seed {seed}: gap {gap}");
             }
         }
@@ -717,7 +713,7 @@ mod tests {
             );
             // And the closed form always certifies as an exact equilibrium.
             let game = Scenario::congestion(weights.clone()).unwrap();
-            let gap = distributional_gap(game.game(), &x_star).unwrap();
+            let gap = bimatrix_gap(game.game(), &x_star, &x_star).unwrap();
             proptest::prop_assert!(gap <= 1e-9, "{weights:?}: gap {gap}");
         }
     }

@@ -1,10 +1,9 @@
 //! Cross-crate integration: the exact solver against the equilibrium
-//! crate's replicator dynamics and Definition 1.1 checker, and the
+//! crate's replicator dynamics and the Definition 1.1 gap, and the
 //! scenario dynamics against the batched engine.
 
-use popgame_equilibrium::de::DistributionalGame;
 use popgame_equilibrium::replicator::run_replicator;
-use popgame_solver::certify::{bimatrix_gap, distributional_gap, is_epsilon_nash};
+use popgame_solver::certify::bimatrix_gap;
 use popgame_solver::dynamics::{engine_from_profile, DynamicsRule};
 use popgame_solver::game::MatrixGame;
 use popgame_solver::nash::{enumerate_equilibria, symmetric_equilibria, CERT_TOL};
@@ -19,14 +18,14 @@ use proptest::prelude::*;
 fn replicator_limit_matches_solver_on_hawk_dove() {
     let scenario = by_name("hawk-dove").unwrap();
     let solver_eq = &scenario.symmetric_equilibria()[0];
-    let de = DistributionalGame::symmetric(scenario.game().row_matrix().to_vec()).unwrap();
-    let out = run_replicator(&de, &[0.3, 0.7], 1e-13, 1_000_000).unwrap();
+    let game = scenario.game();
+    let out = run_replicator(game, &[0.3, 0.7], 1e-13, 1_000_000).unwrap();
     for (a, b) in out.shares.iter().zip(&solver_eq.x) {
         assert!((a - b).abs() < 1e-4, "replicator {:?} vs solver {:?}", out.shares, solver_eq.x);
     }
     // Both certify through the same Definition 1.1 gap.
-    assert!(de.epsilon(&solver_eq.x).unwrap() <= CERT_TOL);
-    assert!(de.epsilon(&out.shares).unwrap() < 1e-3);
+    assert!(bimatrix_gap(game, &solver_eq.x, &solver_eq.x).unwrap() <= CERT_TOL);
+    assert!(bimatrix_gap(game, &out.shares, &out.shares).unwrap() < 1e-3);
 }
 
 /// RPS has a unique interior equilibrium (uniform); it is a replicator
@@ -38,19 +37,19 @@ fn replicator_fixed_point_matches_solver_on_rps() {
     assert_eq!(eqs.len(), 1);
     let uniform = &eqs[0].x;
     assert!(uniform.iter().all(|&p| (p - 1.0 / 3.0).abs() < 1e-12));
-    let de = DistributionalGame::symmetric(scenario.game().row_matrix().to_vec()).unwrap();
+    let game = scenario.game();
     // Started exactly at the solver equilibrium, replication does not move.
-    let out = run_replicator(&de, uniform, 0.0, 50).unwrap();
+    let out = run_replicator(game, uniform, 0.0, 50).unwrap();
     for (a, b) in out.shares.iter().zip(uniform) {
         assert!((a - b).abs() < 1e-12, "uniform must be a fixed point");
     }
     assert!(out.final_step_change < 1e-12);
-    assert!(de.epsilon(uniform).unwrap() <= CERT_TOL);
+    assert!(bimatrix_gap(game, uniform, uniform).unwrap() <= CERT_TOL);
     // An interior replicator fixed point has equal fitness across its
     // support, i.e. it solves the same indifference system the solver
     // enumerates: perturbing off-uniform, fitness differences reappear.
     let perturbed = [0.4, 0.35, 0.25];
-    let moved = run_replicator(&de, &perturbed, 0.0, 1).unwrap();
+    let moved = run_replicator(game, &perturbed, 0.0, 1).unwrap();
     let drift: f64 = moved
         .shares
         .iter()
@@ -60,7 +59,7 @@ fn replicator_fixed_point_matches_solver_on_rps() {
     assert!(drift > 1e-4, "off-equilibrium points must move");
 }
 
-/// The one-shot PD: replicator, solver, and the de-checker agree that
+/// The one-shot PD: replicator, solver, and the Definition 1.1 gap agree that
 /// all-defect is the unique rest point.
 #[test]
 fn replicator_limit_matches_solver_on_pd() {
@@ -68,8 +67,7 @@ fn replicator_limit_matches_solver_on_pd() {
     let eqs = scenario.symmetric_equilibria();
     assert_eq!(eqs.len(), 1);
     assert!((eqs[0].x[1] - 1.0).abs() < 1e-12);
-    let de = DistributionalGame::symmetric(scenario.game().row_matrix().to_vec()).unwrap();
-    let out = run_replicator(&de, &[0.9, 0.1], 1e-12, 200_000).unwrap();
+    let out = run_replicator(scenario.game(), &[0.9, 0.1], 1e-12, 200_000).unwrap();
     assert!((out.shares[1] - eqs[0].x[1]).abs() < 1e-3);
 }
 
@@ -134,36 +132,24 @@ fn random_symmetric_game(k: usize, entries: &[f64]) -> MatrixGame {
 }
 
 proptest! {
-    /// Satellite certification, solver side: on random 2×2…4×4 symmetric
-    /// games, every symmetric equilibrium the solver returns passes the
-    /// de.rs ε-gap checker at ε ≤ 1e-9.
+    /// Certification, solver side: on random 2×2…4×4 symmetric games,
+    /// every symmetric equilibrium the solver returns passes the
+    /// Definition 1.1 ε-gap at ε ≤ 1e-9.
     #[test]
     fn prop_solver_equilibria_pass_de_checker(
         k in 2usize..=4,
         entries in proptest::collection::vec(-5.0..5.0f64, 16),
-        seed_profile in proptest::collection::vec(0.01..1.0f64, 4),
     ) {
         let game = random_symmetric_game(k, &entries);
         let eqs = symmetric_equilibria(&game).unwrap();
         for eq in &eqs {
-            let gap = distributional_gap(&game, &eq.x).unwrap();
+            let gap = bimatrix_gap(&game, &eq.x, &eq.x).unwrap();
             prop_assert!(gap <= 1e-9, "gap {gap} for {:?}", eq.x);
         }
         // Bimatrix enumeration too: full profiles certify at 1e-9.
         for eq in enumerate_equilibria(&game) {
             let gap = bimatrix_gap(&game, &eq.x, &eq.y).unwrap();
             prop_assert!(gap <= 1e-9, "bimatrix gap {gap}");
-        }
-        // Satellite certification, checker side: a profile the certifier
-        // rejects has strictly positive Definition 1.1 gap, and the two
-        // gap notions agree to 1e-12 on symmetric profiles.
-        let total: f64 = seed_profile[..k].iter().sum();
-        let mu: Vec<f64> = seed_profile[..k].iter().map(|w| w / total).collect();
-        let ours = bimatrix_gap(&game, &mu, &mu).unwrap();
-        let theirs = distributional_gap(&game, &mu).unwrap();
-        prop_assert!((ours - theirs).abs() < 1e-12);
-        if !is_epsilon_nash(&game, &mu, &mu, 1e-9).unwrap() {
-            prop_assert!(theirs > 1e-9, "rejected profile must have positive gap");
         }
     }
 
