@@ -20,31 +20,34 @@ use popgame_analytics::{
     tmix_empirical_tv, AbsorptionObservation, BootstrapConfig, TmixFit,
 };
 use popgame_ehrenfest::mixing::{exact_mixing_time_k2, k2_birth_death};
-use popgame_ehrenfest::process::{EhrenfestParams, EhrenfestProcess};
+use popgame_ehrenfest::process::{EhrenfestParams, EhrenfestProcess, EhrenfestProtocol};
 use popgame_markov::birth_death::BirthDeathChain;
 use popgame_markov::mixing::MIXING_THRESHOLD;
+use popgame_population::batch::BatchedEngine;
 use popgame_runner::run_replicas;
 use popgame_solver::dynamics::{engine_from_profile, DynamicsRule, GameDynamics};
 use popgame_solver::scenarios::by_name;
 use rand::Rng;
 
-/// Record the first-urn count of a batched `k = 2` Ehrenfest run at every
-/// leap boundary (clock 0 included). The first-urn count is exactly the
-/// birth–death projection coordinate of `k2_birth_death`.
+/// Record the first-urn count of a `k = 2` Ehrenfest run, τ-leaping on
+/// the batched engine, at every leap boundary (clock 0 included). The
+/// first-urn count is exactly the birth–death projection coordinate of
+/// `k2_birth_death`.
 fn ehrenfest_state_series(
     params: EhrenfestParams,
     steps: u64,
     batch: u64,
     rng: &mut impl Rng,
 ) -> Vec<usize> {
-    let mut process = EhrenfestProcess::all_in_last_urn(params);
-    let mut states = vec![process.counts()[0] as usize];
+    let counts = EhrenfestProcess::all_in_last_urn(params).counts().to_vec();
+    let mut engine = BatchedEngine::from_counts(EhrenfestProtocol::new(params), counts).unwrap();
+    let mut states = vec![engine.counts()[0] as usize];
     let mut executed = 0;
     while executed < steps {
         let burst = batch.min(steps - executed);
-        process.run_batched(burst, batch, rng);
+        engine.run_batched(burst, batch, rng).unwrap();
         executed += burst;
-        states.push(process.counts()[0] as usize);
+        states.push(engine.counts()[0] as usize);
     }
     states
 }

@@ -3,18 +3,20 @@
 
 use crate::experiments::table::{fmt_f, TextTable};
 use popgame_dist::divergence::tv_distance;
+use popgame_ehrenfest::process::EhrenfestProtocol;
 use popgame_game::monte_carlo::{estimate_payoffs, NoiseModel};
 use popgame_game::params::GameParams;
 use popgame_game::strategy::MemoryOneStrategy;
-use popgame_igt::dynamics::{counted_population, IgtProtocol};
+use popgame_igt::dynamics::{count_level_process, counted_population, IgtProtocol};
 use popgame_igt::generosity::{
     asymptotic_approximation, corollary_c1_lower_bound, stationary_average_generosity,
     stationary_average_generosity_direct,
 };
-use popgame_igt::observed::{misclassification_rates, Classifier, ObservedIgtProtocol};
+use popgame_igt::observed::{misclassification_rates, ObservedIgtProtocol};
 use popgame_igt::params::{GenerosityGrid, IgtConfig, PopulationComposition};
 use popgame_igt::state::AgentState;
 use popgame_igt::stationary::stationary_level_probs;
+use popgame_population::batch::BatchedEngine;
 use popgame_population::population::AgentPopulation;
 use popgame_population::protocol::Protocol;
 use popgame_util::rng::rng_from_seed;
@@ -99,16 +101,24 @@ pub fn run_e6(seed: u64) -> E6Report {
             // Count-level ergodic average of the generosity, in batched
             // leaps (the chain only moves on the γ-fraction of GTFT
             // initiations, so leaping amortizes the per-step overhead).
-            let mut process =
-                popgame_igt::dynamics::count_level_process(&cfg, n, 0).expect("valid config");
+            let process = count_level_process(&cfg, n, 0).expect("valid config");
+            let mut engine = BatchedEngine::from_counts(
+                EhrenfestProtocol::new(process.params()),
+                process.counts().to_vec(),
+            )
+            .expect("m >= 2 balls");
             let mut rng = rng_from_seed(seed);
-            let batch = process.suggested_batch();
-            process.run_batched(120 * n, batch, &mut rng);
+            let batch = engine.suggested_batch();
+            engine
+                .run_batched(120 * n, batch, &mut rng)
+                .expect("m >= 2 balls");
             let mut acc = 0.0;
             let samples = 500;
             for _ in 0..samples {
-                process.run_batched(n, batch, &mut rng);
-                acc += popgame_igt::generosity::average_generosity(&cfg, process.counts());
+                engine
+                    .run_batched(n, batch, &mut rng)
+                    .expect("m >= 2 balls");
+                acc += popgame_igt::generosity::average_generosity(&cfg, engine.counts());
             }
             E6Row {
                 beta,
@@ -266,9 +276,8 @@ pub fn run_e14(seed: u64) -> E14Report {
         .iter()
         .map(|&delta| {
             let cfg = config_for(0.2, 4, 0.6, delta);
-            let rates =
-                misclassification_rates(&cfg, Classifier::MajorityDefection, 2_000, seed);
-            let protocol = ObservedIgtProtocol::new(cfg, Classifier::MajorityDefection);
+            let rates = misclassification_rates(&cfg, 2_000, seed);
+            let protocol = ObservedIgtProtocol::new(cfg);
             let mu = observed_time_average(&cfg, &protocol, 80, 20_000, 150, 80, seed);
             let theory = stationary_level_probs(&cfg);
             let tv = tv_distance(&mu, &theory).expect("same length");

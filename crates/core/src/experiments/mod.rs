@@ -13,7 +13,7 @@
 //! | [`mixing::run_e2`] | Thm 2.5 | mixing-time scaling in `k`, `m`, bias |
 //! | [`mixing::run_e3`] | Prop A.9 | diameter lower bound `t_mix ≥ (k−1)m/2` |
 //! | [`walks::run_e4`] | Prop A.7 | absorption-time closed forms |
-//! | [`stationary::run_e5`] | Thm 2.7 | `k`-IGT stationary law (3 engines) |
+//! | [`stationary::run_e5`] | Thm 2.7 | `k`-IGT stationary law (agent- and count-level engines) |
 //! | [`dynamics::run_e6`] | Prop 2.8 | average stationary generosity |
 //! | [`equilibrium::run_e7`] | Thm 2.9 | `ε(k) = O(1/k)` + decomposition |
 //! | [`payoffs::run_e8`] | Prop 2.2 | transition local-optimality |

@@ -4,13 +4,14 @@ use crate::experiments::table::{fmt_f, TextTable};
 use popgame_dist::divergence::tv_distance;
 use popgame_ehrenfest::exact::{exact_chain, simplex, verify_theorem_24};
 use popgame_ehrenfest::mixing::empirical_tv_at;
-use popgame_ehrenfest::process::EhrenfestParams;
+use popgame_ehrenfest::process::{EhrenfestParams, EhrenfestProtocol};
 use popgame_ehrenfest::stationary::stationary_distribution;
 use popgame_game::params::GameParams;
 use popgame_igt::dynamics::count_level_process;
 use popgame_igt::params::{GenerosityGrid, IgtConfig, PopulationComposition};
 use popgame_igt::stationary::stationary_level_probs;
 use popgame_igt::trajectory::time_averaged_distribution_agent;
+use popgame_population::batch::BatchedEngine;
 use popgame_util::rng::rng_from_seed;
 use std::fmt;
 
@@ -189,8 +190,9 @@ fn config_for(beta: f64, k: usize) -> IgtConfig {
 /// "agent-level" column runs the exact per-interaction agent engine
 /// ([`time_averaged_distribution_agent`] — the ground truth, kept exact
 /// so E5 genuinely cross-validates the two engines) and the
-/// "count-level" column runs the idealized Ehrenfest chain with batched
-/// leaps ([`popgame_ehrenfest::process::EhrenfestProcess::run_batched`]).
+/// "count-level" column runs the idealized Ehrenfest chain of Section 2.4
+/// as [`EhrenfestProtocol`] τ-leaping on [`BatchedEngine`] at its
+/// suggested batch.
 pub fn run_e5(seed: u64) -> E5Report {
     let grid = [
         (120u64, 3usize, 0.2),
@@ -204,25 +206,27 @@ pub fn run_e5(seed: u64) -> E5Report {
         let cfg = config_for(beta, k);
         let theory = stationary_level_probs(&cfg);
         // Engine 1: exact agent-level stepping (ground truth).
-        let mu_agent = time_averaged_distribution_agent(
-            &cfg,
-            n,
-            popgame_igt::dynamics::IgtVariant::Standard,
-            80 * n,
-            400,
-            n.max(64),
-            seed ^ job,
-        )
-        .expect("valid configuration");
+        let mu_agent =
+            time_averaged_distribution_agent(&cfg, n, 80 * n, 400, n.max(64), seed ^ job)
+                .expect("valid configuration");
         // Engine 2: idealized count-level (Ehrenfest) chain, batched.
-        let mut process = count_level_process(&cfg, n, 0).expect("valid configuration");
+        let process = count_level_process(&cfg, n, 0).expect("valid configuration");
+        let mut engine = BatchedEngine::from_counts(
+            EhrenfestProtocol::new(process.params()),
+            process.counts().to_vec(),
+        )
+        .expect("m >= 2 balls");
         let mut rng = rng_from_seed(seed ^ 0x5eed ^ job);
-        let batch = process.suggested_batch();
-        process.run_batched(80 * n, batch, &mut rng);
+        let batch = engine.suggested_batch();
+        engine
+            .run_batched(80 * n, batch, &mut rng)
+            .expect("m >= 2 balls");
         let mut occupancy = vec![0u64; k];
         for _ in 0..400 {
-            process.run_batched(n.max(64), batch, &mut rng);
-            for (acc, &z) in occupancy.iter_mut().zip(process.counts()) {
+            engine
+                .run_batched(n.max(64), batch, &mut rng)
+                .expect("m >= 2 balls");
+            for (acc, &z) in occupancy.iter_mut().zip(engine.counts()) {
                 *acc += z;
             }
         }
@@ -309,6 +313,13 @@ mod tests {
         }
         let shown = report.to_string();
         assert!(shown.contains("Theorem 2.4"));
+    }
+
+    #[test]
+    fn e5_both_engines_match_theorem_27() {
+        let report = run_e5(20240717);
+        assert_eq!(report.rows.len(), 5);
+        assert!(report.worst_tv() < 0.03, "worst TV {}", report.worst_tv());
     }
 
     #[test]

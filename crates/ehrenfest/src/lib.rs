@@ -13,7 +13,12 @@
 //!
 //! This crate provides:
 //!
-//! * [`process::EhrenfestProcess`] — the count-vector simulator;
+//! * [`process::EhrenfestProcess`] — the exact count-vector simulator,
+//!   one step of Definition 2.3 at a time;
+//! * [`process::EhrenfestProtocol`] — Definition 2.3 as a one-way
+//!   population protocol, which τ-leaps on
+//!   [`BatchedEngine`](popgame_population::batch::BatchedEngine) (each
+//!   move between adjacent urns is one count flow);
 //! * [`coordinate::CoordinateWalk`] — the ball-position view on
 //!   `{1..k}^m` used by the paper's coupling;
 //! * [`stationary`] — the multinomial stationary law of Theorem 2.4;
@@ -55,4 +60,4 @@ pub mod process;
 pub mod stationary;
 
 pub use error::EhrenfestError;
-pub use process::{EhrenfestParams, EhrenfestProcess};
+pub use process::{EhrenfestParams, EhrenfestProcess, EhrenfestProtocol};

@@ -1,6 +1,7 @@
 //! The count-vector Ehrenfest process (Definition 2.3).
 
 use crate::error::EhrenfestError;
+use popgame_population::protocol::{EnumerableProtocol, Protocol};
 use popgame_util::sampler::sample_weighted_index;
 use rand::Rng;
 
@@ -82,7 +83,9 @@ impl EhrenfestParams {
     }
 }
 
-/// A running count-vector Ehrenfest process.
+/// A running count-vector Ehrenfest process, stepped exactly by
+/// Definition 2.3 — the reference for [`EhrenfestProtocol`] on the
+/// batched engine, and the only simulator for `m = 1`.
 ///
 /// # Example
 ///
@@ -200,102 +203,112 @@ impl EhrenfestProcess {
             self.step(rng);
         }
     }
+}
 
-    /// Runs `steps` steps in multinomial leaps of `batch`.
-    ///
-    /// Each leap freezes the count vector and draws how many of the next
-    /// `batch` steps perform each of the `2(k−1)` count-changing moves
-    /// (up from urn `j < k`, down from urn `j > 1`) from the exact
-    /// multinomial via a binomial chain, then applies them at once —
-    /// `O(k)` work per leap instead of per step. Exact for `batch = 1`;
-    /// for larger batches the intra-leap count drift is idealized away
-    /// (an `O(batch/m)` perturbation, the same character as the paper's
-    /// eq. (5) idealization). Leaps that would overdraw an urn are split
-    /// recursively, so ball conservation is unconditional.
-    pub fn run_batched<R: Rng + ?Sized>(&mut self, steps: u64, batch: u64, rng: &mut R) {
-        assert!(batch > 0, "batch size must be positive");
-        let mut executed = 0u64;
-        while executed < steps {
-            let burst = batch.min(steps - executed);
-            self.leap(burst, rng);
-            executed += burst;
-        }
+/// Definition 2.3 as a one-way population protocol over the `k` urns, so
+/// the process τ-leaps on
+/// [`BatchedEngine`](popgame_population::batch::BatchedEngine).
+///
+/// An agent is a ball and its state is its urn. The initiator moves up
+/// one urn with probability `a` (held at the top urn) and down one urn
+/// with probability `b` (held at the bottom urn); the responder never
+/// changes. Under the engine's pair law `x_i (x_j − δ_ij)`, the initiator
+/// sits in urn `i` with probability `x_i/m`, so one engine interaction is
+/// one step of [`EhrenfestProcess::step`], and a leap draws each move
+/// `i → i±1` as one count flow. The engine needs `m ≥ 2` balls; `m = 1`
+/// runs only on [`EhrenfestProcess`].
+///
+/// # Example
+///
+/// ```
+/// use popgame_ehrenfest::process::{EhrenfestParams, EhrenfestProtocol};
+/// use popgame_population::batch::BatchedEngine;
+/// use popgame_util::rng::rng_from_seed;
+///
+/// let params = EhrenfestParams::new(3, 0.2, 0.2, 100)?;
+/// let mut engine = BatchedEngine::from_counts(EhrenfestProtocol::new(params), vec![100, 0, 0])?;
+/// engine.run_batched(5_000, 10, &mut rng_from_seed(1))?;
+/// assert_eq!(engine.counts().iter().sum::<u64>(), 100); // balls conserved
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EhrenfestProtocol {
+    params: EhrenfestParams,
+}
+
+impl EhrenfestProtocol {
+    /// The protocol of a `(k, a, b, m)`-Ehrenfest process.
+    pub fn new(params: EhrenfestParams) -> Self {
+        Self { params }
+    }
+}
+
+impl Protocol for EhrenfestProtocol {
+    type State = usize;
+
+    fn interact<R: Rng + ?Sized>(
+        &self,
+        initiator: usize,
+        responder: usize,
+        rng: &mut R,
+    ) -> (usize, usize) {
+        let u: f64 = rng.gen();
+        let urn = if u < self.params.a {
+            (initiator + 1).min(self.params.k - 1)
+        } else if u < self.params.a + self.params.b {
+            initiator.saturating_sub(1)
+        } else {
+            initiator
+        };
+        (urn, responder)
     }
 
-    /// A leap size balancing overhead against drift: `max(1, √m)`.
-    /// Sublinear scaling keeps the per-step leap perturbation `O(1/√m)`,
-    /// vanishing as the process grows.
-    pub fn suggested_batch(&self) -> u64 {
-        ((self.params.m as f64).sqrt() as u64).max(1)
+    fn is_one_way(&self) -> bool {
+        true
     }
 
-    fn leap<R: Rng + ?Sized>(&mut self, batch: u64, rng: &mut R) {
-        let k = self.params.k;
-        let mf = self.params.m as f64;
-        // Move categories: 0..k-1 are "up from urn j" (needs j+1 < k),
-        // k-1..2k-2 are "down from urn j+1". Weights are per-step
-        // probabilities scaled by m.
-        let mut active_weight = 0.0f64;
-        for j in 0..k - 1 {
-            active_weight += self.params.a * self.counts[j] as f64;
-            active_weight += self.params.b * self.counts[j + 1] as f64;
+    fn has_random_transitions(&self) -> bool {
+        true
+    }
+}
+
+impl EnumerableProtocol for EhrenfestProtocol {
+    fn num_states(&self) -> usize {
+        self.params.k
+    }
+
+    fn state_index(&self, state: usize) -> usize {
+        state
+    }
+
+    fn state_at(&self, index: usize) -> usize {
+        index
+    }
+
+    fn pair_kernel(&self, i: usize, j: usize) -> Option<Vec<((usize, usize), f64)>> {
+        let mut law = Vec::with_capacity(3);
+        let mut stay = 1.0;
+        if i + 1 < self.params.k {
+            law.push(((i + 1, j), self.params.a));
+            stay -= self.params.a;
         }
-        if active_weight <= 0.0 {
-            self.steps += batch;
-            return;
+        if i > 0 {
+            law.push(((i - 1, j), self.params.b));
+            stay -= self.params.b;
         }
-        let p_active = (active_weight / mf).min(1.0);
-        let mut remaining = popgame_util::sampler::sample_binomial(batch, p_active, rng);
-        let mut mass_left = active_weight;
-        let mut deltas = vec![0i64; k];
-        'outer: for j in 0..k - 1 {
-            for (weight, from, to) in [
-                (self.params.a * self.counts[j] as f64, j, j + 1),
-                (self.params.b * self.counts[j + 1] as f64, j + 1, j),
-            ] {
-                if remaining == 0 {
-                    break 'outer;
-                }
-                if weight <= 0.0 {
-                    continue;
-                }
-                let last = j == k - 2 && from > to;
-                let q = if last { 1.0 } else { (weight / mass_left).clamp(0.0, 1.0) };
-                let c = popgame_util::sampler::sample_binomial(remaining, q, rng);
-                mass_left -= weight;
-                if c > 0 {
-                    remaining -= c;
-                    deltas[from] -= c as i64;
-                    deltas[to] += c as i64;
-                }
-            }
-        }
-        let overdraws = self
-            .counts
-            .iter()
-            .zip(&deltas)
-            .any(|(&c, &d)| (c as i64) + d < 0);
-        if overdraws {
-            if batch == 1 {
-                self.step(rng);
-                return;
-            }
-            let half = batch / 2;
-            self.leap(half, rng);
-            self.leap(batch - half, rng);
-            return;
-        }
-        for (c, d) in self.counts.iter_mut().zip(&deltas) {
-            *c = (*c as i64 + d) as u64;
-        }
-        self.steps += batch;
+        // `a + b ≤ 1` holds up to 1e-12, so `stay` may dip below zero by
+        // rounding.
+        law.push(((i, j), f64::max(stay, 0.0)));
+        Some(law)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use popgame_util::rng::rng_from_seed;
+    use popgame_population::batch::BatchedEngine;
+    use popgame_population::error::PopulationError;
+    use popgame_util::rng::{rng_from_seed, stream_rng};
     use proptest::prelude::*;
 
     #[test]
@@ -360,35 +373,49 @@ mod tests {
         assert_eq!(proc.steps(), 20_000);
     }
 
+    /// The engine over `params`, every ball in the first urn.
+    fn engine_at_first_urn(params: EhrenfestParams) -> BatchedEngine<EhrenfestProtocol> {
+        let counts = EhrenfestProcess::all_in_first_urn(params).counts().to_vec();
+        BatchedEngine::from_counts(EhrenfestProtocol::new(params), counts).unwrap()
+    }
+
+    /// The weighted-position statistic of [`EhrenfestProcess::weight`].
+    fn weight(counts: &[u64]) -> u64 {
+        counts.iter().enumerate().map(|(j, &x)| j as u64 * x).sum()
+    }
 
     #[test]
     fn batched_run_conserves_and_counts_steps() {
         let p = EhrenfestParams::new(4, 0.3, 0.2, 100).unwrap();
-        let mut proc = EhrenfestProcess::all_in_first_urn(p);
+        let mut engine = engine_at_first_urn(p);
         let mut rng = rng_from_seed(9);
-        proc.run_batched(10_000, proc.suggested_batch(), &mut rng);
-        assert_eq!(proc.steps(), 10_000);
-        assert_eq!(proc.counts().iter().sum::<u64>(), 100);
+        // A batch of √m.
+        engine.run_batched(10_000, 10, &mut rng).unwrap();
+        assert_eq!(engine.interactions(), 10_000);
+        assert_eq!(engine.counts().iter().sum::<u64>(), 100);
     }
 
     #[test]
     fn batched_run_matches_exact_mean_weight() {
-        // Ergodic mean of the weight statistic under exact vs batched
-        // stepping must agree within Monte-Carlo error.
+        // Ergodic mean of the weight statistic under exact stepping vs
+        // τ-leaps on the engine must agree within Monte-Carlo error.
         let p = EhrenfestParams::new(3, 0.3, 0.15, 60).unwrap();
         let horizon = 20_000u64;
         let reps = 40u64;
         let mean = |batched: bool, base: u64| -> f64 {
             let mut acc = 0.0;
             for rep in 0..reps {
-                let mut proc = EhrenfestProcess::all_in_first_urn(p);
-                let mut rng = popgame_util::rng::stream_rng(base, rep);
-                if batched {
-                    proc.run_batched(horizon, proc.suggested_batch(), &mut rng);
+                let mut rng = stream_rng(base, rep);
+                acc += if batched {
+                    let mut engine = engine_at_first_urn(p);
+                    // A batch of ⌊√m⌋.
+                    engine.run_batched(horizon, 7, &mut rng).unwrap();
+                    weight(engine.counts())
                 } else {
+                    let mut proc = EhrenfestProcess::all_in_first_urn(p);
                     proc.run(horizon, &mut rng);
-                }
-                acc += proc.weight() as f64;
+                    proc.weight()
+                } as f64;
             }
             acc / reps as f64
         };
@@ -403,16 +430,95 @@ mod tests {
 
     #[test]
     fn batch_one_is_reasonable_at_corners() {
-        // batch = 1 leaps draw single moves; from the top corner only
-        // down-moves can fire, conserving balls every step.
+        // A single ball at the top corner: only down-moves can fire, and
+        // the exact step conserves it every step.
         let p = EhrenfestParams::new(2, 0.5, 0.5, 1).unwrap();
         let mut proc = EhrenfestProcess::all_in_last_urn(p);
         let mut rng = rng_from_seed(10);
         for _ in 0..200 {
-            proc.run_batched(1, 1, &mut rng);
+            proc.step(&mut rng);
             assert_eq!(proc.counts().iter().sum::<u64>(), 1);
         }
         assert_eq!(proc.steps(), 200);
+    }
+
+    #[test]
+    fn declared_kernel_is_the_law_of_interact() {
+        // Every pair's declared pmf against 20,000 draws of `interact`,
+        // with the boundary urns and a + b = 1 included.
+        let draws = 20_000u32;
+        for (k, a, b) in [(4, 0.3, 0.15), (3, 0.5, 0.5), (2, 0.1, 0.6)] {
+            let protocol = EhrenfestProtocol::new(EhrenfestParams::new(k, a, b, 10).unwrap());
+            let mut rng = rng_from_seed(11);
+            for i in 0..k {
+                for j in 0..k {
+                    let law = protocol.pair_kernel(i, j).unwrap();
+                    let total: f64 = law.iter().map(|&(_, p)| p).sum();
+                    assert!((total - 1.0).abs() < 1e-12, "({i}, {j}) sums to {total}");
+                    let mut hits = vec![0u32; law.len()];
+                    for _ in 0..draws {
+                        let outcome = protocol.interact(i, j, &mut rng);
+                        let slot = law
+                            .iter()
+                            .position(|&(o, _)| o == outcome)
+                            .unwrap_or_else(|| panic!("({i}, {j}) → {outcome:?} undeclared"));
+                        hits[slot] += 1;
+                    }
+                    for (&(outcome, p), &hit) in law.iter().zip(&hits) {
+                        let freq = f64::from(hit) / f64::from(draws);
+                        let sd = (p * (1.0 - p) / f64::from(draws)).sqrt();
+                        assert!(
+                            (freq - p).abs() <= 5.0 * sd + 1e-12,
+                            "k = {k}: ({i}, {j}) → {outcome:?} drawn {freq}, declared {p}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn engine_batch_one_matches_exact_process_chi_square() {
+        // Batch-1 leaps on the engine against Definition 2.3's exact step:
+        // the end-state weight histogram after a fixed horizon must follow
+        // the same law across a seed family (two-sample chi-square).
+        let p = EhrenfestParams::new(3, 0.3, 0.15, 6).unwrap();
+        let horizon = 40u64;
+        let reps = 4_000u64;
+        let bins = 13usize; // weight in 0..=12
+        let mut hist_exact = vec![0u64; bins];
+        let mut hist_engine = vec![0u64; bins];
+        for rep in 0..reps {
+            let mut proc = EhrenfestProcess::all_in_first_urn(p);
+            proc.run(horizon, &mut stream_rng(7, rep));
+            hist_exact[proc.weight() as usize] += 1;
+
+            let mut engine = engine_at_first_urn(p);
+            let mut rng = stream_rng(0x5eed ^ rep.wrapping_mul(0x9E37_79B9), rep);
+            for _ in 0..horizon {
+                engine.step_batch(1, &mut rng).unwrap();
+            }
+            hist_engine[weight(engine.counts()) as usize] += 1;
+        }
+        // With equal sample sizes the two-sample statistic is
+        // Σ (a − b)² / (a + b) over the non-empty bins.
+        let chi2: f64 = hist_exact
+            .iter()
+            .zip(&hist_engine)
+            .filter(|&(&a, &b)| a + b > 0)
+            .map(|(&a, &b)| (a as f64 - b as f64).powi(2) / (a + b) as f64)
+            .sum();
+        // dof <= 12; 99.9% quantile of chi2(12) ~ 32.9.
+        assert!(chi2 < 32.9, "chi-square {chi2}: {hist_exact:?} vs {hist_engine:?}");
+    }
+
+    #[test]
+    fn engine_rejects_a_single_ball() {
+        // The engine's pair law needs two agents; m = 1 runs only on the
+        // exact process.
+        let p = EhrenfestParams::new(2, 0.5, 0.5, 1).unwrap();
+        let engine = BatchedEngine::from_counts(EhrenfestProtocol::new(p), vec![0, 1]);
+        assert!(matches!(engine, Err(PopulationError::TooFewAgents { n: 1 })));
     }
 
     proptest! {

@@ -9,16 +9,6 @@
 //! (ii)  g_j + g_i →  Inc(g_j) + g_i
 //! (iii) g_j + AD  →  Dec(g_j) + AD
 //! ```
-//!
-//! Variants (ablations; none of the E1–E15 experiments tabulated in
-//! `crates/core/src/experiments/mod.rs` uses them):
-//!
-//! * [`IgtVariant::StrictIncrease`] — increment only on meeting another
-//!   GTFT agent (the adjustment discussed after Proposition 2.2, which
-//!   makes every transition's payoff relation strictly increasing at the
-//!   cost of lower stationary generosity);
-//! * [`IgtVariant::TwoWay`] — both agents update (a rate ablation; not the
-//!   paper's model).
 
 use crate::params::IgtConfig;
 use crate::state::AgentState;
@@ -28,53 +18,21 @@ use popgame_population::population::AgentPopulation;
 use popgame_population::protocol::{EnumerableProtocol, Protocol};
 use rand::Rng;
 
-/// Which flavor of the IGT update rule to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IgtVariant {
-    /// Definition 2.1 exactly: increment on `AC` and `GTFT`, decrement on
-    /// `AD`.
-    #[default]
-    Standard,
-    /// Increment only on `GTFT` partners (remark after Proposition 2.2).
-    StrictIncrease,
-    /// Both initiator and responder update (rate ablation).
-    TwoWay,
-}
-
 /// The `k`-IGT dynamics as a population protocol over [`AgentState`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IgtProtocol {
     k: usize,
-    variant: IgtVariant,
 }
 
 impl IgtProtocol {
     /// Builds the protocol for a `k`-level grid.
-    pub fn new(k: usize, variant: IgtVariant) -> Self {
-        Self { k, variant }
+    pub fn new(k: usize) -> Self {
+        Self { k }
     }
 
-    /// Builds the standard protocol from a config.
+    /// Builds the protocol from a config.
     pub fn from_config(config: &IgtConfig) -> Self {
-        Self::new(config.grid().k(), IgtVariant::Standard)
-    }
-
-    /// The configured variant.
-    pub fn variant(&self) -> IgtVariant {
-        self.variant
-    }
-
-    /// Applies the one-sided update rule to a GTFT initiator's level given
-    /// the responder's state.
-    fn updated_level(&self, level: usize, responder: AgentState) -> usize {
-        let inc = (level + 1).min(self.k - 1);
-        let dec = level.saturating_sub(1);
-        match (self.variant, responder) {
-            (_, AgentState::AllD) => dec,
-            (IgtVariant::StrictIncrease, AgentState::AllC) => level,
-            (_, AgentState::AllC) => inc,
-            (_, AgentState::Gtft { .. }) => inc,
-        }
+        Self::new(config.grid().k())
     }
 }
 
@@ -87,27 +45,20 @@ impl Protocol for IgtProtocol {
         responder: AgentState,
         _rng: &mut R,
     ) -> (AgentState, AgentState) {
-        let new_initiator = match initiator {
-            AgentState::Gtft { level } => AgentState::Gtft {
-                level: self.updated_level(level, responder),
+        let new_initiator = match (initiator, responder) {
+            (AgentState::Gtft { level }, AgentState::AllD) => AgentState::Gtft {
+                level: level.saturating_sub(1),
             },
-            fixed => fixed,
+            (AgentState::Gtft { level }, _) => AgentState::Gtft {
+                level: (level + 1).min(self.k - 1),
+            },
+            (fixed, _) => fixed,
         };
-        let new_responder = if self.variant == IgtVariant::TwoWay {
-            match responder {
-                AgentState::Gtft { level } => AgentState::Gtft {
-                    level: self.updated_level(level, initiator),
-                },
-                fixed => fixed,
-            }
-        } else {
-            responder
-        };
-        (new_initiator, new_responder)
+        (new_initiator, responder)
     }
 
     fn is_one_way(&self) -> bool {
-        self.variant != IgtVariant::TwoWay
+        true
     }
 }
 
@@ -249,7 +200,7 @@ mod tests {
 
     #[test]
     fn definition_21_transitions() {
-        let p = IgtProtocol::new(4, IgtVariant::Standard);
+        let p = IgtProtocol::new(4);
         let mut rng = rng_from_seed(1);
         let g1 = AgentState::Gtft { level: 1 };
         // (i) meets AC → increment.
@@ -277,7 +228,7 @@ mod tests {
 
     #[test]
     fn truncation_at_grid_ends() {
-        let p = IgtProtocol::new(3, IgtVariant::Standard);
+        let p = IgtProtocol::new(3);
         let mut rng = rng_from_seed(2);
         let top = AgentState::Gtft { level: 2 };
         let bottom = AgentState::Gtft { level: 0 };
@@ -287,7 +238,7 @@ mod tests {
 
     #[test]
     fn fixed_strategies_never_change() {
-        let p = IgtProtocol::new(3, IgtVariant::Standard);
+        let p = IgtProtocol::new(3);
         let mut rng = rng_from_seed(3);
         for fixed in [AgentState::AllC, AgentState::AllD] {
             for responder in [
@@ -301,38 +252,8 @@ mod tests {
     }
 
     #[test]
-    fn strict_increase_variant_ignores_ac() {
-        let p = IgtProtocol::new(4, IgtVariant::StrictIncrease);
-        let mut rng = rng_from_seed(4);
-        let g1 = AgentState::Gtft { level: 1 };
-        assert_eq!(p.interact(g1, AgentState::AllC, &mut rng).0, g1);
-        assert_eq!(
-            p.interact(g1, AgentState::Gtft { level: 2 }, &mut rng).0,
-            AgentState::Gtft { level: 2 }
-        );
-        assert_eq!(
-            p.interact(g1, AgentState::AllD, &mut rng).0,
-            AgentState::Gtft { level: 0 }
-        );
-    }
-
-    #[test]
-    fn two_way_variant_updates_both() {
-        let p = IgtProtocol::new(4, IgtVariant::TwoWay);
-        let mut rng = rng_from_seed(5);
-        let (a, b) = p.interact(
-            AgentState::Gtft { level: 1 },
-            AgentState::Gtft { level: 2 },
-            &mut rng,
-        );
-        assert_eq!(a, AgentState::Gtft { level: 2 });
-        assert_eq!(b, AgentState::Gtft { level: 3 });
-        assert!(!p.is_one_way());
-    }
-
-    #[test]
     fn enumeration_round_trips() {
-        let p = IgtProtocol::new(5, IgtVariant::Standard);
+        let p = IgtProtocol::new(5);
         assert_eq!(p.num_states(), 7);
         for i in 0..p.num_states() {
             assert_eq!(p.state_index(p.state_at(i)), i);
@@ -395,7 +316,7 @@ mod tests {
             k in 2usize..7,
         ) {
             prop_assume!(level < k);
-            let p = IgtProtocol::new(k, IgtVariant::Standard);
+            let p = IgtProtocol::new(k);
             let responder = AgentState::from_index(responder_idx.min(k + 1));
             let mut rng = rng_from_seed(0);
             let (next, _) = p.interact(AgentState::Gtft { level }, responder, &mut rng);

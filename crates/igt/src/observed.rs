@@ -17,45 +17,24 @@ use popgame_population::protocol::{EnumerableProtocol, Protocol};
 use popgame_util::rng::stream_rng;
 use rand::Rng;
 
-/// How a GTFT initiator classifies its opponent from observed actions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Classifier {
-    /// Defector iff the opponent defected in strictly more than half of the
-    /// rounds — robust to the occasional defection echo, the classifier the
-    /// paper's "high probability" remark suggests.
-    #[default]
-    MajorityDefection,
-    /// Defector iff the opponent defected at least once — trigger-happy;
-    /// included to show *why* majority classification is needed.
-    AnyDefection,
-}
-
-impl Classifier {
-    /// Applies the rule to an opponent's defection record.
-    pub fn classifies_as_defector(&self, opponent_defections: u64, rounds: u64) -> bool {
-        match self {
-            Classifier::MajorityDefection => 2 * opponent_defections > rounds,
-            Classifier::AnyDefection => opponent_defections > 0,
-        }
-    }
+/// Whether an opponent that defected in `opponent_defections` of `rounds`
+/// rounds is classified a defector: strictly more than half of the rounds
+/// — robust to the occasional defection echo, the rule the paper's "high
+/// probability" remark suggests.
+fn classifies_as_defector(opponent_defections: u64, rounds: u64) -> bool {
+    2 * opponent_defections > rounds
 }
 
 /// The action-observed `k`-IGT protocol: play a game, classify, update.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObservedIgtProtocol {
     config: IgtConfig,
-    classifier: Classifier,
 }
 
 impl ObservedIgtProtocol {
     /// Builds the protocol.
-    pub fn new(config: IgtConfig, classifier: Classifier) -> Self {
-        Self { config, classifier }
-    }
-
-    /// The classification rule in use.
-    pub fn classifier(&self) -> Classifier {
-        self.classifier
+    pub fn new(config: IgtConfig) -> Self {
+        Self { config }
     }
 
     fn memory_one(&self, state: AgentState) -> MemoryOneStrategy {
@@ -80,8 +59,7 @@ impl ObservedIgtProtocol {
         let opponent = self.memory_one(responder);
         let outcome = play_repeated_game(&initiator, &opponent, &self.config.game(), None, rng);
         let defections = outcome.rounds - outcome.col_cooperations;
-        self.classifier
-            .classifies_as_defector(defections, outcome.rounds)
+        classifies_as_defector(defections, outcome.rounds)
     }
 }
 
@@ -151,11 +129,10 @@ pub struct MisclassificationReport {
 /// using the top-level GTFT initiator (the stationary bulk for `λ > 1`).
 pub fn misclassification_rates(
     config: &IgtConfig,
-    classifier: Classifier,
     reps: u64,
     seed: u64,
 ) -> MisclassificationReport {
-    let protocol = ObservedIgtProtocol::new(*config, classifier);
+    let protocol = ObservedIgtProtocol::new(*config);
     let top = config.grid().k() - 1;
     let rate = |opponent: AgentState, as_defector: bool, stream: u64| {
         let mut hits = 0u64;
@@ -192,15 +169,15 @@ mod tests {
 
     #[test]
     fn classifier_rules() {
-        assert!(Classifier::MajorityDefection.classifies_as_defector(3, 5));
-        assert!(!Classifier::MajorityDefection.classifies_as_defector(2, 5));
-        assert!(Classifier::AnyDefection.classifies_as_defector(1, 10));
-        assert!(!Classifier::AnyDefection.classifies_as_defector(0, 10));
+        assert!(classifies_as_defector(3, 5));
+        assert!(!classifies_as_defector(2, 5));
+        assert!(!classifies_as_defector(5, 10));
+        assert!(classifies_as_defector(6, 10));
     }
 
     #[test]
     fn ad_always_classified_as_defector() {
-        let p = ObservedIgtProtocol::new(config(0.9, 0.95), Classifier::MajorityDefection);
+        let p = ObservedIgtProtocol::new(config(0.9, 0.95));
         let mut rng = rng_from_seed(1);
         for _ in 0..200 {
             assert!(p.classify_opponent(2, AgentState::AllD, &mut rng));
@@ -209,7 +186,7 @@ mod tests {
 
     #[test]
     fn ac_never_classified_as_defector() {
-        let p = ObservedIgtProtocol::new(config(0.9, 0.95), Classifier::MajorityDefection);
+        let p = ObservedIgtProtocol::new(config(0.9, 0.95));
         let mut rng = rng_from_seed(2);
         for _ in 0..200 {
             assert!(!p.classify_opponent(2, AgentState::AllC, &mut rng));
@@ -218,7 +195,7 @@ mod tests {
 
     #[test]
     fn transitions_match_strategy_typed_rule_for_fixed_opponents() {
-        let p = ObservedIgtProtocol::new(config(0.9, 0.95), Classifier::MajorityDefection);
+        let p = ObservedIgtProtocol::new(config(0.9, 0.95));
         let mut rng = rng_from_seed(3);
         let g1 = AgentState::Gtft { level: 1 };
         assert_eq!(
@@ -238,7 +215,6 @@ mod tests {
         assert_eq!(p.num_states(), 6);
         assert_eq!(p.state_at(3), AgentState::Gtft { level: 1 });
         assert_eq!(p.state_index(AgentState::Gtft { level: 1 }), 3);
-        assert_eq!(p.classifier(), Classifier::MajorityDefection);
     }
 
     #[test]
@@ -246,18 +222,8 @@ mod tests {
         // Higher δ → longer games → majority vote more reliable for GTFT
         // opponents (with s1 high and generous partners, cooperation
         // dominates).
-        let low = misclassification_rates(
-            &config(0.5, 0.95),
-            Classifier::MajorityDefection,
-            3_000,
-            9,
-        );
-        let high = misclassification_rates(
-            &config(0.97, 0.95),
-            Classifier::MajorityDefection,
-            3_000,
-            9,
-        );
+        let low = misclassification_rates(&config(0.5, 0.95), 3_000, 9);
+        let high = misclassification_rates(&config(0.97, 0.95), 3_000, 9);
         assert!(low.ac_as_defector < 1e-9);
         assert!(low.ad_as_cooperator < 1e-9);
         assert!(
@@ -267,14 +233,5 @@ mod tests {
             low.gtft_as_defector
         );
         assert!(high.gtft_as_defector < 0.15);
-    }
-
-    #[test]
-    fn any_defection_is_harsher_than_majority() {
-        let cfg = config(0.95, 0.95);
-        let majority =
-            misclassification_rates(&cfg, Classifier::MajorityDefection, 2_000, 10);
-        let any = misclassification_rates(&cfg, Classifier::AnyDefection, 2_000, 10);
-        assert!(any.gtft_as_defector > majority.gtft_as_defector);
     }
 }

@@ -8,12 +8,11 @@
 //! * a *time-averaged occupancy* after burn-in (an ergodic estimate of the
 //!   normalized mean stationary distribution `µ` of Theorem 2.9).
 
-use crate::dynamics::{
-    agent_population, counted_population, gtft_level_counts, IgtProtocol, IgtVariant,
-};
+use crate::dynamics::{agent_population, counted_population, gtft_level_counts, IgtProtocol};
 use crate::error::IgtError;
 use crate::params::IgtConfig;
 use popgame_population::batch::BatchedEngine;
+use popgame_population::simulator::record_trajectory;
 use popgame_util::rng::rng_from_seed;
 
 /// A recorded trajectory of GTFT level counts.
@@ -41,6 +40,10 @@ impl LevelTrajectory {
 /// # Errors
 ///
 /// Propagates population construction errors.
+///
+/// # Panics
+///
+/// Panics when `stride == 0`.
 pub fn simulate_level_trajectory(
     config: &IgtConfig,
     n: u64,
@@ -49,23 +52,16 @@ pub fn simulate_level_trajectory(
     stride: u64,
     seed: u64,
 ) -> Result<LevelTrajectory, IgtError> {
-    assert!(stride > 0, "stride must be positive");
     let mut population = agent_population(config, n, initial_level)?;
-    let protocol = IgtProtocol::from_config(config);
     let k = config.grid().k();
-    let mut rng = rng_from_seed(seed);
-    let mut snapshots = vec![gtft_level_counts(&population, k)];
-    let mut executed = 0u64;
-    while executed < total {
-        let burst = stride.min(total - executed);
-        for _ in 0..burst {
-            population
-                .step(&protocol, &mut rng)
-                .expect("population has at least two agents");
-        }
-        executed += burst;
-        snapshots.push(gtft_level_counts(&population, k));
-    }
+    let snapshots = record_trajectory(
+        &IgtProtocol::from_config(config),
+        &mut population,
+        total,
+        stride,
+        |population| gtft_level_counts(population, k),
+        &mut rng_from_seed(seed),
+    );
     Ok(LevelTrajectory { stride, snapshots })
 }
 
@@ -88,13 +84,12 @@ pub fn simulate_level_trajectory(
 pub fn time_averaged_distribution(
     config: &IgtConfig,
     n: u64,
-    variant: IgtVariant,
     burn_in: u64,
     samples: u64,
     stride: u64,
     seed: u64,
 ) -> Result<Vec<f64>, IgtError> {
-    let protocol = IgtProtocol::new(config.grid().k(), variant);
+    let protocol = IgtProtocol::from_config(config);
     let k = config.grid().k();
     let engine = BatchedEngine::new(protocol, counted_population(config, n, 0)?)
         .map_err(|e| IgtError::InvalidComposition {
@@ -133,14 +128,13 @@ pub fn time_averaged_distribution(
 pub fn time_averaged_distribution_agent(
     config: &IgtConfig,
     n: u64,
-    variant: IgtVariant,
     burn_in: u64,
     samples: u64,
     stride: u64,
     seed: u64,
 ) -> Result<Vec<f64>, IgtError> {
     let mut population = agent_population(config, n, 0)?;
-    let protocol = IgtProtocol::new(config.grid().k(), variant);
+    let protocol = IgtProtocol::from_config(config);
     let k = config.grid().k();
     let mut rng = rng_from_seed(seed);
     for _ in 0..burn_in {
@@ -215,14 +209,8 @@ mod tests {
         // estimator target the same stationary law; both must land within
         // TV 0.06 of Theorem 2.7 and within 0.08 of each other.
         let cfg = config(0.2, 4);
-        let batched = time_averaged_distribution(
-            &cfg, 150, IgtVariant::Standard, 120_000, 300, 300, 5,
-        )
-        .unwrap();
-        let agent = time_averaged_distribution_agent(
-            &cfg, 150, IgtVariant::Standard, 120_000, 300, 300, 6,
-        )
-        .unwrap();
+        let batched = time_averaged_distribution(&cfg, 150, 120_000, 300, 300, 5).unwrap();
+        let agent = time_averaged_distribution_agent(&cfg, 150, 120_000, 300, 300, 6).unwrap();
         let theory = stationary_level_probs(&cfg);
         assert!(tv_distance(&batched, &theory).unwrap() < 0.06);
         assert!(tv_distance(&agent, &theory).unwrap() < 0.06);
@@ -234,50 +222,9 @@ mod tests {
         // β = 0.2 → λ = 4: the ergodic level occupancy must approach the
         // geometric stationary law.
         let cfg = config(0.2, 4);
-        let mu = time_averaged_distribution(
-            &cfg,
-            200,
-            IgtVariant::Standard,
-            200_000,
-            400,
-            500,
-            3,
-        )
-        .unwrap();
+        let mu = time_averaged_distribution(&cfg, 200, 200_000, 400, 500, 3).unwrap();
         let theory = stationary_level_probs(&cfg);
         let tv = tv_distance(&mu, &theory).unwrap();
         assert!(tv < 0.05, "TV to Theorem 2.7 law too large: {tv} ({mu:?} vs {theory:?})");
-    }
-
-    #[test]
-    fn strict_increase_variant_is_less_generous() {
-        let cfg = config(0.3, 4);
-        let standard = time_averaged_distribution(
-            &cfg,
-            150,
-            IgtVariant::Standard,
-            100_000,
-            200,
-            300,
-            4,
-        )
-        .unwrap();
-        let strict = time_averaged_distribution(
-            &cfg,
-            150,
-            IgtVariant::StrictIncrease,
-            100_000,
-            200,
-            300,
-            4,
-        )
-        .unwrap();
-        let mean_level = |mu: &[f64]| -> f64 {
-            mu.iter().enumerate().map(|(j, p)| j as f64 * p).sum()
-        };
-        assert!(
-            mean_level(&strict) < mean_level(&standard),
-            "strict {strict:?} vs standard {standard:?}"
-        );
     }
 }

@@ -171,35 +171,6 @@ impl CountedPopulation {
         self.counts.iter().filter(|&&c| c > 0).count() <= 1
     }
 
-    /// Executes `batch_size` interactions through the batched engine
-    /// (multinomial τ-leap with a cached transition table; see
-    /// [`crate::batch`] for the exactness contract). Exact in law for
-    /// `batch_size = 1` and for randomized protocols (which fall back to
-    /// per-interaction stepping).
-    ///
-    /// For repeated batching, construct a [`crate::batch::BatchedEngine`]
-    /// once instead: it keeps the transition table, alias table, and
-    /// scratch buffers alive across calls.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension mismatches and `n < 2` errors.
-    pub fn step_batch<P, R>(
-        &mut self,
-        protocol: &P,
-        batch_size: u64,
-        rng: &mut R,
-    ) -> Result<(), PopulationError>
-    where
-        P: EnumerableProtocol + Clone,
-        R: Rng + ?Sized,
-    {
-        let mut engine = crate::batch::BatchedEngine::new(protocol.clone(), self.clone())?;
-        engine.step_batch(batch_size, rng)?;
-        *self = engine.into_population();
-        Ok(())
-    }
-
     /// Reassembles a population from raw parts (used by the batched engine
     /// to hand populations back without re-validation).
     pub(crate) fn from_parts(counts: Vec<u64>, interactions: u64) -> Self {

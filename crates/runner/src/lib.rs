@@ -433,20 +433,6 @@ where
     (0..replicas).map(|r| sim(r, stream_rng(seed, r))).collect()
 }
 
-/// Runs replicas in parallel and folds their results in replica order —
-/// the deterministic map-reduce companion of [`run_replicas`].
-///
-/// Because the fold consumes results in index order, floating-point
-/// accumulation is reproducible even though execution is parallel.
-pub fn fold_replicas<T, A, F, G>(seed: u64, replicas: u64, init: A, sim: F, fold: G) -> A
-where
-    T: Send,
-    F: Fn(u64, SmallRng) -> T + Sync,
-    G: FnMut(A, T) -> A,
-{
-    run_replicas(seed, replicas, sim).into_iter().fold(init, fold)
-}
-
 /// Element-wise mean of per-replica `f64` vectors (all the same length),
 /// a common aggregation for occupancy and trajectory estimates.
 ///
@@ -558,21 +544,6 @@ mod tests {
         assert!(out.is_empty());
         let out = run_replicas(1, 1, |r, _rng| r);
         assert_eq!(out, vec![0]);
-    }
-
-    #[test]
-    fn fold_is_index_ordered() {
-        let order = fold_replicas(
-            5,
-            50,
-            Vec::new(),
-            |r, _rng| r,
-            |mut acc: Vec<u64>, r| {
-                acc.push(r);
-                acc
-            },
-        );
-        assert_eq!(order, (0..50).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -43,7 +43,7 @@
 
 use popgame_obs::metrics::{registry, Counter};
 use std::collections::{HashMap, VecDeque};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -412,11 +412,6 @@ impl ResultCache {
     /// Whether a persistent disk tier is attached.
     pub fn has_disk(&self) -> bool {
         self.disk.is_some()
-    }
-
-    /// The disk tier's directory, when attached.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk.as_ref().map(|d| d.dir.as_path())
     }
 
     /// Disk-tier counters `(hits, writes, evictions)`; zeros without a

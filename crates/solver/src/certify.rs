@@ -29,20 +29,6 @@ pub fn bimatrix_gap(game: &MatrixGame, x: &[f64], y: &[f64]) -> Result<f64, Solv
     Ok((best_row - e_row).max(best_col - e_col).max(0.0))
 }
 
-/// Whether `(x, y)` is an ε-approximate Nash profile.
-///
-/// # Errors
-///
-/// Returns [`SolverError::InvalidProfile`] on an invalid profile.
-pub fn is_epsilon_nash(
-    game: &MatrixGame,
-    x: &[f64],
-    y: &[f64],
-    epsilon: f64,
-) -> Result<bool, SolverError> {
-    Ok(bimatrix_gap(game, x, y)? <= epsilon)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,8 +38,6 @@ mod tests {
         let g = MatrixGame::donation(2.0, 1.0).unwrap();
         assert!(bimatrix_gap(&g, &[0.0, 1.0], &[0.0, 1.0]).unwrap() < 1e-12);
         assert!((bimatrix_gap(&g, &[1.0, 0.0], &[1.0, 0.0]).unwrap() - 1.0).abs() < 1e-12);
-        assert!(is_epsilon_nash(&g, &[0.0, 1.0], &[0.0, 1.0], 1e-9).unwrap());
-        assert!(!is_epsilon_nash(&g, &[1.0, 0.0], &[1.0, 0.0], 0.5).unwrap());
         // Matching pennies (zero-sum): the uniform mix is exact; against
         // pure heads the column player gains 1 − (−1) by switching.
         let mp = MatrixGame::zero_sum(vec![vec![1.0, -1.0], vec![-1.0, 1.0]]).unwrap();

@@ -10,7 +10,7 @@
 //! `popgame_igt::stationary::stationary_level_probs`.
 
 use popgame_game::params::GameParams;
-use popgame_igt::dynamics::{IgtProtocol, IgtVariant};
+use popgame_igt::dynamics::IgtProtocol;
 use popgame_igt::params::{GenerosityGrid, IgtConfig, PopulationComposition};
 use popgame_igt::state::AgentState;
 use popgame_igt::stationary::stationary_level_probs;
@@ -25,7 +25,7 @@ fn kigt_walk_agrees_with_igt_protocol_on_every_state_pair() {
         let pd = MatrixGame::donation(2.0, 1.0).unwrap();
         let solver_side =
             GameDynamics::new(&pd, DynamicsRule::KIgt { levels }).unwrap();
-        let paper_side = IgtProtocol::new(levels, IgtVariant::Standard);
+        let paper_side = IgtProtocol::new(levels);
         let states = levels + 2;
         let mut rng = rng_from_seed(0);
         for i in 0..states {

@@ -25,7 +25,7 @@ fn prelude_workflow_compiles_and_runs() {
     // Simulation side.
     let mut population: AgentPopulation<AgentState> =
         popgame_igt::dynamics::agent_population(&config, 60, 0).unwrap();
-    let protocol = IgtProtocol::new(4, IgtVariant::Standard);
+    let protocol = IgtProtocol::new(4);
     let mut rng = rng_from_seed(1);
     run_steps(&protocol, &mut population, 1_000, &mut rng);
     assert_eq!(population.interactions(), 1_000);

@@ -48,16 +48,7 @@ fn batched_engine_preserves_igt_invariants() {
 fn batched_engine_reaches_theorem_27_law_at_scale() {
     let cfg = config(0.2, 4); // λ = 4
     let n = 200_000u64;
-    let mu = time_averaged_distribution(
-        &cfg,
-        n,
-        IgtVariant::Standard,
-        40 * n,
-        200,
-        n / 4,
-        23,
-    )
-    .unwrap();
+    let mu = time_averaged_distribution(&cfg, n, 40 * n, 200, n / 4, 23).unwrap();
     let theory = stationary_level_probs(&cfg);
     let tv = tv_distance(&mu, &theory).unwrap();
     assert!(tv < 0.05, "TV at n = 2e5: {tv} ({mu:?} vs {theory:?})");
@@ -68,12 +59,8 @@ fn batched_engine_reaches_theorem_27_law_at_scale() {
 #[test]
 fn batched_estimator_matches_agent_ground_truth() {
     let cfg = config(0.3, 3);
-    let batched =
-        time_averaged_distribution(&cfg, 120, IgtVariant::Standard, 50_000, 250, 200, 31)
-            .unwrap();
-    let agent =
-        time_averaged_distribution_agent(&cfg, 120, IgtVariant::Standard, 50_000, 250, 200, 37)
-            .unwrap();
+    let batched = time_averaged_distribution(&cfg, 120, 50_000, 250, 200, 31).unwrap();
+    let agent = time_averaged_distribution_agent(&cfg, 120, 50_000, 250, 200, 37).unwrap();
     let tv = tv_distance(&batched, &agent).unwrap();
     assert!(tv < 0.08, "engines disagree: TV {tv} ({batched:?} vs {agent:?})");
 }

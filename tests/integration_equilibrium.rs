@@ -22,16 +22,7 @@ fn simulated_mu_is_an_approximate_de() {
     let k = 8;
     let cfg = regime_config(k);
     check_theorem_29(&cfg).unwrap();
-    let mu_sim = time_averaged_distribution(
-        &cfg,
-        300,
-        IgtVariant::Standard,
-        150_000,
-        400,
-        300,
-        31,
-    )
-    .unwrap();
+    let mu_sim = time_averaged_distribution(&cfg, 300, 150_000, 400, 300, 31).unwrap();
     let mu_theory = mean_stationary_mu(&cfg);
     assert!(tv_distance(&mu_sim, &mu_theory).unwrap() < 0.05);
 

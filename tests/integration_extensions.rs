@@ -91,16 +91,8 @@ fn finite_n_law_is_the_better_small_n_predictor() {
     let cfg = config(0.3, 3);
     let n = 40u64;
     // Ergodic occupancy at small n.
-    let mu = popgame_igt::trajectory::time_averaged_distribution(
-        &cfg,
-        n,
-        IgtVariant::Standard,
-        40_000,
-        400,
-        100,
-        3,
-    )
-    .unwrap();
+    let mu =
+        popgame_igt::trajectory::time_averaged_distribution(&cfg, n, 40_000, 400, 100, 3).unwrap();
     let ideal = stationary_level_probs(&cfg);
     let exact = exact_level_probs(&cfg, n).unwrap();
     let tv_ideal = tv_distance(&mu, &ideal).unwrap();

@@ -143,16 +143,7 @@ fn full_stack_determinism() {
 fn ergodic_estimate_matches_theory_both_regimes() {
     for beta in [0.15, 0.6] {
         let cfg = config(beta, 3);
-        let mu = time_averaged_distribution(
-            &cfg,
-            150,
-            IgtVariant::Standard,
-            60_000,
-            300,
-            200,
-            9,
-        )
-        .unwrap();
+        let mu = time_averaged_distribution(&cfg, 150, 60_000, 300, 200, 9).unwrap();
         let theory = stationary_level_probs(&cfg);
         let tv = tv_distance(&mu, &theory).unwrap();
         assert!(tv < 0.06, "beta = {beta}: TV {tv}");
