@@ -32,15 +32,19 @@ fn bench_samplers(c: &mut Criterion) {
         b.iter(|| sample_binomial(10_000, 0.3, &mut rng))
     });
     // τ-leap-sized draws (√10⁷ ≈ 3162 interactions) in both regimes:
-    // BTRS rejection at n·p ≈ 949, bottom-up inversion at n·p ≈ 6. The
+    // BTRS rejection at n·p ≈ 949, bottom-up inversion at n·p ≈ 6; and
+    // BTRS at the moderate n·p of 30 and 128 that the report harness's
+    // batches of 100–320 draw at, where the squeeze misses most often. The
     // engine's `p` is a runtime value, so keep the compiler from folding
     // the set-up into constants.
-    for (name, p) in [
-        ("binomial_n3162_p0.3", 0.3),
-        ("binomial_n3162_p0.002", 0.002),
+    for (name, n, p) in [
+        ("binomial_n3162_p0.3", 3162, 0.3),
+        ("binomial_n3162_p0.002", 3162, 0.002),
+        ("binomial_n100_p0.3", 100, 0.3),
+        ("binomial_n320_p0.4", 320, 0.4),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| sample_binomial(3162, black_box(p), &mut rng))
+            b.iter(|| sample_binomial(n, black_box(p), &mut rng))
         });
     }
     let alias = AliasTable::new(&vec![1.0; 64]).unwrap();

@@ -36,15 +36,24 @@
 //! Protocols*.
 //!
 //! Which flow an alternative feeds depends on the law alone, not on the
-//! counts, so the engine classifies the alternatives once per law: at
-//! construction for tables and static kernels, after a refresh for
-//! count-coupled kernels. A leap then only weighs the `K²` pairs and sums
-//! each flow's terms, in the order the alternatives are enumerated, so
-//! the flow weights carry the same bits as a per-leap classification.
+//! counts, so the engine classifies the alternatives once per law
+//! ([`LeapLaw`]), at construction. A leap then only weighs the `K²` pairs
+//! and sums each flow's terms, in the order the alternatives are
+//! enumerated, so the flow weights carry the same bits as a per-leap
+//! classification.
+//!
+//! A count-coupled law has one copy in the engine, the classified one.
+//! Before a leap that follows a count change, the protocol writes the
+//! laws of the cells whose declared inputs changed into reusable buffers
+//! ([`KernelLaws`]), and [`LeapLaw::reweigh_at`] checks each pmf and
+//! writes its probabilities straight to their terms, through a scatter
+//! fixed when the law was classified. Only a change in which outcomes have
+//! mass classifies the law afresh. An exact step reads the sampled pair's
+//! law at the current counts; no per-cell kernel table is kept up to date.
 //!
 //! Randomized protocols τ-leap too, provided they declare their exact
 //! per-pair outcome law via
-//! [`EnumerableProtocol::pair_kernel`]: the engine freezes it into a
+//! [`EnumerableProtocol::pair_kernel`]: the engine validates it as a
 //! [`KernelTable`] whose outcomes feed the flows like tabulated pairs.
 //! Randomized protocols *without* a kernel fall back to exact
 //! per-interaction stepping.
@@ -159,12 +168,71 @@ pub struct KernelTable {
 /// Outcome probabilities must sum to 1 within this tolerance.
 const KERNEL_SUM_TOL: f64 = 1e-9;
 
+/// Checks one entry `(a, b)` of mass `p` of the declared pmf of pair `(i,
+/// j)`: both states in range, the mass finite and non-negative. With
+/// [`check_total`] these are the rules every declared law is held to,
+/// whichever path reads it.
+#[inline]
+fn check_entry(
+    k: usize,
+    (i, j): (usize, usize),
+    (a, b): (usize, usize),
+    p: f64,
+) -> Result<(), PopulationError> {
+    if a >= k || b >= k {
+        return Err(PopulationError::StateOutOfRange {
+            index: a.max(b),
+            num_states: k,
+        });
+    }
+    if !p.is_finite() || p < 0.0 {
+        return Err(PopulationError::InvalidArgument {
+            reason: format!("kernel pmf for pair ({i}, {j}) has invalid mass {p}"),
+        });
+    }
+    Ok(())
+}
+
+/// Checks that the masses of pair `(i, j)`'s pmf, summed in declaration
+/// order, total 1 within [`KERNEL_SUM_TOL`].
+#[inline]
+fn check_total((i, j): (usize, usize), total: f64) -> Result<(), PopulationError> {
+    if (total - 1.0).abs() > KERNEL_SUM_TOL {
+        return Err(PopulationError::InvalidArgument {
+            reason: format!("kernel pmf for pair ({i}, {j}) sums to {total}"),
+        });
+    }
+    Ok(())
+}
+
+/// Checks pair `(i, j)`'s declared pmf by [`check_entry`] and
+/// [`check_total`].
+fn check_pmf(
+    k: usize,
+    ij: (usize, usize),
+    outcomes: &[((usize, usize), f64)],
+) -> Result<(), PopulationError> {
+    let mut total = 0.0f64;
+    for &(ab, p) in outcomes {
+        check_entry(k, ij, ab, p)?;
+        total += p;
+    }
+    check_total(ij, total)
+}
+
+/// The error of a count-coupled protocol that stops stating laws at pair
+/// `(i, j)` after it stated them all at construction.
+fn declined((i, j): (usize, usize)) -> PopulationError {
+    PopulationError::InvalidArgument {
+        reason: format!(
+            "count-coupled protocol declined to state the law for pair ({i}, {j}) mid-run"
+        ),
+    }
+}
+
 /// Validates one declared outcome pmf and writes its positive-mass entries
 /// into `cell` (cleared first, allocation reused). Returns whether the
-/// cell is an almost-sure count-vector no-op. Shared by the full
-/// [`KernelTable::build_with`] construction and the incremental
-/// [`KernelTable::refresh_at`] path so the two produce bitwise-identical
-/// cells from identical inputs.
+/// cell is an almost-sure count-vector no-op.
 fn fill_cell(
     k: usize,
     i: usize,
@@ -172,30 +240,10 @@ fn fill_cell(
     outcomes: &[((usize, usize), f64)],
     cell: &mut Vec<((u32, u32), f64)>,
 ) -> Result<bool, PopulationError> {
+    check_pmf(k, (i, j), outcomes)?;
     cell.clear();
-    let mut total = 0.0f64;
-    for &((a, b), p) in outcomes {
-        if a >= k || b >= k {
-            return Err(PopulationError::StateOutOfRange {
-                index: a.max(b),
-                num_states: k,
-            });
-        }
-        if !p.is_finite() || p < 0.0 {
-            return Err(PopulationError::InvalidArgument {
-                reason: format!("kernel pmf for pair ({i}, {j}) has invalid mass {p}"),
-            });
-        }
-        total += p;
-        if p > 0.0 {
-            cell.push(((a as u32, b as u32), p));
-        }
-    }
-    if (total - 1.0).abs() > KERNEL_SUM_TOL {
-        return Err(PopulationError::InvalidArgument {
-            reason: format!("kernel pmf for pair ({i}, {j}) sums to {total}"),
-        });
-    }
+    let positive = outcomes.iter().filter(|&&(_, p)| p > 0.0);
+    cell.extend(positive.map(|&((a, b), p)| ((a as u32, b as u32), p)));
     Ok(cell
         .iter()
         .all(|&((a, b), _)| (a as usize, b as usize) == (i, j)))
@@ -228,8 +276,9 @@ impl KernelTable {
     /// Tabulates a *count-coupled* protocol's outcome kernel at the given
     /// population frequencies, in one
     /// [`EnumerableProtocol::pair_kernels_at_into`] call over every cell.
-    /// The engine calls this at construction, and on every count change
-    /// on the reference path ([`BatchedEngine::set_reference_leap`]).
+    /// The engine calls this at construction, and before each leap that
+    /// follows a count change on the reference path
+    /// ([`BatchedEngine::set_reference_leap`]).
     ///
     /// # Errors
     ///
@@ -255,59 +304,6 @@ impl KernelTable {
             cells.push(cell);
         }
         Ok((cells.len() == k * k).then_some(KernelTable { k, cells, identity }))
-    }
-
-    /// Refreshes the table in place at new frequencies, recomputing only
-    /// the cells flagged in `dirty` (`dirty[i * k + j]`) and reusing every
-    /// cell's allocation — the incremental counterpart of a full
-    /// [`KernelTable::build_at`] rebuild. The dirty cells' laws come from
-    /// one [`EnumerableProtocol::pair_kernels_at_into`] call into `laws`,
-    /// caller-owned buffers reused across calls, so a warm refresh
-    /// performs no heap allocation at all.
-    ///
-    /// Provided the protocol's [`EnumerableProtocol::pair_kernel_deps`]
-    /// declarations are truthful and `dirty` covers every cell whose
-    /// declared inputs changed, the refreshed table is **bitwise
-    /// identical** to a freshly built one: clean cells keep values that
-    /// could not have changed, and dirty cells are recomputed through the
-    /// exact same validation/fill path as [`KernelTable::build_at`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`KernelTable::build`]; additionally
-    /// [`PopulationError::InvalidArgument`] when the protocol declines to
-    /// state a law mid-run (a count-coupled contract violation).
-    pub fn refresh_at<P: EnumerableProtocol>(
-        &mut self,
-        protocol: &P,
-        freq: &[f64],
-        dirty: &[bool],
-        laws: &mut KernelLaws,
-    ) -> Result<(), PopulationError> {
-        let k = self.k;
-        debug_assert_eq!(dirty.len(), k * k, "dirty mask must cover every cell");
-        laws.clear();
-        protocol.pair_kernels_at_into(freq, dirty, laws);
-        let mut written = laws.cells();
-        for i in 0..k {
-            for j in 0..k {
-                let cell_index = i * k + j;
-                if !dirty[cell_index] {
-                    continue;
-                }
-                let Some(outcomes) = written.next() else {
-                    return Err(PopulationError::InvalidArgument {
-                        reason: format!(
-                            "count-coupled protocol declined to state the law for \
-                             pair ({i}, {j}) mid-run"
-                        ),
-                    });
-                };
-                self.identity[cell_index] =
-                    fill_cell(k, i, j, outcomes, &mut self.cells[cell_index])?;
-            }
-        }
-        Ok(())
     }
 
     /// Number of states.
@@ -359,15 +355,18 @@ pub struct BatchedEngine<P: EnumerableProtocol> {
     /// Outcome kernel for randomized protocols that declare their law
     /// ([`EnumerableProtocol::pair_kernel`]); only built when `table` is
     /// unavailable. For count-coupled protocols (`coupled`), this is the
-    /// kernel at the counts it was last rebuilt from.
+    /// full build at the counts of construction or of the reference
+    /// leap's last rebuild; the default paths read `law` and the protocol
+    /// instead.
     kernel: Option<KernelTable>,
     /// Whether the protocol's kernel is coupled to the current counts
-    /// ([`EnumerableProtocol::kernel_depends_on_counts`]): the kernel is
-    /// then rebuilt lazily whenever the counts have changed, and
+    /// ([`EnumerableProtocol::kernel_depends_on_counts`]): `law` is then
+    /// re-weighed before each leap that follows a count change, and
     /// [`Protocol::interact`](crate::protocol::Protocol::interact) is
     /// never called.
     coupled: bool,
-    /// Whether `kernel` predates a count change (count-coupled only).
+    /// Whether `kernel` predates a count change (count-coupled only; the
+    /// reference leap rebuilds it).
     kernel_dirty: bool,
     alias: Option<AliasTable>,
     alias_dirty: bool,
@@ -379,21 +378,19 @@ pub struct BatchedEngine<P: EnumerableProtocol> {
     /// Per-cell frequency dependencies declared by the protocol
     /// ([`EnumerableProtocol::pair_kernel_deps`]); count-coupled only.
     deps: Vec<KernelDeps>,
-    /// Which states' counts changed since the kernel was last refreshed —
-    /// the dirty mask driving the incremental refresh.
+    /// Which states' counts changed since `law` was last re-weighed — the
+    /// dirty mask driving the incremental update (count-coupled only).
     stale: Vec<bool>,
-    /// Scratch: per-cell dirty flags for [`KernelTable::refresh_at`].
+    /// Scratch: per-cell flags of the cells whose laws the protocol
+    /// writes, for [`LeapLaw::reweigh_at`] and coupled exact steps.
     dirty_cells: Vec<bool>,
-    /// Scratch: current frequencies, reused across refreshes.
+    /// Scratch: current frequencies, reused across updates.
     freq_scratch: Vec<f64>,
-    /// Scratch: the dirty cells' declared laws, reused across refreshes.
+    /// Scratch: the flagged cells' declared laws, reused across updates.
     cell_laws: KernelLaws,
     /// The table's or kernel's count-changing alternatives, classified by
-    /// effect ([`LeapLaw::classify`]).
+    /// effect ([`LeapLaw`]).
     law: LeapLaw,
-    /// Whether `law` predates the last kernel refresh (count-coupled only).
-    /// The next leap brings it up to date, so exact steps never pay for it.
-    law_stale: bool,
     /// Scratch: the count flows of a leap — at most `k(k − 1)`
     /// single-agent flows plus the un-aggregated both-move entries.
     flows: Vec<Flow>,
@@ -423,7 +420,7 @@ pub struct BatchedEngine<P: EnumerableProtocol> {
 /// and one agent `j → b`. A single-agent flow has `j == b`, so its second
 /// move is a no-op. `w` is the summed weight of every alternative with
 /// this effect on the counts.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Flow {
     i: u32,
     a: u32,
@@ -432,9 +429,9 @@ struct Flow {
     w: f64,
 }
 
-/// One term of a single-agent flow: the probability `P(a, b | i, j)` (1 for
-/// a tabulated pair) of an alternative of pair `i * k + j` whose only
-/// effect on the counts is the flow's move.
+/// One term of a single-agent flow while a law is classified: the
+/// probability `P(a, b | i, j)` (1 for a tabulated pair) of an alternative
+/// of pair `i * k + j` whose only effect on the counts is the flow's move.
 #[derive(Debug, Clone, Copy)]
 struct Term {
     p: f64,
@@ -449,56 +446,54 @@ const PAD: Term = Term { p: 0.0, pair: 0 };
 /// on one another.
 const LANES: usize = 4;
 
+/// The [`LeapLaw::scatter`] slot of an outcome that feeds no flow, until
+/// the classification ends and the sink slot is known.
+const UNPLACED: u32 = u32::MAX;
+
 /// Up to [`LANES`] consecutive single-agent flows `s → t`, summed together
 /// over the term rows that end at `end` in [`LeapLaw::rows`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct FlowGroup {
     moves: [(u32, u32); LANES],
     flows: u32,
     end: u32,
 }
 
-/// Where one outcome `(a, b)` of a pair went when its law was classified.
-#[derive(Debug, Clone, Copy)]
-struct Placed {
-    ab: (u32, u32),
-    at: Place,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Place {
-    /// A no-op or a swap: no flow.
-    Dropped,
-    /// Entry `e` of [`LeapLaw::both`].
-    Both(u32),
-    /// Lane `l` of row `r` of [`LeapLaw::rows`], at `r * LANES + l`.
-    Lane(u32),
-}
-
 /// A law's count-changing alternatives, classified by their effect on the
-/// counts once per law instead of once per leap: at construction for
-/// tabulated and static kernels; for count-coupled kernels after a refresh
-/// that changes which outcomes have mass, while a refresh that keeps them
-/// only rewrites the probabilities in place ([`Self::reweigh`]).
+/// counts: the form a leap draws from, and for a count-coupled protocol
+/// the one copy of its law the engine keeps.
 ///
 /// A leap weights alternative `(i, j) → (a, b)` by `x_i (x_j − δ_ij) ·
 /// P(a, b | i, j)` and sums the weights of each flow. Every flow keeps its
 /// terms in `(i, j, outcome)` order, the order the alternatives are
 /// enumerated in, so its sum does not depend on how flows are grouped.
 /// Pads and pairs without weight add `±0`, which changes no sum.
+///
+/// Tabulated and static laws are classified once, at construction. A
+/// count-coupled law is re-weighed before each leap that follows a count
+/// change ([`Self::reweigh_at`]): the protocol writes the laws of the
+/// cells whose inputs changed into caller-owned buffers, and each
+/// probability goes straight to its term through a scatter fixed at
+/// classification. Only a law whose positive-mass outcomes changed is
+/// classified afresh.
 #[derive(Debug, Clone, Default)]
-struct LeapLaw {
+pub struct LeapLaw {
     /// The single-agent flows in key order `s * k + t`, in groups.
     groups: Vec<FlowGroup>,
-    /// Term rows: lane `l` of a group's rows holds the terms of its `l`-th
-    /// flow, padded to the group's longest flow with [`PAD`].
-    rows: Vec<[Term; LANES]>,
+    /// Term rows: lane `l` of a group's rows holds the pair `i * k + j` of
+    /// a term of its `l`-th flow; lanes past a flow's last term hold pads.
+    rows: Vec<[u32; LANES]>,
     /// Both-move entries in `(i, j, outcome)` order: the pair, and the
-    /// moves with `w = P(a, b | i, j)`.
+    /// moves (with `w = 0`; the probability lives in `probs`).
     both: Vec<(u32, Flow)>,
-    /// Every outcome in `(i, j, outcome)` order, and where it went.
-    placed: Vec<Placed>,
-    /// Per pair `i * k + j`: the end of its outcomes in `placed`.
+    /// Every term's probability: both-move entry `e` at `e`, lane `l` of
+    /// row `r` at `both.len() + r * LANES + l` (pads at 0), then one sink
+    /// slot that takes the probabilities of outcomes feeding no flow.
+    probs: Vec<f64>,
+    /// Every positive-mass outcome `(a, b)` in `(i, j, outcome)` order,
+    /// with the slot of `probs` its probability is written to.
+    scatter: Vec<((u32, u32), u32)>,
+    /// Per pair `i * k + j`: the end of its outcomes in `scatter`.
     pair_ends: Vec<u32>,
     /// Scratch: `(key, term, outcome)` in `(i, j, outcome)` order.
     raw: Vec<(u32, Term, u32)>,
@@ -508,31 +503,160 @@ struct LeapLaw {
     offsets: Vec<u32>,
 }
 
+/// Two laws are equal when they classify the same outcomes into the same
+/// flows and carry the same probabilities bit for bit (the sink slot and
+/// the scratch buffers aside).
+impl PartialEq for LeapLaw {
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |law: &Self| {
+            let terms = &law.probs[..law.probs.len().saturating_sub(1)];
+            terms.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
+        };
+        self.groups == other.groups
+            && self.rows == other.rows
+            && self.both == other.both
+            && self.scatter == other.scatter
+            && self.pair_ends == other.pair_ends
+            && bits(self) == bits(other)
+    }
+}
+
 impl LeapLaw {
-    /// Classifies every count-changing alternative of the table or kernel.
-    fn classify(
+    /// Classifies a kernel's outcomes: for a count-coupled protocol, the
+    /// law of a fresh [`KernelTable::build_at`], the law the engine starts
+    /// from.
+    pub fn from_kernel(kernel: &KernelTable) -> Self {
+        let cells = kernel.cells.iter().map(|cell| {
+            cell.iter().map(|&((a, b), p)| ((a as usize, b as usize), p))
+        });
+        let mut law = Self::default();
+        law.classify(kernel.k, cells);
+        law
+    }
+
+    /// Classifies a transition table's `K²` pairs, each with probability 1.
+    fn from_table(table: &TransitionTable) -> Self {
+        let k = table.k;
+        let cells = (0..k * k).map(|pair| [(table.apply(pair / k, pair % k), 1.0)]);
+        let mut law = Self::default();
+        law.classify(k, cells);
+        law
+    }
+
+    /// Brings a count-coupled law to `freq`, re-weighing the cells flagged
+    /// in `dirty` (`dirty[i * k + j]`, row by row) — the engine's update
+    /// before each leap that follows a count change. The protocol writes
+    /// the flagged cells' laws in one
+    /// [`EnumerableProtocol::pair_kernels_at_into`] call into `laws`,
+    /// caller-owned buffers reused across calls, and each pmf is checked by
+    /// the rules of a [`KernelTable`] build as its probabilities are
+    /// written to their terms, so a warm update in place allocates
+    /// nothing and copies each probability once.
+    ///
+    /// Provided the protocol's [`EnumerableProtocol::pair_kernel_deps`]
+    /// declarations are truthful and `dirty` covers every cell whose
+    /// declared inputs changed, the result equals
+    /// [`Self::from_kernel`] of a fresh [`KernelTable::build_at`] at `freq`
+    /// bit for bit: clean cells keep values that could not have changed,
+    /// and a flagged cell whose positive-mass outcomes are not the ones it
+    /// was classified with sends the whole law back through
+    /// classification, from every cell's law at `freq`. Returns whether
+    /// the law was re-weighed in place (`false` after a fresh
+    /// classification).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`KernelTable::build`]; additionally
+    /// [`PopulationError::InvalidArgument`] when the protocol declines to
+    /// state a law mid-run (a count-coupled contract violation).
+    pub fn reweigh_at<P: EnumerableProtocol>(
+        &mut self,
+        protocol: &P,
+        freq: &[f64],
+        dirty: &[bool],
+        laws: &mut KernelLaws,
+    ) -> Result<bool, PopulationError> {
+        let k = protocol.num_states();
+        debug_assert_eq!(dirty.len(), k * k, "dirty mask must cover every cell");
+        laws.clear();
+        protocol.pair_kernels_at_into(freq, dirty, laws);
+        if self.reweigh(k, dirty, laws)? {
+            return Ok(true);
+        }
+        laws.clear();
+        protocol.pair_kernels_at_into(freq, &vec![true; k * k], laws);
+        for (pair, outcomes) in laws.cells().enumerate() {
+            check_pmf(k, (pair / k, pair % k), outcomes)?;
+        }
+        let written = laws.ends.len();
+        if written < k * k {
+            return Err(declined((written / k, written % k)));
+        }
+        self.classify(k, laws.cells().map(|outcomes| outcomes.iter().copied()));
+        Ok(false)
+    }
+
+    /// Writes the probabilities of the flagged cells' laws, which `laws`
+    /// holds in cell order, through the scatter; `false`, with the law
+    /// half rewritten, at the first cell whose positive-mass outcomes are
+    /// not the ones it was classified with.
+    fn reweigh(
         &mut self,
         k: usize,
-        table: Option<&TransitionTable>,
-        kernel: Option<&KernelTable>,
-    ) {
+        dirty: &[bool],
+        laws: &KernelLaws,
+    ) -> Result<bool, PopulationError> {
+        let mut written = laws.cells();
+        let mut start = 0;
+        for (pair, &end) in self.pair_ends.iter().enumerate() {
+            let placed = &self.scatter[start..end as usize];
+            start = end as usize;
+            if !dirty[pair] {
+                continue;
+            }
+            let ij = (pair / k, pair % k);
+            let outcomes = written.next().ok_or_else(|| declined(ij))?;
+            let (mut total, mut next) = (0.0f64, 0);
+            for &((a, b), p) in outcomes {
+                check_entry(k, ij, (a, b), p)?;
+                total += p;
+                if p > 0.0 {
+                    match placed.get(next) {
+                        Some(&(ab, slot)) if ab == (a as u32, b as u32) => {
+                            self.probs[slot as usize] = p;
+                        }
+                        _ => return Ok(false),
+                    }
+                    next += 1;
+                }
+            }
+            check_total(ij, total)?;
+            if next != placed.len() {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Classifies the positive-mass outcomes of every pair, `cells` listing
+    /// each pair's outcomes in `(i, j)` order, row by row.
+    fn classify<C, O>(&mut self, k: usize, cells: C)
+    where
+        C: IntoIterator<Item = O>,
+        O: IntoIterator<Item = ((usize, usize), f64)>,
+    {
         self.raw.clear();
         self.both.clear();
-        self.placed.clear();
+        self.probs.clear();
+        self.scatter.clear();
         self.pair_ends.clear();
-        for i in 0..k {
-            for j in 0..k {
-                match (table, kernel) {
-                    (Some(table), _) => self.push(k, (i, j), table.apply(i, j), 1.0),
-                    (None, Some(kernel)) => {
-                        for &((a, b), p) in kernel.outcomes(i, j) {
-                            self.push(k, (i, j), (a as usize, b as usize), p);
-                        }
-                    }
-                    (None, None) => {}
+        for (pair, outcomes) in cells.into_iter().enumerate() {
+            for (ab, p) in outcomes {
+                if p > 0.0 {
+                    self.push(k, (pair / k, pair % k), ab, p);
                 }
-                self.pair_ends.push(self.placed.len() as u32);
             }
+            self.pair_ends.push(self.scatter.len() as u32);
         }
         // Stable counting sort of the terms by key; each `offsets[key]`
         // ends up at the end of its key's run.
@@ -571,6 +695,13 @@ impl LeapLaw {
         if filled > 0 {
             self.push_group(k, &lanes[..filled]);
         }
+        let sink = self.probs.len() as u32;
+        self.probs.push(0.0);
+        for (_, slot) in &mut self.scatter {
+            if *slot == UNPLACED {
+                *slot = sink;
+            }
+        }
     }
 
     /// Lays out the sorted terms of up to [`LANES`] flows, each `(key,
@@ -583,16 +714,17 @@ impl LeapLaw {
             longest = longest.max(end - start);
         }
         for r in 0..longest {
-            let mut row = [PAD; LANES];
+            let (mut pairs, mut probs) = ([PAD.pair; LANES], [PAD.p; LANES]);
             for (lane, &(_, start, end)) in lanes.iter().enumerate() {
                 if start + r < end {
                     let (term, outcome) = self.sorted[start + r];
-                    row[lane] = term;
-                    let at = Place::Lane((self.rows.len() * LANES + lane) as u32);
-                    self.placed[outcome as usize].at = at;
+                    (pairs[lane], probs[lane]) = (term.pair, term.p);
+                    let slot = (self.probs.len() + lane) as u32;
+                    self.scatter[outcome as usize].1 = slot;
                 }
             }
-            self.rows.push(row);
+            self.rows.push(pairs);
+            self.probs.extend(probs);
         }
         let (flows, end) = (lanes.len() as u32, self.rows.len() as u32);
         self.groups.push(FlowGroup { moves, flows, end });
@@ -603,7 +735,7 @@ impl LeapLaw {
     /// nothing (a no-op or a swap, dropped), one move `s → t`, or two
     /// disjoint moves, which stay a both-move entry of their own.
     fn push(&mut self, k: usize, (i, j): (usize, usize), (a, b): (usize, usize), p: f64) {
-        let (pair, outcome) = ((i * k + j) as u32, self.placed.len() as u32);
+        let (pair, outcome) = ((i * k + j) as u32, self.scatter.len() as u32);
         let ab = (a as u32, b as u32);
         let (s, t) = if b == j {
             (i, a)
@@ -614,45 +746,18 @@ impl LeapLaw {
         } else if b == i {
             (j, a)
         } else {
-            let at = Place::Both(self.both.len() as u32);
-            self.placed.push(Placed { ab, at });
+            // Both-move entries precede every row in `probs`.
+            self.scatter.push((ab, self.probs.len() as u32));
+            self.probs.push(p);
             let (i, j) = (i as u32, j as u32);
-            self.both.push((pair, Flow { i, a: ab.0, j, b: ab.1, w: p }));
+            self.both.push((pair, Flow { i, a: ab.0, j, b: ab.1, w: 0.0 }));
             return;
         };
-        // Single moves learn their place when their flow is laid out.
-        self.placed.push(Placed { ab, at: Place::Dropped });
+        // Single moves learn their slot when their flow is laid out.
+        self.scatter.push((ab, UNPLACED));
         if s != t {
             self.raw.push(((s * k + t) as u32, Term { p, pair }, outcome));
         }
-    }
-
-    /// Rewrites the probabilities of a refreshed kernel in place when every
-    /// pair still has the outcomes it was classified with, in order;
-    /// `false`, with the law half rewritten, when one does not.
-    fn reweigh(&mut self, kernel: &KernelTable) -> bool {
-        let mut start = 0;
-        for (outcomes, &end) in kernel.cells.iter().zip(&self.pair_ends) {
-            let placed = &self.placed[start..end as usize];
-            if outcomes.len() != placed.len() {
-                return false;
-            }
-            for (&(ab, p), place) in outcomes.iter().zip(placed) {
-                if ab != place.ab {
-                    return false;
-                }
-                match place.at {
-                    Place::Dropped => {}
-                    Place::Both(e) => self.both[e as usize].1.w = p,
-                    Place::Lane(at) => {
-                        let at = at as usize;
-                        self.rows[at / LANES][at % LANES].p = p;
-                    }
-                }
-            }
-            start = end as usize;
-        }
-        true
     }
 }
 
@@ -711,8 +816,11 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         } else {
             Vec::new()
         };
-        let mut law = LeapLaw::default();
-        law.classify(k, table.as_ref(), kernel.as_ref());
+        let law = match (&table, &kernel) {
+            (Some(table), _) => LeapLaw::from_table(table),
+            (None, Some(kernel)) => LeapLaw::from_kernel(kernel),
+            (None, None) => LeapLaw::default(),
+        };
         Ok(BatchedEngine {
             protocol,
             counts,
@@ -732,7 +840,6 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             freq_scratch: Vec::with_capacity(k),
             cell_laws: KernelLaws::default(),
             law,
-            law_stale: false,
             flows: Vec::with_capacity(k * k),
             pair_w: Vec::with_capacity(k * k),
             tally: Vec::with_capacity(k * k),
@@ -746,12 +853,13 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
     }
 
     /// Switches the engine onto its *reference* execution paths: a full
-    /// allocating [`KernelTable::build_at`] rebuild on every count change
-    /// and the per-cell (unfused) multinomial chains — the pre-incremental
-    /// implementation, preserved verbatim. The reference and default paths
-    /// are identical in law (equivalence-tested), but draw different RNG
-    /// streams; benchmarks use this switch to measure the incremental
-    /// path's speedup and tests use it as an oracle.
+    /// allocating [`KernelTable::build_at`] rebuild before each leap that
+    /// follows a count change and the per-cell (unfused) multinomial
+    /// chains — the pre-incremental leap, preserved verbatim. The
+    /// reference and default paths are identical in law
+    /// (equivalence-tested), but draw different RNG streams; benchmarks
+    /// use this switch to measure the incremental path's speedup and tests
+    /// use it as an oracle.
     pub fn set_reference_leap(&mut self, reference: bool) {
         self.reference = reference;
     }
@@ -819,66 +927,84 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         }
     }
 
-    /// Refreshes the count-coupled kernel when the counts have changed
-    /// since it was last built. No-op for static-kernel protocols.
-    ///
-    /// The default path is *incremental*: only cells whose declared
-    /// frequency dependencies ([`EnumerableProtocol::pair_kernel_deps`])
-    /// intersect the states that actually changed are recomputed, in
-    /// place, through reusable scratch buffers — no allocation on a warm
-    /// refresh, and bitwise-identical results to a full rebuild. The
-    /// reference path ([`Self::set_reference_leap`]) performs the full
-    /// allocating rebuild instead.
-    fn ensure_kernel(&mut self) {
-        if !(self.coupled && self.kernel_dirty) {
+    /// Writes the current frequencies into `freq_scratch`.
+    fn fill_freq(&mut self) {
+        let n = self.n as f64;
+        self.freq_scratch.clear();
+        self.freq_scratch
+            .extend(self.counts.iter().map(|&c| c as f64 / n));
+    }
+
+    /// Brings a count-coupled `law` up to the current counts when they
+    /// have changed since it was last re-weighed. Only cells whose
+    /// declared frequency dependencies
+    /// ([`EnumerableProtocol::pair_kernel_deps`]) intersect the states
+    /// that changed are re-weighed, in place, through reusable scratch
+    /// buffers: no allocation on a warm update, and the bits of a fresh
+    /// classification ([`LeapLaw::reweigh_at`]).
+    fn reweigh_law(&mut self) {
+        if !(self.coupled && self.stale.contains(&true)) {
             return;
         }
-        if self.reference {
-            let _span = crate::metrics::kernel_build_span();
-            let freq: Vec<f64> = self
-                .counts
-                .iter()
-                .map(|&c| c as f64 / self.n as f64)
-                .collect();
-            self.kernel = KernelTable::build_at(&self.protocol, &freq)
-                .expect("count-coupled kernel law broke mid-run (protocol bug)");
-            debug_assert!(self.kernel.is_some(), "validated at construction");
-            self.work.kernel_full_builds += 1;
-        } else {
-            let _span = crate::metrics::kernel_refresh_span();
-            self.freq_scratch.clear();
-            self.freq_scratch
-                .extend(self.counts.iter().map(|&c| c as f64 / self.n as f64));
-            let any_stale = self.stale.iter().any(|&s| s);
-            let mut recomputed = 0u64;
-            for (cell, dirty) in self.dirty_cells.iter_mut().enumerate() {
-                *dirty = match &self.deps[cell] {
-                    KernelDeps::None => false,
-                    KernelDeps::All => any_stale,
-                    KernelDeps::States(states) => {
-                        states.iter().any(|&s| self.stale[s])
-                    }
-                };
-                recomputed += u64::from(*dirty);
-            }
-            self.work.kernel_refreshes += 1;
-            self.work.dirty_cells += recomputed;
-            let kernel = self
-                .kernel
-                .as_mut()
-                .expect("coupled engines keep a kernel");
-            kernel
-                .refresh_at(
-                    &self.protocol,
-                    &self.freq_scratch,
-                    &self.dirty_cells,
-                    &mut self.cell_laws,
-                )
-                .expect("count-coupled kernel law broke mid-run (protocol bug)");
+        let _span = crate::metrics::kernel_refresh_span();
+        self.fill_freq();
+        let mut recomputed = 0u64;
+        for (cell, dirty) in self.dirty_cells.iter_mut().enumerate() {
+            *dirty = match &self.deps[cell] {
+                KernelDeps::None => false,
+                KernelDeps::All => true,
+                KernelDeps::States(states) => states.iter().any(|&s| self.stale[s]),
+            };
+            recomputed += u64::from(*dirty);
         }
-        self.stale.iter_mut().for_each(|s| *s = false);
-        self.kernel_dirty = false;
-        self.law_stale = true;
+        self.work.kernel_refreshes += 1;
+        self.work.dirty_cells += recomputed;
+        self.law
+            .reweigh_at(
+                &self.protocol,
+                &self.freq_scratch,
+                &self.dirty_cells,
+                &mut self.cell_laws,
+            )
+            .expect("count-coupled kernel law broke mid-run (protocol bug)");
+        self.stale.fill(false);
+    }
+
+    /// Draws the outcome of pair `(i, j)` of a count-coupled protocol from
+    /// the pair's law at the current counts, which the protocol writes for
+    /// this one cell. The pmf is checked by the rules of a
+    /// [`KernelTable`] build, and the walk sums its positive masses in
+    /// declaration order, as over a freshly built kernel cell.
+    fn coupled_outcome<R: Rng + ?Sized>(
+        &mut self,
+        i: usize,
+        j: usize,
+        rng: &mut R,
+    ) -> (usize, usize) {
+        let k = self.counts.len();
+        self.fill_freq();
+        self.dirty_cells.fill(false);
+        self.dirty_cells[i * k + j] = true;
+        self.cell_laws.clear();
+        self.protocol.pair_kernels_at_into(
+            &self.freq_scratch,
+            &self.dirty_cells,
+            &mut self.cell_laws,
+        );
+        let broke = "count-coupled kernel law broke mid-run (protocol bug)";
+        let outcomes = self.cell_laws.cells().next();
+        let outcomes = outcomes.ok_or_else(|| declined((i, j))).expect(broke);
+        check_pmf(k, (i, j), outcomes).expect(broke);
+        let mut positive = outcomes.iter().filter(|&&(_, p)| p > 0.0);
+        let last = positive.clone().next_back().expect("a pmf has mass").0;
+        let u: f64 = rng.gen();
+        let mut acc = 0.0;
+        positive
+            .find(|&&(_, p)| {
+                acc += p;
+                u < acc
+            })
+            .map_or(last, |&(ab, _)| ab)
     }
 
     /// One exact interaction via alias-table sampling: `O(1)` expected when
@@ -887,9 +1013,9 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
     /// [`CountedPopulation::step`]. Returns the sampled pre-interaction
     /// `(initiator_state, responder_state)` indices.
     ///
-    /// Count-coupled protocols are exact here too: the kernel is rebuilt
-    /// from the *current* frequencies before the outcome is drawn (an
-    /// `O(K²)` rebuild after every count change).
+    /// Count-coupled protocols are exact here too: the outcome is drawn
+    /// from the sampled pair's law at the *current* frequencies, which the
+    /// protocol states afresh for the step.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> (usize, usize) {
         let pair = self.exact_step(rng);
         self.work.publish();
@@ -898,7 +1024,6 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
 
     /// [`Self::step`] without publishing its work.
     fn exact_step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> (usize, usize) {
-        self.ensure_kernel();
         self.ensure_alias();
         let alias = self.alias.as_ref().expect("built above");
         // Initiator ∝ x_i.
@@ -919,23 +1044,8 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         };
         let (ni, nj) = match &self.table {
             Some(table) => table.apply(i, j),
-            None if self.coupled => {
-                // Sample the outcome from the freshly rebuilt kernel —
-                // `interact` is never called for count-coupled protocols.
-                let kernel = self.kernel.as_ref().expect("coupled engines keep a kernel");
-                let outs = kernel.outcomes(i, j);
-                let u: f64 = rng.gen();
-                let mut acc = 0.0;
-                let mut chosen = outs.last().expect("kernel cells are non-empty").0;
-                for &(out, p) in outs {
-                    acc += p;
-                    if u < acc {
-                        chosen = out;
-                        break;
-                    }
-                }
-                (chosen.0 as usize, chosen.1 as usize)
-            }
+            // `interact` is never called for count-coupled protocols.
+            None if self.coupled => self.coupled_outcome(i, j, rng),
             None => {
                 let (si, sj) = (self.protocol.state_at(i), self.protocol.state_at(j));
                 let (ni, nj) = self.protocol.interact(si, sj, rng);
@@ -1128,9 +1238,9 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
     /// The multinomial leap over frozen counts, drawn over count flows
     /// (see the module docs); splits on (rare) negative excursions.
     ///
-    /// Count-coupled kernels are refreshed here from the counts being
-    /// frozen, so the kernel shares the leap's own idealization exactly —
-    /// overdraw splits re-enter through this refresh and see updated
+    /// Count-coupled laws are re-weighed here from the counts being
+    /// frozen, so the law shares the leap's own idealization exactly —
+    /// overdraw splits re-enter through this update and see updated
     /// frequencies.
     ///
     /// The law's count-changing alternatives were classified by effect
@@ -1160,19 +1270,11 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
     fn leap<R: Rng + ?Sized>(&mut self, batch: u64, rng: &mut R) -> bool {
         let _leap_span = crate::metrics::leap_span();
         self.work.leaps += 1;
-        self.ensure_kernel();
-        let k = self.counts.len();
+        self.reweigh_law();
         debug_assert!(
             self.table.is_some() || self.kernel.is_some(),
             "leap requires a table or a kernel"
         );
-        if self.law_stale {
-            let kernel = self.kernel.as_ref().expect("only count-coupled laws go stale");
-            if !self.law.reweigh(kernel) {
-                self.law.classify(k, None, Some(kernel));
-            }
-            self.law_stale = false;
-        }
         // Pair weights through `i64`: exact, as every count is below 2⁵³.
         // An empty state's diagonal pair weighs `0 · (0 − 1) = −0`, which
         // adds to a flow's sum as `+0` does.
@@ -1189,10 +1291,12 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         // The flows, summed into `active_weight` in flow order.
         self.flows.clear();
         let mut active_weight = 0.0;
-        for &(pair, flow) in &self.law.both {
+        let (both_p, row_p) = self.law.probs.split_at(self.law.both.len());
+        let (row_p, _) = row_p.as_chunks::<LANES>();
+        for (&(pair, flow), &p) in self.law.both.iter().zip(both_p) {
             let wpair = self.pair_w[pair as usize];
             if wpair > 0.0 {
-                let w = wpair * flow.w;
+                let w = wpair * p;
                 active_weight += w;
                 self.flows.push(Flow { w, ..flow });
             }
@@ -1201,9 +1305,9 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         for group in &self.law.groups {
             let end = group.end as usize;
             let mut sums = [0.0f64; LANES];
-            for row in &self.law.rows[start..end] {
-                for (sum, term) in sums.iter_mut().zip(row) {
-                    *sum += self.pair_w[term.pair as usize] * term.p;
+            for (pairs, probs) in self.law.rows[start..end].iter().zip(&row_p[start..end]) {
+                for ((sum, &pair), &p) in sums.iter_mut().zip(pairs).zip(probs) {
+                    *sum += self.pair_w[pair as usize] * p;
                 }
             }
             start = end;
@@ -1383,7 +1487,15 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
     fn leap_reference<R: Rng + ?Sized>(&mut self, batch: u64, rng: &mut R) -> bool {
         let _leap_span = crate::metrics::leap_span();
         self.work.leaps += 1;
-        self.ensure_kernel();
+        if self.coupled && self.kernel_dirty {
+            let _span = crate::metrics::kernel_build_span();
+            self.fill_freq();
+            self.kernel = KernelTable::build_at(&self.protocol, &self.freq_scratch)
+                .expect("count-coupled kernel law broke mid-run (protocol bug)");
+            debug_assert!(self.kernel.is_some(), "validated at construction");
+            self.work.kernel_full_builds += 1;
+            self.kernel_dirty = false;
+        }
         let k = self.counts.len();
         debug_assert!(
             self.table.is_some() || self.kernel.is_some(),
@@ -2102,9 +2214,9 @@ mod tests {
     fn partial_deps_step_vs_batch_chi_square() {
         // Same battery as `count_coupled_step_vs_batch_chi_square`, but
         // over sparse `KernelDeps::States` declarations: exact stepping
-        // refreshes only the stale initiators' cells after every count
-        // change, τ-leaps refresh once per leap. Both route through
-        // `refresh_at`, and both must sample the one declared law.
+        // reads the sampled pair's law afresh at every step, τ-leaps
+        // re-weigh only the stale initiators' cells once per leap. Both
+        // must sample the one declared law.
         let n = 12u64;
         let horizon = 30u64;
         let reps = 4_000u64;
@@ -2130,9 +2242,9 @@ mod tests {
         assert!(chi2 < 45.0, "chi-square {chi2}: {hist_step:?} vs {hist_batch:?}");
     }
 
-    /// The per-cell dirty mask `ensure_kernel` derives from the declared
+    /// The per-cell dirty mask `reweigh_law` derives from the declared
     /// deps and the set of states whose counts changed — replicated here
-    /// so the proptest can drive `refresh_at` exactly the way the engine
+    /// so the proptest can drive `reweigh_at` exactly the way the engine
     /// does.
     fn deps_dirty_mask<P: EnumerableProtocol>(protocol: &P, changed: &[bool]) -> Vec<bool> {
         let k = protocol.num_states();
@@ -2590,11 +2702,12 @@ mod tests {
             prop_assert_eq!(engine.counts().iter().sum::<u64>(), n);
         }
 
-        /// After any randomized walk of single-agent moves, a table
-        /// maintained through `refresh_at` with the deps-derived dirty
-        /// mask is bitwise identical to a fresh `build_at` — outcome
-        /// masses compared by bit pattern, not just by `==`. Run against
-        /// both the sparse-deps protocol and the conservative-`All` one.
+        /// After any randomized walk of single-agent moves, a law
+        /// maintained through `reweigh_at` with the deps-derived dirty
+        /// mask is bitwise identical to the classification of a fresh
+        /// `build_at` — term probabilities compared by bit pattern, not
+        /// just by `==`. Run against both the sparse-deps protocol and the
+        /// conservative-`All` one.
         #[test]
         fn prop_incremental_refresh_matches_full_rebuild(
             seed in 0u64..150,
@@ -2613,15 +2726,14 @@ mod tests {
                 counts.iter().map(|&c| c as f64 / n as f64).collect()
             };
             let build = |freq: &[f64]| {
-                if sparse {
+                let kernel = if sparse {
                     KernelTable::build_at(&LocalDrift, freq)
                 } else {
                     KernelTable::build_at(&FieldContagion, freq)
-                }
-                .unwrap()
-                .unwrap()
+                };
+                LeapLaw::from_kernel(&kernel.unwrap().unwrap())
             };
-            let mut table = build(&freq_of(&counts));
+            let mut law = build(&freq_of(&counts));
             let mut rng = rng_from_seed(seed);
             let mut scratch = KernelLaws::default();
             for _ in 0..moves {
@@ -2642,21 +2754,13 @@ mod tests {
                     deps_dirty_mask(&FieldContagion, &changed)
                 };
                 if sparse {
-                    table.refresh_at(&LocalDrift, &freq, &dirty, &mut scratch)
+                    law.reweigh_at(&LocalDrift, &freq, &dirty, &mut scratch)
                 } else {
-                    table.refresh_at(&FieldContagion, &freq, &dirty, &mut scratch)
+                    law.reweigh_at(&FieldContagion, &freq, &dirty, &mut scratch)
                 }
                 .unwrap();
-                let rebuilt = build(&freq);
-                prop_assert_eq!(&table, &rebuilt);
-                let bits = |t: &KernelTable| {
-                    t.cells
-                        .iter()
-                        .flatten()
-                        .map(|&(ab, p)| (ab, p.to_bits()))
-                        .collect::<Vec<_>>()
-                };
-                prop_assert_eq!(bits(&table), bits(&rebuilt));
+                // `LeapLaw`'s `==` compares probabilities by bit pattern.
+                prop_assert_eq!(&law, &build(&freq));
             }
         }
 

@@ -1,9 +1,9 @@
 //! Engine-level observability counters and phase spans.
 //!
 //! Process-global [`popgame_obs`] counters tracking how much work the
-//! batched engine actually performs: leaps vs exact steps, full vs
-//! incremental kernel rebuilds, dirty cells recomputed, and alias-table
-//! rebuilds. Each engine counts its own work in a private tally and
+//! batched engine actually performs: leaps vs exact steps, full kernel
+//! builds vs incremental re-weighs of a count-coupled law, dirty cells
+//! recomputed, and alias-table rebuilds. Each engine counts its own work in a private tally and
 //! publishes it to these counters when a public call
 //! ([`crate::BatchedEngine::step`], `step_batch`, `run_batched`,
 //! `run_recorded`) returns, so the leap path touches no atomic that
@@ -16,7 +16,7 @@
 //! runs remain bitwise identical to uninstrumented ones.
 //!
 //! The `*_span` accessors are the tracing siblings: each engine phase
-//! (kernel full build, incremental refresh, alias rebuild, leap chunk)
+//! (kernel full build, incremental re-weigh, alias rebuild, leap chunk)
 //! opens a [`popgame_obs::trace`] span. Full builds are rare and always
 //! recorded; the per-leap phases are sampled (one span out of every
 //! [`SPAN_SAMPLE`] occurrences, per thread and per phase) to bound
@@ -59,7 +59,7 @@ pub fn leap_span() -> Option<Span> {
     sampled_span("engine:leap", &LEAP_TICK)
 }
 
-/// A span over one incremental `refresh_at` pass (sampled).
+/// A span over one incremental re-weigh of a count-coupled law (sampled).
 pub fn kernel_refresh_span() -> Option<Span> {
     sampled_span("engine:kernel-refresh", &REFRESH_TICK)
 }
@@ -113,17 +113,18 @@ pub fn kernel_full_builds() -> &'static Counter {
     )
 }
 
-/// Incremental `KernelTable::refresh_at` passes.
+/// Incremental re-weighs of a count-coupled law
+/// ([`crate::batch::LeapLaw::reweigh_at`]).
 pub fn kernel_refreshes() -> &'static Counter {
     static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
     handle(
         &CELL,
         "popgame_engine_kernel_refreshes_total",
-        "Incremental KernelTable refreshes on the default count-coupled path.",
+        "Incremental kernel-law re-weighs on the default count-coupled path.",
     )
 }
 
-/// Kernel cells recomputed across all incremental refreshes.
+/// Kernel cells recomputed across all incremental re-weighs.
 pub fn kernel_dirty_cells() -> &'static Counter {
     static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
     handle(

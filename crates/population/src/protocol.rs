@@ -5,9 +5,9 @@ use rand::Rng;
 /// Which population frequencies a count-coupled cell's law reads —
 /// declared per ordered pair via
 /// [`EnumerableProtocol::pair_kernel_deps`], and used by
-/// [`crate::batch::BatchedEngine`] to refresh only the kernel cells whose
-/// inputs actually changed since the last rebuild (the dirty mask of the
-/// incremental [`crate::batch::KernelTable`] refresh).
+/// [`crate::batch::BatchedEngine`] to re-weigh only the kernel cells whose
+/// inputs actually changed since the last update (the dirty mask of
+/// [`crate::batch::LeapLaw::reweigh_at`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KernelDeps {
     /// The cell's law never changes with the counts (e.g. a diagonal
@@ -187,12 +187,12 @@ pub trait EnumerableProtocol: Protocol {
     ///    law. Implementations conventionally `panic!` with a message
     ///    pointing at [`crate::batch::BatchedEngine`].
     ///
-    /// [`crate::batch::BatchedEngine`] executes such protocols by
-    /// rebuilding a [`crate::batch::KernelTable`] from the current
-    /// frequencies: after **every** count change under exact stepping, and
-    /// once per leap (from the frozen counts) under τ-leaping — the same
-    /// frozen-population idealization as the leap itself, so step and
-    /// batch stay chi-square-equivalent.
+    /// [`crate::batch::BatchedEngine`] executes such protocols from the
+    /// law at the current frequencies: the sampled pair's law at **every**
+    /// exact step, and the law of every cell once per leap (from the
+    /// frozen counts) under τ-leaping — the same frozen-population
+    /// idealization as the leap itself, so step and batch stay
+    /// chi-square-equivalent.
     fn kernel_depends_on_counts(&self) -> bool {
         false
     }
@@ -225,9 +225,10 @@ pub trait EnumerableProtocol: Protocol {
     /// there, so fewer cells than flagged are written.
     ///
     /// This is the engine's only law entry point: a kernel build flags
-    /// every cell and a refresh the dirty ones, so a protocol whose cells
-    /// share work (one choice law per frequency vector, one pass over
-    /// opponent pairs) does it once per refresh, not once per cell. The
+    /// every cell, a leap's re-weigh the dirty ones and an exact step the
+    /// sampled pair's, so a protocol whose cells share work (one choice
+    /// law per frequency vector, one pass over opponent pairs) does it
+    /// once per call, not once per cell. The
     /// default delegates cell by cell to
     /// [`pair_kernel_at`](Self::pair_kernel_at); hot count-coupled
     /// protocols override it to write entries directly, so a warm refresh

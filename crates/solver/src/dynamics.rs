@@ -502,10 +502,11 @@ impl GameDynamics {
     /// construction ([`build_br_comp_table`]), so each kernel rebuild only
     /// evaluates the frequency-dependent product `coef · Π_t freq[t]^{c_t}`
     /// per composition row. The powers come from a table refilled per
-    /// call with `freq[t].powi(c)` for every `c ≤ samples`: the same
-    /// `powi` calls the rows would make, so the same bits, computed
-    /// `k·samples` times instead of once per row and state. `freq[t]⁰ = 1`
-    /// and a zero row adds `+0`, so neither needs a branch. The power table
+    /// call with `freq[t]^c` for every `c ≤ samples`, by the
+    /// square-and-multiply of [`powi_bits`]: the bits of the `powi` calls
+    /// the rows would make, computed `k·samples` times instead of once per
+    /// row and state, and without a libcall each. `freq[t]⁰ = 1` and a
+    /// zero row adds `+0`, so neither needs a branch. The power table
     /// and then the law (length `k`, returned) are laid out in `scratch`,
     /// which is caller-owned, so a warm call allocates nothing.
     fn sampled_br_law_fast<'s>(
@@ -519,7 +520,7 @@ impl GameDynamics {
         scratch.clear();
         for &f in freq {
             scratch.push(1.0);
-            scratch.extend((1..=samples).map(|c| f.powi(c as i32)));
+            scratch.extend((1..=samples as u32).map(|c| powi_bits(f, c)));
         }
         scratch.resize(k * stride + k, 0.0);
         let (pows, rho) = scratch.split_at_mut(k * stride);
@@ -604,6 +605,23 @@ impl GameDynamics {
             (level + 1).min(levels - 1)
         };
         new_level + 2
+    }
+}
+
+/// `x.powi(c)` bit for bit, inline: the square-and-multiply the `powi`
+/// libcall runs (`__powidf2`), rounding after every product as it does.
+#[inline]
+fn powi_bits(mut x: f64, mut c: u32) -> f64 {
+    let mut power = 1.0;
+    loop {
+        if c & 1 == 1 {
+            power *= x;
+        }
+        c >>= 1;
+        if c == 0 {
+            return power;
+        }
+        x *= x;
     }
 }
 
@@ -1163,6 +1181,22 @@ mod tests {
     }
 
     #[test]
+    fn inline_powers_match_powi_bitwise() {
+        // Every exponent the power table takes, over frequencies of every
+        // magnitude a count vector gives (with n up to 10⁸), edges included.
+        let mut rng = rng_from_seed(47);
+        let mut bases = vec![0.0, 1.0, 0.5, 1e-8, 1.0 - 1e-8, f64::MIN_POSITIVE];
+        bases.extend((0..20_000).map(|_| rng.gen_range(1..=100_000_000u64) as f64 / 1e8));
+        bases.extend((0..20_000).map(|_| rng.gen::<f64>()));
+        for &x in &bases {
+            for c in 0..=MAX_BR_SAMPLES as u32 + 1 {
+                let (got, want) = (powi_bits(x, c), x.powi(c as i32));
+                assert_eq!(got.to_bits(), want.to_bits(), "{x}^{c}: {got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
     fn pairwise_imitation_mean_switch_flow_is_replicator_signed() {
         // Net D→H vs H→D flow at freq x must carry the replicator sign:
         // positive toward the better-performing strategy against x.
@@ -1399,7 +1433,7 @@ mod tests {
 
     #[test]
     fn pairwise_imitation_incremental_vs_reference_leap_chi_square() {
-        // The production leap (incremental `refresh_at` kernel updates +
+        // The production leap (incremental `reweigh_at` law updates +
         // fused multinomial chains) against the pinned pre-optimization
         // path (full rebuild every leap, unfused chains). Different
         // samplers, one law — final-count histograms must stay
@@ -1517,6 +1551,49 @@ mod tests {
             };
             assert_eq!(run(3), run(3), "{rule:?}");
             assert_eq!(run(3).iter().sum::<u64>(), 3_000);
+        }
+    }
+
+    /// Pins the count-coupled leap end to end: golden final counts of
+    /// seeded runs of hawk-dove pairwise imitation and shapley-cycle
+    /// br-sample (m = 5), in leaps small enough to draw through the flow
+    /// alias and large enough for the fused binomial chain. A change that
+    /// moves one bit of a law the leap draws from, or one draw, moves
+    /// these counts.
+    #[test]
+    fn count_coupled_leap_streams_are_pinned() {
+        let run = |scenario: &str, rule: DynamicsRule, batch: u64, seed: u64| {
+            let d = crate::scenarios::by_name(scenario).unwrap().dynamics(rule).unwrap();
+            let mut engine = engine_from_profile(d.clone(), &d.initial_profile(), 3_000).unwrap();
+            let mut rng = rng_from_seed(seed);
+            engine.run_batched(60_000, batch, &mut rng).unwrap();
+            engine.counts().to_vec()
+        };
+        let br_sample = DynamicsRule::SampledBestResponse { samples: 5 };
+        let runs = [
+            (
+                "pairwise-imitation, alias",
+                run("hawk-dove", DynamicsRule::PairwiseImitation, 20, 41),
+                vec![1510, 1490],
+            ),
+            (
+                "pairwise-imitation, chain",
+                run("hawk-dove", DynamicsRule::PairwiseImitation, 1_500, 42),
+                vec![1519, 1481],
+            ),
+            (
+                "br-sample, alias",
+                run("shapley-cycle", br_sample, 20, 43),
+                vec![1005, 1011, 984],
+            ),
+            (
+                "br-sample, chain",
+                run("shapley-cycle", br_sample, 1_500, 44),
+                vec![1176, 858, 966],
+            ),
+        ];
+        for (name, got, want) in runs {
+            assert_eq!(got, want, "{name}: leap stream moved");
         }
     }
 
@@ -1714,12 +1791,14 @@ mod tests {
 
     #[test]
     fn pair_kernel_entry_points_are_bitwise_interchangeable() {
-        use popgame_population::batch::KernelTable;
+        use popgame_population::batch::{KernelTable, LeapLaw};
         // The trait contract: `pair_kernels_at_into` must write exactly
         // the entries per-cell `pair_kernel_at` returns, in order, for
         // every rule that states a frequency-dependent law — over every
         // cell and over a refresh's partial mask, on both sampled-BR
-        // evaluation paths.
+        // evaluation paths. The engine's per-leap re-weigh, which reads
+        // the partial masks' entries, must then land on the law of a
+        // fresh build bit for bit.
         let mut laws = KernelLaws::default();
         let logit = GameDynamics::new(&rps(), DynamicsRule::Logit { eta: 2.0 }).unwrap();
         let full = vec![true; 9];
@@ -1730,7 +1809,7 @@ mod tests {
         let symmetric = crate::scenarios::registry()
             .iter()
             .filter(|scenario| scenario.game().is_symmetric(1e-9));
-        let mut checked = 0;
+        let (mut checked, mut in_place) = (0, 0);
         for scenario in symmetric {
             for rule in [
                 DynamicsRule::PairwiseImitation,
@@ -1752,7 +1831,10 @@ mod tests {
                         counts.iter().map(|&c| c as f64 / n).collect::<Vec<_>>()
                     };
                     let mut freq = freq_of(&counts);
-                    let mut table = KernelTable::build_at(&d, &freq).unwrap().unwrap();
+                    let fresh = |freq: &[f64]| {
+                        LeapLaw::from_kernel(&KernelTable::build_at(&d, freq).unwrap().unwrap())
+                    };
+                    let mut law = fresh(&freq);
                     let mut refresh_laws = KernelLaws::default();
                     let every = vec![true; k * k];
                     for round in 0..20 {
@@ -1763,8 +1845,8 @@ mod tests {
                             assert!(batched.is_some(), "{label}");
                             assert_eq!(batched, per_cell, "{label} round {round} at {freq:?}");
                         }
-                        // Move one agent, refresh, and compare against a
-                        // fresh build bit for bit.
+                        // Move one agent, re-weigh, and compare against
+                        // a fresh build bit for bit.
                         let occupied: Vec<usize> = (0..k).filter(|&s| counts[s] > 0).collect();
                         let from = occupied[round % occupied.len()];
                         let to = (from + 1 + round % (k - 1)) % k;
@@ -1774,24 +1856,20 @@ mod tests {
                         (changed[from], changed[to]) = (true, true);
                         freq = freq_of(&counts);
                         let dirty = dirty_mask(&d, &changed);
-                        table.refresh_at(&d, &freq, &dirty, &mut refresh_laws).unwrap();
-                        let rebuilt = KernelTable::build_at(&d, &freq).unwrap().unwrap();
-                        for cell in 0..k * k {
-                            let (i, j) = (cell / k, cell % k);
-                            let bits = |t: &KernelTable| {
-                                t.outcomes(i, j)
-                                    .iter()
-                                    .map(|&(ab, p)| (ab, p.to_bits()))
-                                    .collect::<Vec<_>>()
-                            };
-                            assert_eq!(bits(&table), bits(&rebuilt), "{label} ({i},{j})");
-                        }
+                        in_place += u32::from(
+                            law.reweigh_at(&d, &freq, &dirty, &mut refresh_laws).unwrap(),
+                        );
+                        // `LeapLaw`'s `==` compares probabilities by bits.
+                        assert!(law == fresh(&freq), "{label} round {round} at {freq:?}");
                         checked += 1;
                     }
                 }
             }
         }
         assert!(checked >= 20 * 8 * 4, "{checked} rounds");
+        // Most rounds leave the set of outcomes with mass unchanged, so
+        // the law is re-weighed in place, not classified afresh.
+        assert!(2 * in_place > checked, "{in_place} of {checked} rounds in place");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! [`rand::Rng`] trait with no further dependencies.
 
 use crate::error::UtilError;
-use crate::numeric::ln_factorial;
+use crate::numeric::{ln_factorial, KahanSum};
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Validates that `p` is a probability in `[0, 1]`, returning it unchanged.
 ///
@@ -93,7 +94,8 @@ pub fn sample_geometric<R: Rng + ?Sized>(p: f64, rng: &mut R) -> u64 {
 ///   uniforms whatever `n`. The squeeze accepts about 85% of draws at
 ///   τ-leap sizes (`n·q` in the hundreds) and about half at the `n·q ≈ 10`
 ///   boundary, for a division and a few multiplications; the rest evaluate
-///   the pmf ratio exactly.
+///   the pmf ratio exactly, from a table of `ln k!` for `n < 4096` and in
+///   Hörmann's Stirling form above.
 ///
 /// The τ-leap chains at large populations draw mostly in the second regime
 /// (a leap of `√n` interactions splits over a few flows), small ones mostly
@@ -109,7 +111,15 @@ pub fn sample_geometric<R: Rng + ?Sized>(p: f64, rng: &mut R) -> u64 {
 /// let x = sample_binomial(1000, 0.25, &mut rng);
 /// assert!(x <= 1000);
 /// ```
+///
+/// # Panics
+///
+/// Panics when `p` is NaN; `p` outside `[0, 1]` is a debug assertion.
 pub fn sample_binomial<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
+    // A NaN fails every comparison below, so it would reach the samplers
+    // as q = NaN, where the bottom-up walk returns a wrong count and BTRS
+    // never accepts.
+    assert!(!p.is_nan(), "binomial p is NaN (n = {n})");
     debug_assert!((0.0..=1.0).contains(&p), "binomial p out of range: {p}");
     if n == 0 || p <= 0.0 {
         return 0;
@@ -170,7 +180,8 @@ fn binomial_inversion_from_zero<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) ->
 /// the candidate `k = ⌊(2a/u_s + b)·u + c⌋`. The squeeze `u_s ≥ 0.07,
 /// v ≤ v_r` accepts most candidates outright; the rest scale `v` under the
 /// hat and accept when `ln v ≤ ln(f(k)/f(m))`, the exact log pmf ratio to
-/// the mode `m`.
+/// the mode `m`: four reads of the `ln k!` table and one `ln` when `n` is
+/// below [`BTRS_TABLE_LEN`], [`ln_pmf_ratio`] above.
 fn binomial_btrs<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
     let spq = (n as f64 * p * (1.0 - p)).sqrt();
     let b = 1.15 + 2.53 * spq;
@@ -199,10 +210,46 @@ fn binomial_btrs<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
         let alpha = (2.83 + 5.1 / b) * spq;
         let v = v * alpha / (a / (us * us) + b);
         let mode = ((n + 1) as f64 * p) as u64;
-        if v.ln() <= ln_pmf_ratio(n, p, k, mode) {
+        let ratio = if n < BTRS_TABLE_LEN as u64 {
+            table_ln_pmf_ratio(n, p, k, mode)
+        } else {
+            ln_pmf_ratio(n, p, k, mode)
+        };
+        if v.ln() <= ratio {
             return k;
         }
     }
+}
+
+/// Length of the `ln k!` table of the BTRS rejection test: it covers every
+/// `n` up to 4095, which includes each binomial a τ-leap draws at batch
+/// sizes up to `√(10⁷) ≈ 3162`.
+const BTRS_TABLE_LEN: usize = 4096;
+
+/// `ln k!` for `k < BTRS_TABLE_LEN`, each entry the compensated sum of
+/// `ln 2 + … + ln k`, so correct to within an ulp or two.
+fn btrs_ln_factorials() -> &'static [f64; BTRS_TABLE_LEN] {
+    static TABLE: OnceLock<[f64; BTRS_TABLE_LEN]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = [0.0; BTRS_TABLE_LEN];
+        let mut sum = KahanSum::new();
+        for (k, entry) in table.iter_mut().enumerate().skip(2) {
+            sum.add((k as f64).ln());
+            *entry = sum.value();
+        }
+        table
+    })
+}
+
+/// `ln(f(k) / f(m))` for the Binomial(`n`, `p`) pmf `f` with
+/// `n < BTRS_TABLE_LEN`, straight from the `ln k!` table:
+/// `ln m! − ln k! + ln(n − m)! − ln(n − k)! + (k − m)·ln(p / (1 − p))`.
+/// Each entry is at most ~3·10⁴, so the sum is good to ~10⁻¹¹ absolute.
+fn table_ln_pmf_ratio(n: u64, p: f64, k: u64, m: u64) -> f64 {
+    let table = btrs_ln_factorials();
+    let (n, k, m) = (n as usize, k as usize, m as usize);
+    let d = k as f64 - m as f64;
+    (table[m] - table[k]) + (table[n - m] - table[n - k]) + d * (p / (1.0 - p)).ln()
 }
 
 /// `ln(f(k) / f(m))` for the Binomial(`n`, `p`) pmf `f`, in Hörmann's
@@ -425,6 +472,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "binomial p is NaN")]
+    fn binomial_nan_probability_panics() {
+        let mut rng = rng_from_seed(0);
+        sample_binomial(1000, f64::NAN, &mut rng);
+    }
+
+    #[test]
     fn binomial_mean_and_variance_match_theory() {
         let mut rng = rng_from_seed(11);
         let (n, p) = (400u64, 0.3);
@@ -533,6 +587,36 @@ mod tests {
                 assert!((got - exact).abs() < tol, "({n}, {p}, {k}): {got} {exact}");
             }
         }
+    }
+
+    #[test]
+    fn table_pmf_ratio_matches_stirling_form() {
+        // A grid of the `n` the table serves, at `p` from the `n·p = 10`
+        // boundary to ½, and candidates `k` across the hat: from 0 to `n`
+        // in the tails, densely within ±12 sd of the mode.
+        let mut checked = 0;
+        let last = BTRS_TABLE_LEN as u64 - 1;
+        for n in (65..last).step_by(89).chain([last]) {
+            for p in [0.01, 0.07, 0.2, 0.35, 0.5] {
+                if n as f64 * p <= 10.0 {
+                    continue;
+                }
+                let m = ((n + 1) as f64 * p) as u64;
+                let sd = (n as f64 * p * (1.0 - p)).sqrt();
+                let body = (-48..=48).map(|t| m as f64 + t as f64 * sd / 4.0);
+                let ks = body.filter(|&k| k >= 0.0).map(|k| (k as u64).min(n));
+                for k in ks.chain([0, 1, n / 2, n - 1, n]) {
+                    let (table, stirling) =
+                        (table_ln_pmf_ratio(n, p, k, m), ln_pmf_ratio(n, p, k, m));
+                    assert!(
+                        (table - stirling).abs() < 1e-9,
+                        "({n}, {p}, {k}): table {table}, Stirling {stirling}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 20_000, "{checked} points");
     }
 
     #[test]
