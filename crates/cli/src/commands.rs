@@ -2,11 +2,11 @@
 //! that `main` maps onto the process exit code.
 
 use popgame_obs::trace;
-use popgame_report::{render, run_report, run_report_sequential, ReportConfig};
+use popgame_report::{render, run_report, run_report_sequential};
 use popgame_service::api::{
-    execute_simulate, execute_solve, SimulateRequest, SolveRequest,
+    execute_simulate, execute_solve, ReproduceRequest, SimulateRequest, SolveRequest,
 };
-use popgame_service::{PopgameService, ServiceConfig, SERVE_USAGE};
+use popgame_service::{run_daemon, ServiceConfig, SERVE_USAGE};
 use popgame_solver::scenarios::registry_listing;
 use popgame_util::json::Json;
 use std::path::Path;
@@ -228,13 +228,13 @@ use popgame_report::REPRODUCE_SEED;
 /// `REPORT.md` + `REPORT.json` (byte-identical across runs with equal
 /// flags).
 pub fn reproduce(args: &[String]) -> Result<(), CliError> {
-    let mut preset: Option<&str> = None;
+    let mut preset = "quick";
     let mut seed = REPRODUCE_SEED;
     let mut out_dir = ".".to_string();
     let mut sizes: Option<Vec<u64>> = None;
     let mut replicas: Option<u64> = None;
     let mut horizon: Option<u64> = None;
-    let mut trajectory: Option<usize> = None;
+    let mut trajectory: Option<u64> = None;
     let mut sequential = false;
     let mut trace_path: Option<String> = None;
     let mut it = args.iter();
@@ -244,8 +244,8 @@ pub fn reproduce(args: &[String]) -> Result<(), CliError> {
                 println!("{REPRODUCE_USAGE}");
                 return Ok(());
             }
-            "--quick" => preset = Some("quick"),
-            "--full" => preset = Some("full"),
+            "--quick" => preset = "quick",
+            "--full" => preset = "full",
             "--sequential" => sequential = true,
             "--trace" => trace_path = Some(take_value(&mut it, "--trace")?),
             "--workers" => {
@@ -270,30 +270,24 @@ pub fn reproduce(args: &[String]) -> Result<(), CliError> {
             }
             "--trajectory-points" => {
                 let v = take_value(&mut it, "--trajectory-points")?;
-                trajectory = Some(parse_u64("--trajectory-points", &v)? as usize);
+                trajectory = Some(parse_u64("--trajectory-points", &v)?);
             }
             other => return usage(format!("unknown flag {other}\n{REPRODUCE_USAGE}")),
         }
     }
-    let mut config = match preset.unwrap_or("quick") {
-        "full" => ReportConfig::full(seed),
-        _ => ReportConfig::quick(seed),
-    };
-    if sizes.is_some() || replicas.is_some() || horizon.is_some() || trajectory.is_some() {
-        config.mode = "custom".to_string();
+    // The daemon's rule for a preset plus overrides, so equal knobs give
+    // equal bytes; the flags keep the CLI's own ranges, not the daemon's.
+    let config = ReproduceRequest {
+        preset: preset.to_string(),
+        seed,
+        sizes,
+        replicas,
+        horizon_per_agent: horizon,
+        trajectory_capacity: trajectory,
+        workers: None,
+        sections: None,
     }
-    if let Some(sizes) = sizes {
-        config.sizes = sizes;
-    }
-    if let Some(replicas) = replicas {
-        config.replicas = replicas;
-    }
-    if let Some(horizon) = horizon {
-        config.horizon_per_agent = horizon;
-    }
-    if let Some(trajectory) = trajectory {
-        config.trajectory_capacity = trajectory;
-    }
+    .config();
     config.validate().map_err(CliError::Usage)?;
 
     // Tracing is strictly out-of-band: spans never touch the RNG or the
@@ -365,20 +359,6 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
     let config = ServiceConfig::from_args(args).map_err(CliError::Usage)?;
-    let remote_shutdown = config.remote_shutdown;
-    let service = PopgameService::start(config)
-        .map_err(|e| CliError::Runtime(format!("failed to bind: {e}")))?;
-    println!("popgame serve: listening on http://{}", service.local_addr());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    if remote_shutdown {
-        service.wait_for_remote_shutdown();
-        eprintln!("popgame serve: shutdown requested, draining");
-        service.shutdown();
-        Ok(())
-    } else {
-        loop {
-            std::thread::park();
-        }
-    }
+    run_daemon(config, "popgame serve: listening on")
+        .map_err(|e| CliError::Runtime(format!("failed to bind: {e}")))
 }

@@ -22,91 +22,14 @@
 //! stdout, and to `--out PATH` when given.
 
 use crate::commands::{take_value, usage, CliError};
+use popgame_service::http::Client;
 use popgame_service::ring::{HashRing, DEFAULT_VNODES};
 use popgame_util::json::Json;
 use popgame_util::stats::quantile;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-
-/// A keep-alive HTTP/1.1 client for one `(thread, instance)` pair.
-struct Client {
-    addr: String,
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: &str) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client {
-            addr: addr.to_string(),
-            stream,
-            reader,
-        })
-    }
-
-    /// One POST over the persistent connection; reconnects once on error.
-    fn post(&mut self, path: &str, body: &str) -> std::io::Result<(u16, bool, String)> {
-        match self.post_once(path, body) {
-            Ok(reply) => Ok(reply),
-            Err(_) => {
-                *self = Client::connect(&self.addr)?;
-                self.post_once(path, body)
-            }
-        }
-    }
-
-    fn post_once(&mut self, path: &str, body: &str) -> std::io::Result<(u16, bool, String)> {
-        let head = format!(
-            "POST {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body.as_bytes())?;
-        self.stream.flush()?;
-        let mut status_line = String::new();
-        self.reader.read_line(&mut status_line)?;
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line")
-            })?;
-        let mut content_length = 0usize;
-        let mut cache_hit = false;
-        loop {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "truncated headers",
-                ));
-            }
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            let lower = line.to_ascii_lowercase();
-            if let Some(v) = lower.strip_prefix("content-length:") {
-                content_length = v.trim().parse().unwrap_or(0);
-            } else if let Some(v) = lower.strip_prefix("x-popgame-cache:") {
-                cache_hit = v.trim() == "hit";
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
-        let body = String::from_utf8(body)
-            .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-utf8 body"))?;
-        Ok((status, cache_hit, body))
-    }
-}
 
 /// One spawned `popgame serve` process and its bound address.
 struct Instance {
@@ -151,7 +74,7 @@ impl Instance {
     /// Graceful stop: `POST /shutdown`, then reap the process.
     fn shutdown(mut self) {
         if let Ok(mut client) = Client::connect(&self.addr) {
-            let _ = client.post("/shutdown", "");
+            let _ = client.request("POST", "/shutdown", "");
         }
         let _ = self.child.wait();
     }
@@ -237,13 +160,14 @@ fn run_phase(
                             }
                         };
                         let sent = Instant::now();
-                        match client.post("/simulate", body) {
-                            Ok((200, hit, reply)) => {
+                        match client.request("POST", "/simulate", body) {
+                            Ok(reply) if reply.status == 200 => {
                                 stats.latencies_us.push(sent.elapsed().as_micros() as u64);
                                 stats.requests += 1;
+                                let hit = reply.header("x-popgame-cache") == Some("hit");
                                 stats.hits += u64::from(hit);
                                 if let Some(expect) = expected.get(canonical) {
-                                    if reply != *expect {
+                                    if reply.body != *expect {
                                         stats.mismatches += 1;
                                     }
                                 }
@@ -390,15 +314,16 @@ pub fn fleet(args: &[String]) -> Result<(), CliError> {
                     .map_err(|e| CliError::Runtime(format!("connecting {node}: {e}")))?,
             ),
         };
-        let (status, _, reply) = client
-            .post("/simulate", body)
+        let reply = client
+            .request("POST", "/simulate", body)
             .map_err(|e| CliError::Runtime(format!("warming {node}: {e}")))?;
-        if status != 200 {
+        if reply.status != 200 {
             return Err(CliError::Runtime(format!(
-                "warm request got {status}: {reply}"
+                "warm request got {}: {}",
+                reply.status, reply.body
             )));
         }
-        expected.insert(canonical.clone(), reply);
+        expected.insert(canonical.clone(), reply.body);
     }
     drop(warm_connections);
 

@@ -2,9 +2,9 @@
 //! `reproduce`, arg-parsing error paths, and a full `serve` round trip —
 //! all through real process spawns of the compiled binary.
 
+use popgame_service::http::Client;
 use popgame_util::json::Json;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
@@ -416,19 +416,13 @@ fn reproduce_trace_is_a_pure_observer() {
     }
 }
 
-/// Boots a real `popgame serve` child with a persistent cache dir and
-/// returns the child plus the bound address parsed from the readiness
-/// line.
-fn serve_with_cache(cache_dir: &std::path::Path) -> (std::process::Child, String) {
+/// Boots a real `popgame serve` child on an ephemeral port with remote
+/// shutdown and `extra` flags; returns the child plus the bound address
+/// parsed from the readiness line.
+fn spawn_serve(extra: &[&str]) -> (std::process::Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_popgame"))
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--allow-remote-shutdown",
-            "--cache-dir",
-            cache_dir.to_str().unwrap(),
-        ])
+        .args(["serve", "--addr", "127.0.0.1:0", "--allow-remote-shutdown"])
+        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -438,34 +432,15 @@ fn serve_with_cache(cache_dir: &std::path::Path) -> (std::process::Child, String
         .read_line(&mut line)
         .expect("read listening line");
     let addr = line
-        .trim()
-        .rsplit("http://")
-        .next()
-        .expect("listening line carries an address")
+        .strip_prefix("popgame serve: listening on http://")
+        .and_then(|rest| rest.strip_suffix('\n'))
+        .unwrap_or_else(|| panic!("unexpected readiness line {line:?}"))
         .to_string();
     (child, addr)
 }
 
-/// One `Connection: close` HTTP exchange against a spawned daemon.
-fn request(addr: &str, method: &str, path: &str, body: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
-        .unwrap();
-    let text = format!(
-        "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(text.as_bytes()).unwrap();
-    let mut reply = String::new();
-    stream.read_to_string(&mut reply).unwrap();
-    let (head, body) = reply.split_once("\r\n\r\n").expect("header/body split");
-    let status = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status code");
-    (status, head.to_ascii_lowercase(), body.to_string())
+fn serve_with_cache(cache_dir: &std::path::Path) -> (std::process::Child, String) {
+    spawn_serve(&["--cache-dir", cache_dir.to_str().unwrap()])
 }
 
 #[test]
@@ -487,9 +462,10 @@ fn served_reproduce_survives_a_hard_kill_byte_identically() {
 
     // First life: run the reproduce job cold and pin the artifact bytes.
     let (mut child, addr) = serve_with_cache(&cache_dir);
-    let (status, _, submitted) = request(&addr, "POST", "/reproduce", body);
-    assert_eq!(status, 202, "{submitted}");
-    let submitted = Json::parse(&submitted).unwrap();
+    let mut client = Client::connect(&addr).expect("connect");
+    let submitted = client.request("POST", "/reproduce", body).unwrap();
+    assert_eq!(submitted.status, 202, "{}", submitted.body);
+    let submitted = Json::parse(&submitted.body).unwrap();
     let job_id = submitted.get("job_id").unwrap().as_u64().unwrap();
     let artifact = submitted
         .get("artifact")
@@ -497,34 +473,25 @@ fn served_reproduce_survives_a_hard_kill_byte_identically() {
         .as_str()
         .unwrap()
         .to_string();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
-    loop {
-        let (status, _, job) = request(&addr, "GET", &format!("/jobs/{job_id}"), "");
-        assert_eq!(status, 200, "{job}");
-        let doc = Json::parse(&job).unwrap();
-        let state = doc.get("status").unwrap().as_str().unwrap().to_string();
-        if state == "done" {
-            break;
-        }
-        assert!(
-            state == "queued" || state == "running",
-            "reproduce job failed: {job}"
-        );
-        assert!(
-            std::time::Instant::now() < deadline,
-            "reproduce job stuck in {state}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    }
-    let (status, _, daemon_json) = request(&addr, "GET", &format!("/artifacts/{artifact}"), "");
-    assert_eq!(status, 200);
+    let job = client.wait_for_job(job_id, |_| {}).unwrap();
     assert_eq!(
-        daemon_json, cli_json,
+        job.get("status").unwrap().as_str(),
+        Some("done"),
+        "reproduce job failed: {job:?}"
+    );
+    let daemon_json = client
+        .request("GET", &format!("/artifacts/{artifact}"), "")
+        .unwrap();
+    assert_eq!(daemon_json.status, 200);
+    assert_eq!(
+        daemon_json.body, cli_json,
         "daemon REPORT.json must match `popgame reproduce` byte for byte"
     );
-    let (_, _, daemon_md) = request(&addr, "GET", &format!("/artifacts/{artifact}.md"), "");
+    let daemon_md = client
+        .request("GET", &format!("/artifacts/{artifact}.md"), "")
+        .unwrap();
     assert_eq!(
-        daemon_md, cli_md,
+        daemon_md.body, cli_md,
         "daemon REPORT.md must match `popgame reproduce` byte for byte"
     );
 
@@ -535,14 +502,19 @@ fn served_reproduce_survives_a_hard_kill_byte_identically() {
     // Second life on the same --cache-dir: the artifact is re-served
     // byte-identically from disk and counted as a cache hit.
     let (mut child, addr) = serve_with_cache(&cache_dir);
-    let (status, headers, revived) = request(&addr, "GET", &format!("/artifacts/{artifact}"), "");
-    assert_eq!(status, 200);
-    assert!(
-        headers.contains("x-popgame-cache: hit"),
-        "restart must serve the artifact from disk: {headers}"
+    let mut client = Client::connect(&addr).expect("connect");
+    let revived = client
+        .request("GET", &format!("/artifacts/{artifact}"), "")
+        .unwrap();
+    assert_eq!(revived.status, 200);
+    assert_eq!(
+        revived.header("x-popgame-cache"),
+        Some("hit"),
+        "restart must serve the artifact from disk: {:?}",
+        revived.headers
     );
-    assert_eq!(revived, cli_json, "disk re-serve must be byte-identical");
-    let (_, _, metrics) = request(&addr, "GET", "/metrics", "");
+    assert_eq!(revived.body, cli_json, "disk re-serve must be byte-identical");
+    let metrics = client.request("GET", "/metrics", "").unwrap().body;
     let hits = metrics
         .lines()
         .find(|line| line.starts_with("popgame_cache_hits_total"))
@@ -550,8 +522,9 @@ fn served_reproduce_survives_a_hard_kill_byte_identically() {
         .and_then(|value| value.parse::<f64>().ok())
         .expect("popgame_cache_hits_total exposed");
     assert!(hits >= 1.0, "cache-hit counter must advance: {metrics}");
-    let (status, _, reply) = request(&addr, "POST", "/shutdown", "");
-    assert_eq!(status, 200, "{reply}");
+    let reply = client.request("POST", "/shutdown", "").unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    drop(client);
     let status = child.wait().expect("daemon exits after shutdown");
     assert!(status.success(), "{status:?}");
 
@@ -600,29 +573,12 @@ fn fleet_quick_smoke_writes_the_bench_block() {
 
 #[test]
 fn serve_round_trip_shutdown() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_popgame"))
-        .args(["serve", "--addr", "127.0.0.1:0", "--allow-remote-shutdown"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn popgame serve");
-    let mut line = String::new();
-    BufReader::new(child.stdout.take().expect("piped stdout"))
-        .read_line(&mut line)
-        .expect("read listening line");
-    let addr = line
-        .trim()
-        .rsplit("http://")
-        .next()
-        .expect("listening line carries an address")
-        .to_string();
-    let mut stream = TcpStream::connect(&addr).expect("connect to served addr");
-    stream
-        .write_all(b"POST /shutdown HTTP/1.1\r\ncontent-length: 0\r\nconnection: close\r\n\r\n")
-        .unwrap();
-    let mut reply = String::new();
-    stream.read_to_string(&mut reply).unwrap();
-    assert!(reply.contains("shutting-down"), "{reply}");
+    let (mut child, addr) = spawn_serve(&[]);
+    let mut client = Client::connect(&addr).expect("connect to served addr");
+    let reply = client.request("POST", "/shutdown", "").unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert!(reply.body.contains("shutting-down"), "{}", reply.body);
+    drop(client);
     let status = child.wait().expect("serve exits after shutdown");
     assert!(status.success(), "{status:?}");
 }

@@ -181,24 +181,13 @@ fn status_class_counter(status: u16) -> Arc<Counter> {
     Arc::clone(&table[index])
 }
 
-/// Dynamics labels `/simulate` accepts, in canonical order (the
-/// [`DynamicsRule::label`] vocabulary).
-pub const DYNAMICS_LABELS: [&str; 7] = [
-    "best-response",
-    "logit",
-    "imitation",
-    "pairwise-imitation",
-    "imitation-two-way",
-    "br-sample",
-    "k-igt",
-];
-
 /// A validated `/simulate` request with every default filled in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimulateRequest {
     /// Registry scenario name.
     pub scenario: String,
-    /// Dynamics label: one of [`DYNAMICS_LABELS`].
+    /// Dynamics label: a [`DynamicsRule::label`] of
+    /// [`DynamicsRule::canonical_all`].
     pub dynamics: String,
     /// Logit inverse temperature (normalized to the default for the
     /// other rules, so it never splits their cache keys).
@@ -274,12 +263,8 @@ impl SimulateRequest {
             .transpose()?
             .unwrap_or("best-response")
             .to_string();
-        if !DYNAMICS_LABELS.contains(&dynamics.as_str()) {
-            return Err(format!(
-                "unknown dynamics {dynamics:?} ({})",
-                DYNAMICS_LABELS.join("|")
-            ));
-        }
+        DynamicsRule::from_label(&dynamics, DEFAULT_ETA)
+            .ok_or_else(|| unknown_dynamics(&dynamics))?;
         let eta = match doc.get("eta") {
             None => DEFAULT_ETA,
             Some(value) => value.as_f64().ok_or("field \"eta\" must be a number")?,
@@ -344,17 +329,23 @@ impl SimulateRequest {
     /// The revision rule. Count-parameterized rules use their canonical
     /// instances (`br-sample` at `m = 5`, `k-igt` on a 5-level grid) —
     /// the same instances the report harness sweeps.
-    pub fn rule(&self) -> DynamicsRule {
-        match self.dynamics.as_str() {
-            "best-response" => DynamicsRule::BestResponse,
-            "logit" => DynamicsRule::Logit { eta: self.eta },
-            "pairwise-imitation" => DynamicsRule::PairwiseImitation,
-            "imitation-two-way" => DynamicsRule::TwoWayImitation,
-            "br-sample" => DynamicsRule::SampledBestResponse { samples: 5 },
-            "k-igt" => DynamicsRule::KIgt { levels: 5 },
-            _ => DynamicsRule::Imitation,
-        }
+    ///
+    /// # Errors
+    ///
+    /// The `unknown dynamics` message when `dynamics` names no rule.
+    pub fn rule(&self) -> Result<DynamicsRule, String> {
+        DynamicsRule::from_label(&self.dynamics, self.eta)
+            .ok_or_else(|| unknown_dynamics(&self.dynamics))
     }
+}
+
+/// The 400 message for a dynamics label no canonical rule carries.
+fn unknown_dynamics(label: &str) -> String {
+    let labels: Vec<&str> = DynamicsRule::canonical_all()
+        .iter()
+        .map(DynamicsRule::label)
+        .collect();
+    format!("unknown dynamics {label:?} ({})", labels.join("|"))
 }
 
 /// What `/solve` should solve.
@@ -851,7 +842,7 @@ fn execute_simulate_observed(
     progress: &JobProgress,
 ) -> Result<Json, String> {
     let scenario = by_name(&request.scenario).map_err(|e| e.to_string())?;
-    let dynamics = scenario.dynamics(request.rule()).map_err(|e| e.to_string())?;
+    let dynamics = scenario.dynamics(request.rule()?).map_err(|e| e.to_string())?;
     // Rules carrying their own exact reference (k-IGT's stationary law)
     // are measured against it; everything else against the scenario's
     // symmetric equilibria. The start profile follows the same split.
@@ -1715,23 +1706,38 @@ mod tests {
     #[test]
     fn dynamics_labels_and_rules_cannot_drift() {
         use popgame_solver::dynamics::DynamicsRule;
-        // DYNAMICS_LABELS, rule(), and DynamicsRule::canonical_all() are
-        // three views of one vocabulary. A label added to the validation
-        // list but missed in rule() would silently execute imitation
-        // under the new name — this round trip catches exactly that.
-        let canonical: Vec<&str> = DynamicsRule::canonical_all()
-            .iter()
-            .map(DynamicsRule::label)
-            .collect();
-        assert_eq!(canonical, DYNAMICS_LABELS.to_vec());
-        for label in DYNAMICS_LABELS {
+        // Every canonical rule round-trips through its label: validation
+        // accepts it and rule() runs that very rule, logit at its η.
+        for rule in DynamicsRule::canonical_all() {
+            let label = rule.label();
             let doc = Json::parse(&format!(
                 r#"{{"scenario": "hawk-dove", "dynamics": "{label}"}}"#
             ))
             .unwrap();
             let request = SimulateRequest::from_json(&doc).unwrap();
-            assert_eq!(request.rule().label(), label, "rule() drifted for {label}");
+            assert_eq!(request.rule(), Ok(rule), "rule() drifted for {label}");
+            assert_eq!(DynamicsRule::from_label(label, 0.5).map(|r| r.label()), Some(label));
         }
+        assert_eq!(
+            DynamicsRule::from_label("logit", 0.5),
+            Some(DynamicsRule::Logit { eta: 0.5 })
+        );
+        // The 400 lists the labels in canonical order, byte for byte.
+        let doc = Json::parse(r#"{"scenario": "hawk-dove", "dynamics": "quantal"}"#).unwrap();
+        assert_eq!(
+            SimulateRequest::from_json(&doc).unwrap_err(),
+            "unknown dynamics \"quantal\" (best-response|logit|imitation|\
+             pairwise-imitation|imitation-two-way|br-sample|k-igt)"
+        );
+        // A request built field by field with a typo runs nothing: it
+        // used to fall through to imitation and echo the typo.
+        let doc = Json::parse(r#"{"scenario": "hawk-dove", "n": 100}"#).unwrap();
+        let mut request = SimulateRequest::from_json(&doc).unwrap();
+        request.dynamics = "imitaton".to_string();
+        let error = request.rule().unwrap_err();
+        assert!(error.starts_with("unknown dynamics \"imitaton\""), "{error}");
+        let never = AtomicBool::new(false);
+        assert_eq!(execute_simulate(&request, &never).unwrap_err(), error);
     }
 
     #[test]

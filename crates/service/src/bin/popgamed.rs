@@ -14,10 +14,7 @@
 //! exits 0. See the crate docs and the README "Serving" section for the
 //! endpoint reference.
 
-use popgame_obs::log as obs_log;
-use popgame_service::{PopgameService, ServiceConfig, SERVE_USAGE};
-use popgame_util::json::Json;
-use std::io::Write as _;
+use popgame_service::{run_daemon, ServiceConfig, SERVE_USAGE};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -30,32 +27,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let remote_shutdown = config.remote_shutdown;
-    let service = match PopgameService::start(config) {
-        Ok(service) => service,
+    match run_daemon(config, "popgamed listening on") {
+        Ok(()) => ExitCode::SUCCESS,
         Err(error) => {
             eprintln!("error: failed to bind: {error}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // The stdout line is the machine-readable readiness signal (CI and
-    // perfbench grep for it); the structured record is for log streams.
-    println!("popgamed listening on http://{}", service.local_addr());
-    let _ = std::io::stdout().flush();
-    obs_log::info(
-        "popgamed",
-        "listening",
-        &[("addr", Json::Str(service.local_addr().to_string()))],
-    );
-    if remote_shutdown {
-        service.wait_for_remote_shutdown();
-        obs_log::info("popgamed", "shutdown requested, draining", &[]);
-        service.shutdown();
-        ExitCode::SUCCESS
-    } else {
-        // Serve until the process is signalled.
-        loop {
-            std::thread::park();
+            ExitCode::FAILURE
         }
     }
 }

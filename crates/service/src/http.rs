@@ -1,5 +1,5 @@
-//! A minimal HTTP/1.1 server on `std::net` — no async runtime, no
-//! dependencies.
+//! A minimal HTTP/1.1 server and client on `std::net` — no async
+//! runtime, no dependencies.
 //!
 //! Architecture: one accept thread feeds accepted connections into a
 //! **bounded** `mpsc::sync_channel`; a fixed pool of worker threads pops
@@ -19,22 +19,30 @@
 //! the reply is `400`; any `Transfer-Encoding` is answered `501 Not
 //! Implemented`. Both replies close the connection.
 //!
+//! [`Client`] is the other direction: a keep-alive client that reads
+//! replies through the same head reader, so a reply is framed by the
+//! same rules as a request. The CLI's `fleet`, the test suites and the
+//! examples all reach the daemon through it.
+//!
 //! Each response — head and body — goes out in one vectored write, so a
 //! `TCP_NODELAY` socket sends it without a separate head segment.
 //!
 //! Graceful shutdown: raise the flag, nudge the accept loop with a
 //! loopback connection, drop the queue sender, and join every thread.
 //! In-flight requests complete; queued connections are served; nothing
-//! is torn down mid-response.
+//! is torn down mid-response. A worker holding an idle keep-alive
+//! connection frees itself at the read timeout, or as soon as the
+//! client hangs up.
 
 use popgame_obs::metrics::{registry, Counter, Gauge, GaugeGuard};
+use popgame_util::json::Json;
 use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Pending connections sitting in the bounded queue right now.
 pub(crate) fn queue_depth_gauge() -> &'static Arc<Gauge> {
@@ -186,10 +194,7 @@ impl Response {
 
     /// A JSON error envelope `{"error": …}`.
     pub fn error(status: u16, message: &str) -> Self {
-        let doc = popgame_util::json::Json::obj([(
-            "error",
-            popgame_util::json::Json::from(message),
-        )]);
+        let doc = Json::obj([("error", Json::from(message))]);
         Response::json(status, doc.encode())
     }
 
@@ -396,7 +401,7 @@ fn serve_connection(
                     break;
                 }
             }
-            Err(ParseError::Eof) => break,
+            Err(ParseError::Io(_)) => break,
             Err(ParseError::Bad(status, message)) => {
                 parse_error_counter().inc();
                 let _ = write_response(&mut writer, &Response::error(status, &message), false);
@@ -407,21 +412,36 @@ fn serve_connection(
 }
 
 enum ParseError {
-    /// Connection ended (EOF or timeout) with no request in flight.
-    Eof,
-    /// Malformed or oversized request: respond with this status and close.
+    /// The connection failed: EOF mid-message, timeout or reset. The
+    /// server closes quietly; the client returns the error.
+    Io(io::Error),
+    /// Malformed or oversized message: the server answers this status
+    /// and closes; the client refuses the reply with the message.
     Bad(u16, String),
 }
 
+impl From<ParseError> for io::Error {
+    fn from(error: ParseError) -> io::Error {
+        match error {
+            ParseError::Io(error) => error,
+            ParseError::Bad(_, message) => invalid(message),
+        }
+    }
+}
+
+fn invalid(message: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message.into())
+}
+
 /// Reads one CRLF-terminated line, hard-capped at `limit` bytes so a
-/// client streaming an endless newline-free header cannot grow the
+/// peer streaming an endless newline-free header cannot grow the
 /// buffer without bound. Returns the byte count (0 at clean EOF).
 fn read_capped_line(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut impl BufRead,
     line: &mut String,
     limit: usize,
 ) -> Result<usize, ParseError> {
-    let mut limited = reader.by_ref().take(limit as u64 + 1);
+    let mut limited = reader.take(limit as u64 + 1);
     match limited.read_line(line) {
         Ok(0) => Ok(0),
         Ok(n) if n > limit => Err(ParseError::Bad(400, "header line too large".to_string())),
@@ -433,14 +453,109 @@ fn read_capped_line(
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
             Err(ParseError::Bad(400, "headers are not UTF-8".to_string()))
         }
-        Err(_) => Err(ParseError::Eof), // timeout or reset
+        Err(e) => Err(ParseError::Io(e)), // timeout or reset
+    }
+}
+
+/// What a message head says about the body after it.
+struct Framing {
+    /// The `Content-Length`, when the head carried one.
+    content_length: Option<usize>,
+    /// `Some(true)` after `Connection: close`, `Some(false)` after
+    /// `Connection: keep-alive`; the last such header wins.
+    close: Option<bool>,
+}
+
+/// Reads the header lines of a request or a reply through the blank
+/// line that ends the head, under the framing rules both directions
+/// share. `head_bytes` is what the start line already used of
+/// [`MAX_HEAD`]. Each header goes to `on_header` as trimmed `(name,
+/// value)`, so a caller that keeps none stores nothing.
+fn read_headers(
+    reader: &mut impl BufRead,
+    mut head_bytes: usize,
+    mut on_header: impl FnMut(&str, &str),
+) -> Result<Framing, ParseError> {
+    let mut framing = Framing {
+        content_length: None,
+        close: None,
+    };
+    let mut line = String::new();
+    for _ in 0..MAX_HEADERS {
+        let remaining = MAX_HEAD.saturating_sub(head_bytes);
+        if remaining == 0 {
+            return Err(ParseError::Bad(400, "headers too large".to_string()));
+        }
+        line.clear();
+        match read_capped_line(reader, &mut line, remaining)? {
+            0 => return Err(ParseError::Bad(400, "truncated headers".to_string())),
+            n => head_bytes += n,
+        }
+        let header = line.trim_end();
+        if header.is_empty() {
+            return Ok(framing);
+        }
+        let Some((name, value)) = header.split_once(':') else {
+            return Err(ParseError::Bad(400, format!("malformed header: {header:?}")));
+        };
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
+            // RFC 9110 §8.6: `1*DIGIT`. `usize::from_str` also takes a
+            // leading `+`, which another parser in the chain may not.
+            let parsed = match value.parse::<usize>() {
+                Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
+                _ => return Err(ParseError::Bad(400, format!("bad content-length: {value:?}"))),
+            };
+            // Duplicate Content-Length headers used to be last-wins —
+            // the request-smuggling shape, where two parsers in the
+            // chain pick different values and disagree on where the
+            // body ends. Identical repeats are harmless; a conflict
+            // is fatal.
+            if let Some(previous) = framing.content_length {
+                if previous != parsed {
+                    return Err(ParseError::Bad(
+                        400,
+                        format!("conflicting content-length headers: {previous} vs {parsed}"),
+                    ));
+                }
+            }
+            framing.content_length = Some(parsed);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            // No chunked (or any other) transfer coding is implemented. A
+            // parser that ignored the header would frame such a body as
+            // empty and read its chunk lines as the next message on the
+            // connection — the smuggling shape again — so refuse and close.
+            return Err(ParseError::Bad(
+                501,
+                format!("transfer-encoding not implemented: {value:?}"),
+            ));
+        } else if name.eq_ignore_ascii_case("connection") {
+            if value.eq_ignore_ascii_case("close") {
+                framing.close = Some(true);
+            } else if value.eq_ignore_ascii_case("keep-alive") {
+                framing.close = Some(false);
+            }
+        }
+        on_header(name, value);
+    }
+    Err(ParseError::Bad(400, "too many headers".to_string()))
+}
+
+/// Reads exactly `len` body bytes.
+fn read_body(reader: &mut impl BufRead, len: usize) -> Result<Vec<u8>, ParseError> {
+    // Capacity up front for the common case, not for whatever a
+    // garbled length claims: a short body stops the read at EOF.
+    let mut body = Vec::with_capacity(len.min(1 << 20));
+    match reader.take(len as u64).read_to_end(&mut body) {
+        Ok(n) if n == len => Ok(body),
+        _ => Err(ParseError::Bad(400, "truncated body".to_string())),
     }
 }
 
 /// Reads one request. `Ok(None)` when the connection ended cleanly before
 /// a request started.
 fn read_request(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut impl BufRead,
     max_body: usize,
 ) -> Result<Option<Request>, ParseError> {
     let mut line = String::new();
@@ -469,92 +584,19 @@ fn read_request(
         return Err(ParseError::Bad(400, format!("unsupported version: {version}")));
     }
     let path = target.split('?').next().unwrap_or("").to_string();
-
-    let mut content_length: Option<usize> = None;
-    // Persistence default follows the protocol version: HTTP/1.1 keeps
-    // alive, HTTP/1.0 closes unless the client opts in.
-    let mut close = version == "HTTP/1.0";
-    let mut head_bytes = line.len();
-    for _ in 0..MAX_HEADERS {
-        let remaining = MAX_HEAD.saturating_sub(head_bytes);
-        if remaining == 0 {
-            return Err(ParseError::Bad(400, "headers too large".to_string()));
-        }
-        let mut header = String::new();
-        match read_capped_line(reader, &mut header, remaining)? {
-            0 => return Err(ParseError::Bad(400, "truncated headers".to_string())),
-            n => head_bytes += n,
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            let content_length = content_length.unwrap_or(0);
-            let body = if content_length > 0 {
-                if content_length > max_body {
-                    return Err(ParseError::Bad(413, "request body too large".to_string()));
-                }
-                let mut body = vec![0u8; content_length];
-                if reader.read_exact(&mut body).is_err() {
-                    return Err(ParseError::Bad(400, "truncated body".to_string()));
-                }
-                body
-            } else {
-                Vec::new()
-            };
-            return Ok(Some(Request {
-                method: method.to_uppercase(),
-                path,
-                body,
-                close,
-            }));
-        }
-        let Some((name, value)) = header.split_once(':') else {
-            return Err(ParseError::Bad(400, format!("malformed header: {header:?}")));
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        match name.as_str() {
-            "content-length" => {
-                // RFC 9110 §8.6: `1*DIGIT`. `usize::from_str` also takes a
-                // leading `+`, which another parser in the chain may not.
-                let parsed = match value.parse::<usize>() {
-                    Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
-                    _ => {
-                        return Err(ParseError::Bad(400, format!("bad content-length: {value:?}")))
-                    }
-                };
-                // Duplicate Content-Length headers used to be last-wins —
-                // the request-smuggling shape, where two parsers in the
-                // chain pick different values and disagree on where the
-                // body ends. Identical repeats are harmless; a conflict
-                // is fatal.
-                if let Some(previous) = content_length {
-                    if previous != parsed {
-                        return Err(ParseError::Bad(
-                            400,
-                            format!(
-                                "conflicting content-length headers: {previous} vs {parsed}"
-                            ),
-                        ));
-                    }
-                }
-                content_length = Some(parsed);
-            }
-            // No chunked (or any other) transfer coding is implemented. A
-            // parser that ignored the header would frame such a body as
-            // empty and read its chunk lines as the next request on the
-            // connection — the smuggling shape again — so refuse and close.
-            "transfer-encoding" => {
-                return Err(ParseError::Bad(
-                    501,
-                    format!("transfer-encoding not implemented: {value:?}"),
-                ));
-            }
-            "connection" if value.eq_ignore_ascii_case("close") => close = true,
-            "connection" if value.eq_ignore_ascii_case("keep-alive") => close = false,
-            _ => {}
-        }
+    let framing = read_headers(reader, line.len(), |_, _| {})?;
+    let content_length = framing.content_length.unwrap_or(0);
+    if content_length > max_body {
+        return Err(ParseError::Bad(413, "request body too large".to_string()));
     }
-    Err(ParseError::Bad(400, "too many headers".to_string()))
+    Ok(Some(Request {
+        method: method.to_uppercase(),
+        path,
+        body: read_body(reader, content_length)?,
+        // Persistence default follows the protocol version: HTTP/1.1
+        // keeps alive, HTTP/1.0 closes unless the client opts in.
+        close: framing.close.unwrap_or(version == "HTTP/1.0"),
+    }))
 }
 
 fn write_response(w: &mut impl Write, response: &Response, keep_alive: bool) -> io::Result<()> {
@@ -602,6 +644,184 @@ fn write_all_vectored(w: &mut impl Write, mut slices: &mut [IoSlice<'_>]) -> io:
     Ok(())
 }
 
+/// How long a [`Client`] waits on a silent server for reply bytes.
+const CLIENT_READ_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long [`Client::wait_for_job`] polls, and how often.
+const JOB_DEADLINE: Duration = Duration::from_secs(30);
+const JOB_POLL: Duration = Duration::from_millis(1);
+
+/// One reply, as [`Client::request`] reads it.
+#[derive(Debug, Clone)]
+pub struct Reply {
+    /// HTTP status code.
+    pub status: u16,
+    /// Headers in arrival order: names lower-cased, values trimmed.
+    pub headers: Vec<(String, String)>,
+    /// The body (every endpoint of this service answers UTF-8).
+    pub body: String,
+}
+
+impl Reply {
+    /// The first value of header `name`, which must be lower-case.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.headers
+            .iter()
+            .find(|(key, _)| key == name)
+            .map(|(_, value)| value.as_str())
+    }
+}
+
+/// A keep-alive HTTP/1.1 client for one server. Replies are read with
+/// the server's own head reader and framing rules: a non-digit or
+/// conflicting `Content-Length`, a `Transfer-Encoding` or a short body
+/// is an error, and the connection is dropped rather than read on out
+/// of frame. A kept-alive connection the server has since closed (its
+/// idle read timeout) is replaced before the request goes out; a request
+/// is never sent twice.
+pub struct Client {
+    addr: SocketAddr,
+    connection: Option<BufReader<TcpStream>>,
+}
+
+impl Client {
+    /// Connects to `addr`.
+    ///
+    /// # Errors
+    ///
+    /// An address that does not resolve, or the connect failure.
+    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
+        let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing")
+        })?;
+        let mut client = Client {
+            addr,
+            connection: None,
+        };
+        client.open()?;
+        Ok(client)
+    }
+
+    fn open(&mut self) -> io::Result<()> {
+        let stream = TcpStream::connect(self.addr)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(CLIENT_READ_TIMEOUT))?;
+        self.connection = Some(BufReader::new(stream));
+        Ok(())
+    }
+
+    /// Sends `method path` with `body` and reads the reply.
+    ///
+    /// # Errors
+    ///
+    /// A transport failure, or a reply the server's framing rules
+    /// refuse; either way the connection is dropped and the next request
+    /// opens a new one.
+    pub fn request(&mut self, method: &str, path: &str, body: &str) -> io::Result<Reply> {
+        if !self.connection.as_ref().is_some_and(still_open) {
+            self.open()?;
+        }
+        let reader = self.connection.as_mut().expect("opened above");
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        );
+        let mut slices = [IoSlice::new(head.as_bytes()), IoSlice::new(body.as_bytes())];
+        let result = write_all_vectored(&mut reader.get_ref(), &mut slices)
+            .and_then(|()| read_reply(reader));
+        if !matches!(result, Ok((_, true))) {
+            self.connection = None;
+        }
+        result.map(|(reply, _)| reply)
+    }
+
+    /// Polls `GET /jobs/{id}` until the job leaves `queued`/`running`,
+    /// handing every polled document to `observe`, and returns the last.
+    ///
+    /// # Errors
+    ///
+    /// A failed request, a reply other than a 200 job document, or a job
+    /// still unfinished after 30 seconds (`TimedOut`).
+    pub fn wait_for_job(&mut self, id: u64, mut observe: impl FnMut(&Json)) -> io::Result<Json> {
+        let path = format!("/jobs/{id}");
+        let deadline = Instant::now() + JOB_DEADLINE;
+        loop {
+            let reply = self.request("GET", &path, "")?;
+            let doc = match Json::parse(&reply.body) {
+                Ok(doc) if reply.status == 200 => doc,
+                _ => return Err(invalid(format!("GET {path}: {}", reply.body))),
+            };
+            observe(&doc);
+            let status = doc.get("status").and_then(Json::as_str);
+            if !matches!(status, Some("queued" | "running")) {
+                return Ok(doc);
+            }
+            if Instant::now() >= deadline {
+                let message = format!("job {id} unfinished after {JOB_DEADLINE:?}");
+                return Err(io::Error::new(io::ErrorKind::TimedOut, message));
+            }
+            std::thread::sleep(JOB_POLL);
+        }
+    }
+}
+
+/// Whether a kept-alive connection can carry another request: nothing
+/// unread is buffered, and a non-blocking peek finds no EOF, reset or
+/// stray bytes from the server, only an empty socket.
+fn still_open(reader: &BufReader<TcpStream>) -> bool {
+    let stream = reader.get_ref();
+    if !reader.buffer().is_empty() || stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let idle = matches!(stream.peek(&mut [0u8]), Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+    stream.set_nonblocking(false).is_ok() && idle
+}
+
+/// Reads one reply; the flag says whether the server keeps the
+/// connection open.
+fn read_reply(reader: &mut impl BufRead) -> io::Result<(Reply, bool)> {
+    let mut line = String::new();
+    if read_capped_line(reader, &mut line, MAX_HEAD)? == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "server closed the connection without replying",
+        ));
+    }
+    let line = line.trim_end();
+    let mut parts = line.splitn(3, ' ');
+    let (version, code) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+    let status = match (version, code.parse()) {
+        ("HTTP/1.1" | "HTTP/1.0", Ok(status))
+            if code.len() == 3 && code.bytes().all(|b| b.is_ascii_digit()) =>
+        {
+            status
+        }
+        _ => return Err(invalid(format!("malformed status line: {line:?}"))),
+    };
+    let mut headers = Vec::new();
+    let framing = read_headers(reader, line.len(), |name, value| {
+        headers.push((name.to_ascii_lowercase(), value.to_string()));
+    })?;
+    let length = framing
+        .content_length
+        .ok_or_else(|| invalid("reply without content-length"))?;
+    let body = String::from_utf8(read_body(reader, length)?)
+        .map_err(|_| invalid("reply body is not UTF-8"))?;
+    let reply = Reply {
+        status,
+        headers,
+        body,
+    };
+    Ok((reply, !framing.close.unwrap_or(version == "HTTP/1.0")))
+}
+
+#[cfg(test)]
+impl Client {
+    /// The local address of the open connection, if one is open.
+    pub(crate) fn local_addr(&self) -> Option<SocketAddr> {
+        self.connection.as_ref()?.get_ref().local_addr().ok()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,49 +863,79 @@ mod tests {
     #[test]
     fn serves_get_and_post_with_body() {
         let server = echo_server(2, 16);
-        let addr = server.local_addr();
-        let reply = raw_request(
-            addr,
-            "GET /healthz HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n",
-        );
-        assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
-        assert!(reply.contains("\"path\":\"/healthz\""), "{reply}");
-        let reply = raw_request(
-            addr,
-            "POST /solve HTTP/1.1\r\ncontent-length: 4\r\nconnection: close\r\n\r\nabcd",
-        );
-        assert!(reply.contains("\"len\":4"), "{reply}");
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let reply = client.request("GET", "/healthz?probe=1", "").unwrap();
+        assert_eq!(reply.status, 200);
+        assert_eq!(reply.header("content-type"), Some("application/json"));
+        assert_eq!(reply.body, r#"{"method":"GET","path":"/healthz","len":0}"#);
+        let reply = client.request("POST", "/solve", "abcd").unwrap();
+        assert_eq!(reply.body, r#"{"method":"POST","path":"/solve","len":4}"#);
     }
 
     #[test]
     fn keep_alive_serves_multiple_requests_per_connection() {
         let server = echo_server(1, 16);
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let first = client.local_addr();
         for i in 0..3 {
-            stream
-                .write_all(format!("GET /r{i} HTTP/1.1\r\n\r\n").as_bytes())
-                .unwrap();
-            // Read the response head, then exactly content-length bytes.
-            let mut content_length = 0usize;
-            loop {
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                let line = line.trim_end();
-                if line.is_empty() {
-                    break;
-                }
-                if let Some(v) = line.strip_prefix("content-length: ") {
-                    content_length = v.parse().unwrap();
-                }
+            let reply = client.request("GET", &format!("/r{i}"), "").unwrap();
+            assert!(reply.body.contains(&format!("/r{i}")), "{}", reply.body);
+            assert_eq!(reply.header("connection"), Some("keep-alive"));
+        }
+        assert_eq!(client.local_addr(), first, "one connection for all three");
+    }
+
+    /// Accepts one connection per canned reply; on each it reads one
+    /// request and answers with the reply, then hangs up. Joining the
+    /// thread returns the number of connections accepted.
+    fn canned_server(replies: Vec<&'static str>) -> (SocketAddr, JoinHandle<usize>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            for reply in &replies {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                assert!(matches!(read_request(&mut reader, 0), Ok(Some(_))));
+                stream.write_all(reply.as_bytes()).unwrap();
             }
-            let mut body = vec![0u8; content_length];
-            reader.read_exact(&mut body).unwrap();
-            let body = String::from_utf8(body).unwrap();
-            assert!(body.contains(&format!("/r{i}")), "{body}");
+            replies.len()
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn client_refuses_misframed_replies_and_reconnects() {
+        const GOOD: &str = "HTTP/1.1 200 OK\r\ncontent-length: 2\r\nX-Test: Yes\r\n\r\nok";
+        for (bad, needle) in [
+            (
+                "HTTP/1.1 200 OK\r\ncontent-length: +5\r\n\r\nhello",
+                "bad content-length",
+            ),
+            (
+                "HTTP/1.1 200 OK\r\ncontent-length: 5\r\ncontent-length: 6\r\n\r\nhello!",
+                "conflicting content-length",
+            ),
+            (
+                "HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\nhello",
+                "truncated body",
+            ),
+            ("HTTP/1.1 200 OK\r\n\r\nhello", "without content-length"),
+            (
+                "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+                "transfer-encoding",
+            ),
+        ] {
+            let (addr, server) = canned_server(vec![bad, GOOD]);
+            let mut client = Client::connect(addr).unwrap();
+            let error = client.request("GET", "/", "").unwrap_err();
+            assert_eq!(error.kind(), io::ErrorKind::InvalidData, "{bad:?}");
+            assert!(error.to_string().contains(needle), "{bad:?}: {error}");
+            let reply = client.request("GET", "/", "").unwrap();
+            assert_eq!(reply.status, 200);
+            assert_eq!(reply.body, "ok");
+            assert_eq!(reply.header("x-test"), Some("Yes"));
+            assert_eq!(reply.headers[1], ("x-test".to_string(), "Yes".to_string()));
+            assert_eq!(server.join().unwrap(), 2, "{bad:?}: second request reconnects");
         }
     }
 
@@ -703,16 +953,38 @@ mod tests {
     #[test]
     fn malformed_requests_get_400() {
         let server = echo_server(1, 16);
-        let reply = raw_request(server.local_addr(), "NONSENSE\r\n\r\n");
-        assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
-        // Content-Length is `1*DIGIT` only: `+5` parses as a usize but
-        // is not a valid length.
-        for length in ["-3", "+5"] {
-            let reply = raw_request(
-                server.local_addr(),
-                &format!("GET / HTTP/1.1\r\ncontent-length: {length}\r\n\r\nabcde"),
-            );
-            assert!(reply.starts_with("HTTP/1.1 400"), "{length}: {reply}");
+        for (request, status, needle) in [
+            ("NONSENSE\r\n\r\n", 400, "malformed request line"),
+            // Content-Length is `1*DIGIT` only: `+5` parses as a usize
+            // but is not a valid length.
+            ("GET / HTTP/1.1\r\ncontent-length: -3\r\n\r\nabc", 400, "bad content-length"),
+            ("GET / HTTP/1.1\r\ncontent-length: +5\r\n\r\nabcde", 400, "bad content-length"),
+            // Conflicting duplicates are the smuggling shape: two parsers
+            // in a chain could pick different values and disagree on body
+            // framing. An identical repeat names one unambiguous length.
+            (
+                "POST / HTTP/1.1\r\ncontent-length: 4\r\ncontent-length: 7\r\n\r\nabcdefg",
+                400,
+                "conflicting content-length",
+            ),
+            (
+                "POST / HTTP/1.1\r\ncontent-length: 4\r\ncontent-length: 4\r\n\
+                 connection: close\r\n\r\nabcd",
+                200,
+                "\"len\":4",
+            ),
+            ("GET / HTTP/1.1 junk\r\n\r\n", 400, "extra tokens"),
+            // Only the two HTTP/1.x revisions that exist parse.
+            ("GET / HTTP/1.2\r\n\r\n", 400, "unsupported version"),
+            ("GET / HTTP/1.7\r\n\r\n", 400, "unsupported version"),
+            ("GET / HTTP/1.10\r\n\r\n", 400, "unsupported version"),
+            ("GET /ok HTTP/1.0\r\n\r\n", 200, "/ok"),
+            ("GET /ok HTTP/1.1\r\nconnection: close\r\n\r\n", 200, "/ok"),
+        ] {
+            let reply = raw_request(server.local_addr(), request);
+            let status_line = format!("HTTP/1.1 {status} ");
+            assert!(reply.starts_with(&status_line), "{request:?}: {reply}");
+            assert!(reply.contains(needle), "{request:?}: {reply}");
         }
     }
 
@@ -800,60 +1072,6 @@ mod tests {
     }
 
     #[test]
-    fn conflicting_duplicate_content_lengths_get_400() {
-        let server = echo_server(1, 16);
-        // Conflicting duplicates are the smuggling shape: two parsers in a
-        // chain could pick different values and disagree on body framing.
-        let reply = raw_request(
-            server.local_addr(),
-            "POST / HTTP/1.1\r\ncontent-length: 4\r\ncontent-length: 7\r\n\
-             connection: close\r\n\r\nabcdefg",
-        );
-        assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
-        assert!(reply.contains("conflicting content-length"), "{reply}");
-        // An identical repeat names one unambiguous body length: allowed.
-        let reply = raw_request(
-            server.local_addr(),
-            "POST / HTTP/1.1\r\ncontent-length: 4\r\ncontent-length: 4\r\n\
-             connection: close\r\n\r\nabcd",
-        );
-        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
-        assert!(reply.contains("\"len\":4"), "{reply}");
-    }
-
-    #[test]
-    fn request_lines_with_trailing_tokens_get_400() {
-        let server = echo_server(1, 16);
-        let reply = raw_request(
-            server.local_addr(),
-            "GET / HTTP/1.1 junk\r\nconnection: close\r\n\r\n",
-        );
-        assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
-        assert!(reply.contains("extra tokens"), "{reply}");
-    }
-
-    #[test]
-    fn unknown_http_1x_minors_get_400() {
-        let server = echo_server(1, 16);
-        for version in ["HTTP/1.2", "HTTP/1.7", "HTTP/1.10"] {
-            let reply = raw_request(
-                server.local_addr(),
-                &format!("GET / {version}\r\nconnection: close\r\n\r\n"),
-            );
-            assert!(reply.starts_with("HTTP/1.1 400"), "{version}: {reply}");
-            assert!(reply.contains("unsupported version"), "{version}: {reply}");
-        }
-        // The two real revisions still parse.
-        for version in ["HTTP/1.0", "HTTP/1.1"] {
-            let reply = raw_request(
-                server.local_addr(),
-                &format!("GET /ok {version}\r\nconnection: close\r\n\r\n"),
-            );
-            assert!(reply.starts_with("HTTP/1.1 200"), "{version}: {reply}");
-        }
-    }
-
-    #[test]
     fn oversized_bodies_get_413() {
         let handler: Handler = Arc::new(|_req| Response::json(200, "{}".to_string()));
         let server = HttpServer::bind(
@@ -915,8 +1133,9 @@ mod tests {
     fn graceful_shutdown_joins_all_threads() {
         let mut server = echo_server(2, 8);
         let addr = server.local_addr();
-        let reply = raw_request(addr, "GET /x HTTP/1.1\r\nconnection: close\r\n\r\n");
-        assert!(reply.contains("200 OK"));
+        let mut client = Client::connect(addr).unwrap();
+        assert_eq!(client.request("GET", "/x", "").unwrap().status, 200);
+        drop(client);
         server.shutdown();
         server.shutdown(); // idempotent
         assert!(TcpStream::connect(addr).is_err() || {

@@ -7,9 +7,10 @@
 //! that turns scenario × dynamics × population jobs into
 //! equilibrium-distance answers.
 //!
-//! * [`http`] — the `TcpListener` server: fixed worker pool, **bounded**
-//!   connection queue with 503 backpressure, keep-alive, graceful
-//!   shutdown.
+//! * [`http`] — the HTTP/1.1 framing module, both directions: the
+//!   `TcpListener` server (fixed worker pool, **bounded** connection
+//!   queue with 503 backpressure, keep-alive, graceful shutdown) and the
+//!   keep-alive [`http::Client`] that reads replies by the same rules.
 //! * [`api`] — endpoints (`/healthz`, `/scenarios`, `/solve`,
 //!   `/simulate`, `/jobs`, `/reproduce`, `/artifacts/{id}`), request
 //!   validation, and the canonical request form.
@@ -23,20 +24,22 @@
 //! * [`ring`] — consistent-hash routing for share-nothing multi-instance
 //!   fleets (`popgame fleet` routes canonical keys over it).
 //!
+//! [`run_daemon`] is the main loop of both daemon entry points,
+//! `popgamed` and `popgame serve`.
+//!
 //! # Example
 //!
 //! ```
+//! use popgame_service::http::Client;
 //! use popgame_service::{PopgameService, ServiceConfig};
-//! use std::io::{Read, Write};
 //!
 //! let service = PopgameService::start(ServiceConfig::default()).unwrap();
-//! let mut stream = std::net::TcpStream::connect(service.local_addr()).unwrap();
-//! stream
-//!     .write_all(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
-//!     .unwrap();
-//! let mut reply = String::new();
-//! stream.read_to_string(&mut reply).unwrap();
-//! assert!(reply.contains("\"status\":\"ok\""));
+//! let mut client = Client::connect(service.local_addr()).unwrap();
+//! let reply = client.request("GET", "/healthz", "").unwrap();
+//! assert_eq!(reply.status, 200);
+//! assert!(reply.body.contains("\"status\":\"ok\""));
+//! // Hang up first: a worker holds a kept-alive connection until then.
+//! drop(client);
 //! service.shutdown();
 //! ```
 
@@ -50,8 +53,10 @@ use api::AppState;
 use cache::ResultCache;
 use http::{Handler, HttpConfig, HttpServer};
 use jobs::{Executor, JobStore};
+use popgame_obs::log as obs_log;
 use popgame_report::SweepObserver;
-use std::io;
+use popgame_util::json::Json;
+use std::io::{self, Write as _};
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver};
@@ -137,52 +142,34 @@ impl ServiceConfig {
         };
         let mut it = args.iter();
         while let Some(arg) = it.next() {
-            let mut value_of = |flag: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match arg.as_str() {
-                "--addr" => config.addr = value_of("--addr")?,
-                "--http-workers" => {
-                    config.http_workers = value_of("--http-workers")?
-                        .parse()
-                        .map_err(|e| format!("--http-workers: {e}"))?;
-                }
-                "--job-workers" => {
-                    config.job_workers = value_of("--job-workers")?
-                        .parse()
-                        .map_err(|e| format!("--job-workers: {e}"))?;
-                }
-                "--queue-depth" => {
-                    config.queue_depth = value_of("--queue-depth")?
-                        .parse()
-                        .map_err(|e| format!("--queue-depth: {e}"))?;
-                }
-                "--job-queue-depth" => {
-                    config.job_queue_depth = value_of("--job-queue-depth")?
-                        .parse()
-                        .map_err(|e| format!("--job-queue-depth: {e}"))?;
-                }
-                "--workers" => {
-                    config.sim_workers = Some(
-                        value_of("--workers")?
-                            .parse()
-                            .map_err(|e| format!("--workers: {e}"))?,
-                    );
-                }
-                "--cache-dir" => config.cache_dir = Some(value_of("--cache-dir")?),
-                "--cache-disk-budget" => {
-                    config.cache_disk_budget = value_of("--cache-disk-budget")?
-                        .parse()
-                        .map_err(|e| format!("--cache-disk-budget: {e}"))?;
-                }
+            let flag = arg.as_str();
+            match flag {
+                "--addr" => config.addr = flag_value(&mut it, flag)?,
+                "--http-workers" => config.http_workers = flag_value(&mut it, flag)?,
+                "--job-workers" => config.job_workers = flag_value(&mut it, flag)?,
+                "--queue-depth" => config.queue_depth = flag_value(&mut it, flag)?,
+                "--job-queue-depth" => config.job_queue_depth = flag_value(&mut it, flag)?,
+                "--workers" => config.sim_workers = Some(flag_value(&mut it, flag)?),
+                "--cache-dir" => config.cache_dir = Some(flag_value(&mut it, flag)?),
+                "--cache-disk-budget" => config.cache_disk_budget = flag_value(&mut it, flag)?,
                 "--allow-remote-shutdown" => config.remote_shutdown = true,
                 other => return Err(format!("unknown argument: {other}")),
             }
         }
         Ok(config)
     }
+}
+
+/// Parses the value that follows `flag`.
+fn flag_value<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 /// A running service: HTTP server + job executors + shared state.
@@ -284,39 +271,74 @@ impl PopgameService {
     }
 }
 
+/// The daemon main loop shared by `popgamed` and `popgame serve`: starts
+/// the service, prints `{banner} http://ADDR` on stdout as the readiness
+/// line (port 0 resolved; CI, perfbench and `popgame fleet` parse it),
+/// then serves until a `POST /shutdown` when `remote_shutdown` is set,
+/// draining gracefully, or until the process is signalled otherwise.
+///
+/// # Errors
+///
+/// The bind failure.
+pub fn run_daemon(config: ServiceConfig, banner: &str) -> io::Result<()> {
+    let remote_shutdown = config.remote_shutdown;
+    let service = PopgameService::start(config)?;
+    let addr = service.local_addr();
+    println!("{banner} http://{addr}");
+    let _ = io::stdout().flush();
+    obs_log::info("popgamed", "listening", &[("addr", Json::Str(addr.to_string()))]);
+    if !remote_shutdown {
+        loop {
+            std::thread::park();
+        }
+    }
+    service.wait_for_remote_shutdown();
+    obs_log::info("popgamed", "shutdown requested, draining", &[]);
+    service.shutdown();
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
-
-    fn request(addr: SocketAddr, text: &str) -> String {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(text.as_bytes()).unwrap();
-        let mut out = String::new();
-        stream.read_to_string(&mut out).unwrap();
-        out
-    }
+    use http::Client;
 
     #[test]
     fn full_stack_smoke() {
         let service = PopgameService::start(ServiceConfig::default()).unwrap();
-        let addr = service.local_addr();
-        let health = request(addr, "GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n");
-        assert!(health.contains("200 OK"), "{health}");
+        let mut client = Client::connect(service.local_addr()).unwrap();
+        let health = client.request("GET", "/healthz", "").unwrap();
+        assert_eq!(health.status, 200, "{}", health.body);
         let body = r#"{"scenario":"hawk-dove","n":200,"interactions":4000,"replicas":2}"#;
-        let text = format!(
-            "POST /simulate HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-            body.len()
-        );
-        let cold = request(addr, &text);
-        assert!(cold.contains("x-popgame-cache: miss"), "{cold}");
-        let warm = request(addr, &text);
-        assert!(warm.contains("x-popgame-cache: hit"), "{warm}");
-        // Same body bytes after the headers.
-        let tail = |s: &str| s.split("\r\n\r\n").nth(1).unwrap().to_string();
-        assert_eq!(tail(&cold), tail(&warm));
+        let cold = client.request("POST", "/simulate", body).unwrap();
+        assert_eq!(cold.header("x-popgame-cache"), Some("miss"));
+        let warm = client.request("POST", "/simulate", body).unwrap();
+        assert_eq!(warm.header("x-popgame-cache"), Some("hit"));
+        assert_eq!(cold.body, warm.body);
         assert_eq!(service.state().cache.hits(), 1);
+        drop(client);
+        service.shutdown();
+    }
+
+    #[test]
+    fn client_reuses_one_connection_and_reconnects_after_idle_close() {
+        let service = PopgameService::start(ServiceConfig {
+            read_timeout: Duration::from_millis(200),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let mut client = Client::connect(service.local_addr()).unwrap();
+        let first = client.local_addr();
+        for _ in 0..2 {
+            assert_eq!(client.request("GET", "/healthz", "").unwrap().status, 200);
+            assert_eq!(client.local_addr(), first, "keep-alive reuses the connection");
+        }
+        // Idle past the read timeout: the server closes its end, and the
+        // next request goes out on a new connection.
+        std::thread::sleep(Duration::from_millis(600));
+        assert_eq!(client.request("GET", "/healthz", "").unwrap().status, 200);
+        assert_ne!(client.local_addr(), first, "the closed connection was replaced");
+        drop(client);
         service.shutdown();
     }
 
@@ -327,9 +349,10 @@ mod tests {
             ..ServiceConfig::default()
         })
         .unwrap();
-        let addr = service.local_addr();
-        let reply = request(addr, "POST /shutdown HTTP/1.1\r\nconnection: close\r\n\r\n");
-        assert!(reply.contains("shutting-down"), "{reply}");
+        let mut client = Client::connect(service.local_addr()).unwrap();
+        let reply = client.request("POST", "/shutdown", "").unwrap();
+        assert!(reply.body.contains("shutting-down"), "{}", reply.body);
+        drop(client);
         service.wait_for_remote_shutdown(); // must not block
         service.shutdown();
     }

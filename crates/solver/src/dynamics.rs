@@ -126,17 +126,30 @@ impl DynamicsRule {
     /// the report harness (logit at its default `η = 2`, `br-sample` at
     /// `m = 5`, `k-igt` on a 5-level grid).
     pub fn canonical_all() -> Vec<DynamicsRule> {
-        vec![
-            DynamicsRule::BestResponse,
-            DynamicsRule::Logit { eta: 2.0 },
-            DynamicsRule::Imitation,
-            DynamicsRule::PairwiseImitation,
-            DynamicsRule::TwoWayImitation,
-            DynamicsRule::SampledBestResponse { samples: 5 },
-            DynamicsRule::KIgt { levels: 5 },
-        ]
+        CANONICAL_RULES.to_vec()
+    }
+
+    /// The canonical rule whose [`label`](Self::label) is `label`, with
+    /// logit at inverse temperature `eta`; `None` for an unknown label.
+    pub fn from_label(label: &str, eta: f64) -> Option<DynamicsRule> {
+        let rule = CANONICAL_RULES.into_iter().find(|rule| rule.label() == label)?;
+        Some(match rule {
+            DynamicsRule::Logit { .. } => DynamicsRule::Logit { eta },
+            rule => rule,
+        })
     }
 }
+
+/// [`DynamicsRule::canonical_all`], in order.
+const CANONICAL_RULES: [DynamicsRule; 7] = [
+    DynamicsRule::BestResponse,
+    DynamicsRule::Logit { eta: 2.0 },
+    DynamicsRule::Imitation,
+    DynamicsRule::PairwiseImitation,
+    DynamicsRule::TwoWayImitation,
+    DynamicsRule::SampledBestResponse { samples: 5 },
+    DynamicsRule::KIgt { levels: 5 },
+];
 
 /// A symmetric matrix game turned into a pairwise revision protocol.
 ///

@@ -1,57 +1,34 @@
 //! Boots an in-process `popgamed`, solves a game, runs a simulation, and
-//! demonstrates the cache/determinism contract — the serving layer in
-//! thirty lines.
+//! checks the cache/determinism contract — the serving layer in thirty
+//! lines. Exits non-zero if the repeated `/simulate` misses the cache or
+//! its bytes differ.
 //!
 //! ```sh
 //! cargo run --release --example service_roundtrip
 //! ```
 
+use popgame_service::http::Client;
 use popgame_service::{PopgameService, ServiceConfig};
-use std::io::{Read, Write};
-use std::net::TcpStream;
-
-fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(
-            format!(
-                "POST {path} HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
-                body.len()
-            )
-            .as_bytes(),
-        )
-        .expect("send");
-    let mut reply = String::new();
-    stream.read_to_string(&mut reply).expect("receive");
-    reply
-}
-
-fn body_of(reply: &str) -> &str {
-    reply.split("\r\n\r\n").nth(1).unwrap_or("")
-}
 
 fn main() {
     let service = PopgameService::start(ServiceConfig::default()).expect("bind loopback");
     let addr = service.local_addr();
     println!("popgamed on http://{addr}\n");
+    let mut client = Client::connect(addr).expect("connect");
+    let mut post = |path: &str, body: &str| client.request("POST", path, body).expect("request");
 
-    let solved = post(addr, "/solve", r#"{"scenario":"hawk-dove"}"#);
-    println!("solve hawk-dove      -> {}\n", body_of(&solved));
+    let solved = post("/solve", r#"{"scenario":"hawk-dove"}"#);
+    println!("solve hawk-dove      -> {}\n", solved.body);
 
     let request = r#"{"scenario":"hawk-dove","n":10000,"replicas":4,"seed":7}"#;
-    let cold = post(addr, "/simulate", request);
-    println!("simulate (cold miss) -> {}\n", body_of(&cold));
+    let cold = post("/simulate", request);
+    println!("simulate (cold miss) -> {}\n", cold.body);
 
-    let warm = post(addr, "/simulate", request);
-    assert_eq!(body_of(&cold), body_of(&warm), "cache hits are byte-identical");
-    println!(
-        "simulate again       -> {} (byte-identical cache hit)",
-        if warm.contains("x-popgame-cache: hit") {
-            "served from cache"
-        } else {
-            "recomputed"
-        }
-    );
+    let warm = post("/simulate", request);
+    assert_eq!(warm.header("x-popgame-cache"), Some("hit"), "the repeat must hit the cache");
+    assert_eq!(cold.body, warm.body, "cache hits are byte-identical");
+    println!("simulate again       -> served from cache (byte-identical cache hit)");
 
+    drop(client);
     service.shutdown();
 }

@@ -6,9 +6,7 @@
 //! counters advancing. A second test corrupts and truncates disk
 //! entries and checks the cache quietly falls back to recomputing.
 
-mod common;
-
-use common::{get, post, wait_for_job};
+use popgame_service::http::Client;
 use popgame_service::{PopgameService, ServiceConfig};
 use popgame_util::json::Json;
 use std::path::PathBuf;
@@ -46,77 +44,79 @@ fn restart_reserves_every_endpoint_byte_identically_from_disk() {
 
     // --- first life: warm everything cold ---
     let service = boot(&dir);
-    let addr = service.local_addr();
-    let (status, headers, sim_body) = post(addr, "/simulate", SIM);
-    assert_eq!(status, 200, "{sim_body}");
-    assert!(headers.contains("x-popgame-cache: miss"), "{headers}");
-    let (status, _, solve_body) = post(addr, "/solve", SOLVE);
-    assert_eq!(status, 200, "{solve_body}");
+    let mut client = Client::connect(service.local_addr()).expect("connect");
+    let sim = client.request("POST", "/simulate", SIM).unwrap();
+    assert_eq!(sim.status, 200, "{}", sim.body);
+    assert_eq!(sim.header("x-popgame-cache"), Some("miss"));
+    let solve = client.request("POST", "/solve", SOLVE).unwrap();
+    assert_eq!(solve.status, 200, "{}", solve.body);
 
-    let (status, _, body) = post(addr, "/reproduce", REPRODUCE);
-    assert_eq!(status, 202, "{body}");
+    let submitted = client.request("POST", "/reproduce", REPRODUCE).unwrap();
+    assert_eq!(submitted.status, 202, "{}", submitted.body);
+    let body = submitted.body;
     let submitted = Json::parse(&body).unwrap();
     let job_id = submitted.get("job_id").unwrap().as_u64().unwrap();
     let artifact = submitted.get("artifact").unwrap().as_str().unwrap().to_string();
-    let job = wait_for_job(addr, job_id);
+    let job = client.wait_for_job(job_id, |_| {}).unwrap();
     assert_eq!(job.get("status").unwrap().as_str(), Some("done"), "{}", body);
     // The job result names the same artifact the 202 promised.
     assert_eq!(
         job.get("result").unwrap().get("artifact").unwrap().as_str(),
         Some(artifact.as_str())
     );
-    let (status, _, report_json) = get(addr, &format!("/artifacts/{artifact}"));
-    assert_eq!(status, 200, "{report_json}");
-    let (status, _, report_md) = get(addr, &format!("/artifacts/{artifact}.md"));
-    assert_eq!(status, 200);
-    assert!(report_md.starts_with('#'), "markdown artifact: {report_md}");
+    let report_json = client.request("GET", &format!("/artifacts/{artifact}"), "").unwrap();
+    assert_eq!(report_json.status, 200, "{}", report_json.body);
+    let report_md = client.request("GET", &format!("/artifacts/{artifact}.md"), "").unwrap();
+    assert_eq!(report_md.status, 200);
+    assert!(report_md.body.starts_with('#'), "markdown artifact: {}", report_md.body);
     // Job-inlined report equals the stored artifact, re-encoded.
     assert_eq!(
         job.get("result").unwrap().get("report").unwrap().encode(),
-        Json::parse(&report_json).unwrap().encode()
+        Json::parse(&report_json.body).unwrap().encode()
     );
 
     // /healthz reports the disk tier.
-    let (_, _, health) = get(addr, "/healthz");
-    let health = Json::parse(&health).unwrap();
+    let health = Json::parse(&client.request("GET", "/healthz", "").unwrap().body).unwrap();
     let disk = health.get("cache").unwrap().get("disk").expect("disk block");
     assert!(disk.get("writes").unwrap().as_u64().unwrap() >= 4, "{health:?}");
 
     // The disk tier holds one content-addressed file per entry.
     let entries = std::fs::read_dir(&dir).unwrap().count();
     assert!(entries >= 4, "expected >=4 disk entries, found {entries}");
+    drop(client);
     service.shutdown();
 
     // --- second life: same directory, cold memory ---
     let service = boot(&dir);
-    let addr = service.local_addr();
+    let mut client = Client::connect(service.local_addr()).expect("connect");
     assert_eq!(service.state().cache.len(), 0, "memory starts cold");
 
-    let (status, headers, sim_again) = post(addr, "/simulate", SIM);
-    assert_eq!(status, 200);
-    assert!(
-        headers.contains("x-popgame-cache: hit"),
-        "restart must serve from disk, not recompute: {headers}"
+    let sim_again = client.request("POST", "/simulate", SIM).unwrap();
+    assert_eq!(sim_again.status, 200);
+    assert_eq!(
+        sim_again.header("x-popgame-cache"),
+        Some("hit"),
+        "restart must serve from disk, not recompute"
     );
-    assert_eq!(sim_again, sim_body, "disk hit must be byte-identical");
-    let (_, headers, solve_again) = post(addr, "/solve", SOLVE);
-    assert!(headers.contains("x-popgame-cache: hit"), "{headers}");
-    assert_eq!(solve_again, solve_body);
+    assert_eq!(sim_again.body, sim.body, "disk hit must be byte-identical");
+    let solve_again = client.request("POST", "/solve", SOLVE).unwrap();
+    assert_eq!(solve_again.header("x-popgame-cache"), Some("hit"));
+    assert_eq!(solve_again.body, solve.body);
 
     // Artifacts survive too — exact bytes, served via disk read-through.
-    let (status, _, json_again) = get(addr, &format!("/artifacts/{artifact}"));
-    assert_eq!(status, 200);
-    assert_eq!(json_again, report_json);
-    let (_, _, md_again) = get(addr, &format!("/artifacts/{artifact}.md"));
-    assert_eq!(md_again, report_md);
+    let json_again = client.request("GET", &format!("/artifacts/{artifact}"), "").unwrap();
+    assert_eq!(json_again.status, 200);
+    assert_eq!(json_again.body, report_json.body);
+    let md_again = client.request("GET", &format!("/artifacts/{artifact}.md"), "").unwrap();
+    assert_eq!(md_again.body, report_md.body);
 
     // Resubmitting the reproduce request completes instantly from the
     // cached canonical entry (one zero-cost task, not a fresh sweep).
     let started = Instant::now();
-    let (status, _, body) = post(addr, "/reproduce", REPRODUCE);
-    assert_eq!(status, 202, "{body}");
-    let job_id = Json::parse(&body).unwrap().get("job_id").unwrap().as_u64().unwrap();
-    let rerun = wait_for_job(addr, job_id);
+    let submitted = client.request("POST", "/reproduce", REPRODUCE).unwrap();
+    assert_eq!(submitted.status, 202, "{}", submitted.body);
+    let job_id = Json::parse(&submitted.body).unwrap().get("job_id").unwrap().as_u64().unwrap();
+    let rerun = client.wait_for_job(job_id, |_| {}).unwrap();
     assert_eq!(rerun.get("status").unwrap().as_str(), Some("done"));
     assert_eq!(
         rerun.get("result").unwrap().encode(),
@@ -130,8 +130,7 @@ fn restart_reserves_every_endpoint_byte_identically_from_disk() {
     );
 
     // Hit counters advanced: simulate + solve + two artifacts + job.
-    let (_, _, health) = get(addr, "/healthz");
-    let health = Json::parse(&health).unwrap();
+    let health = Json::parse(&client.request("GET", "/healthz", "").unwrap().body).unwrap();
     let cache = health.get("cache").unwrap();
     assert!(
         cache.get("hits").unwrap().as_u64().unwrap() >= 5,
@@ -141,6 +140,7 @@ fn restart_reserves_every_endpoint_byte_identically_from_disk() {
         cache.get("disk").unwrap().get("hits").unwrap().as_u64().unwrap() >= 5,
         "expected >=5 disk hits after restart: {health:?}"
     );
+    drop(client);
     service.shutdown();
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -149,13 +149,20 @@ fn restart_reserves_every_endpoint_byte_identically_from_disk() {
 #[test]
 fn corrupt_and_truncated_disk_entries_fall_back_to_recompute() {
     let dir = temp_dir("corrupt");
+    // One life of the service on `dir`: the `/simulate` and `/solve`
+    // replies, in that order.
+    let life = || {
+        let service = boot(&dir);
+        let mut client = Client::connect(service.local_addr()).expect("connect");
+        let sim = client.request("POST", "/simulate", SIM).unwrap();
+        let solve = client.request("POST", "/solve", SOLVE).unwrap();
+        drop(client);
+        service.shutdown();
+        (sim, solve)
+    };
 
-    let service = boot(&dir);
-    let addr = service.local_addr();
-    let (status, _, original) = post(addr, "/simulate", SIM);
-    assert_eq!(status, 200);
-    let (_, _, solve_original) = post(addr, "/solve", SOLVE);
-    service.shutdown();
+    let (original, solve_original) = life();
+    assert_eq!(original.status, 200);
 
     // Vandalize every disk entry: one gets garbage, the rest truncated.
     let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
@@ -170,29 +177,23 @@ fn corrupt_and_truncated_disk_entries_fall_back_to_recompute() {
         std::fs::write(path, &bytes[..bytes.len() / 2]).unwrap();
     }
 
-    let service = boot(&dir);
-    let addr = service.local_addr();
     // Both requests recompute (miss), produce the same bytes as before,
     // and quietly replace the bad entries.
-    let (status, headers, recomputed) = post(addr, "/simulate", SIM);
-    assert_eq!(status, 200);
-    assert!(
-        headers.contains("x-popgame-cache: miss"),
-        "corrupt entries must not be served: {headers}"
+    let (recomputed, solve_recomputed) = life();
+    assert_eq!(recomputed.status, 200);
+    assert_eq!(
+        recomputed.header("x-popgame-cache"),
+        Some("miss"),
+        "corrupt entries must not be served"
     );
-    assert_eq!(recomputed, original, "recompute is byte-identical");
-    let (_, headers, solve_recomputed) = post(addr, "/solve", SOLVE);
-    assert!(headers.contains("x-popgame-cache: miss"), "{headers}");
-    assert_eq!(solve_recomputed, solve_original);
-    service.shutdown();
+    assert_eq!(recomputed.body, original.body, "recompute is byte-identical");
+    assert_eq!(solve_recomputed.header("x-popgame-cache"), Some("miss"));
+    assert_eq!(solve_recomputed.body, solve_original.body);
 
     // Third life: the replaced entries serve as hits again.
-    let service = boot(&dir);
-    let addr = service.local_addr();
-    let (_, headers, healed) = post(addr, "/simulate", SIM);
-    assert!(headers.contains("x-popgame-cache: hit"), "{headers}");
-    assert_eq!(healed, original);
-    service.shutdown();
+    let (healed, _) = life();
+    assert_eq!(healed.header("x-popgame-cache"), Some("hit"));
+    assert_eq!(healed.body, original.body);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,14 +5,18 @@
 //! byte-identity of cache hits (including across fresh instances, the
 //! determinism contract end to end).
 
-mod common;
-
-use common::{get, http, post, wait_for_job};
+use popgame_service::http::{Client, Reply};
 use popgame_service::{PopgameService, ServiceConfig};
 use popgame_util::json::Json;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+
+/// The job id of a `202 Accepted` submission.
+fn job_id(submitted: &Reply) -> u64 {
+    assert_eq!(submitted.status, 202, "{}", submitted.body);
+    Json::parse(&submitted.body).unwrap().get("job_id").unwrap().as_u64().unwrap()
+}
 
 const SIM: &str =
     r#"{"scenario":"rock-paper-scissors","n":500,"interactions":10000,"replicas":2,"seed":11}"#;
@@ -20,16 +24,16 @@ const SIM: &str =
 #[test]
 fn every_endpoint_over_real_tcp() {
     let service = PopgameService::start(ServiceConfig::default()).expect("start");
-    let addr = service.local_addr();
+    let mut client = Client::connect(service.local_addr()).expect("connect");
 
     // --- health and registry ---
-    let (status, _, body) = get(addr, "/healthz");
-    assert_eq!(status, 200);
-    let health = Json::parse(&body).expect("healthz is JSON");
+    let reply = client.request("GET", "/healthz", "").unwrap();
+    assert_eq!(reply.status, 200);
+    let health = Json::parse(&reply.body).expect("healthz is JSON");
     assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
-    let (status, _, body) = get(addr, "/scenarios");
-    assert_eq!(status, 200);
-    let listing = Json::parse(&body).expect("listing is JSON");
+    let reply = client.request("GET", "/scenarios", "").unwrap();
+    assert_eq!(reply.status, 200);
+    let listing = Json::parse(&reply.body).expect("listing is JSON");
     let names: Vec<&str> = listing
         .as_array()
         .unwrap()
@@ -41,36 +45,33 @@ fn every_endpoint_over_real_tcp() {
     }
 
     // --- solve: by scenario and by explicit game ---
-    let (status, _, body) = post(addr, "/solve", r#"{"scenario":"hawk-dove"}"#);
-    assert_eq!(status, 200, "{body}");
-    let solved = Json::parse(&body).unwrap();
+    let reply = client.request("POST", "/solve", r#"{"scenario":"hawk-dove"}"#).unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let solved = Json::parse(&reply.body).unwrap();
     assert_eq!(solved.get("equilibria").unwrap().as_array().unwrap().len(), 3);
-    let (status, _, body) = post(
-        addr,
-        "/solve",
-        r#"{"game":{"kind":"zero-sum","row":[[1.0,-1.0],[-1.0,1.0]]}}"#,
-    );
-    assert_eq!(status, 200, "{body}");
-    let solved = Json::parse(&body).unwrap();
+    let game = r#"{"game":{"kind":"zero-sum","row":[[1.0,-1.0],[-1.0,1.0]]}}"#;
+    let reply = client.request("POST", "/solve", game).unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let solved = Json::parse(&reply.body).unwrap();
     let value = solved.get("minimax").unwrap().get("value").unwrap().as_f64().unwrap();
     assert!(value.abs() < 1e-9, "matching pennies has value 0, got {value}");
 
     // --- simulate: cold, then a byte-identical cache hit ---
-    let (status, head, cold) = post(addr, "/simulate", SIM);
-    assert_eq!(status, 200, "{cold}");
-    assert!(head.contains("x-popgame-cache: miss"), "{head}");
-    let (status, head, warm) = post(addr, "/simulate", SIM);
-    assert_eq!(status, 200);
-    assert!(head.contains("x-popgame-cache: hit"), "{head}");
-    assert_eq!(cold, warm, "cache hits must be byte-identical to cold responses");
+    let cold = client.request("POST", "/simulate", SIM).unwrap();
+    assert_eq!(cold.status, 200, "{}", cold.body);
+    assert_eq!(cold.header("x-popgame-cache"), Some("miss"));
+    let warm = client.request("POST", "/simulate", SIM).unwrap();
+    assert_eq!(warm.status, 200);
+    assert_eq!(warm.header("x-popgame-cache"), Some("hit"));
+    assert_eq!(cold.body, warm.body, "cache hits must be byte-identical to cold responses");
     // Spelled differently (field order, explicit defaults) — same
     // canonical request, so still a hit with the same bytes.
     let reordered =
         r#"{"seed":11,"replicas":2,"n":500,"scenario":"rock-paper-scissors","interactions":10000,"dynamics":"best-response"}"#;
-    let (status, head, reordered_body) = post(addr, "/simulate", reordered);
-    assert_eq!(status, 200);
-    assert!(head.contains("x-popgame-cache: hit"), "{head}");
-    assert_eq!(cold, reordered_body);
+    let reply = client.request("POST", "/simulate", reordered).unwrap();
+    assert_eq!(reply.status, 200);
+    assert_eq!(reply.header("x-popgame-cache"), Some("hit"));
+    assert_eq!(cold.body, reply.body);
 
     // --- malformed requests: 400 with an error envelope ---
     for (path, bad_body) in [
@@ -89,41 +90,38 @@ fn every_endpoint_over_real_tcp() {
         ("/solve", r#"{"game":{"kind":"symmetric","row":[[1.0,2.0]]}}"#), // non-square
         ("/jobs", r#"{"kind":"mystery"}"#),
     ] {
-        let (status, _, body) = post(addr, path, bad_body);
-        assert_eq!(status, 400, "{path} {bad_body:?} -> {body}");
-        let doc = Json::parse(&body).expect("error envelope is JSON");
-        assert!(doc.get("error").is_some(), "{body}");
+        let reply = client.request("POST", path, bad_body).unwrap();
+        assert_eq!(reply.status, 400, "{path} {bad_body:?} -> {}", reply.body);
+        let doc = Json::parse(&reply.body).expect("error envelope is JSON");
+        assert!(doc.get("error").is_some(), "{}", reply.body);
     }
 
     // --- routing: 404 and 405 ---
-    assert_eq!(get(addr, "/nope").0, 404);
-    assert_eq!(post(addr, "/healthz", "").0, 405);
-    assert_eq!(get(addr, "/simulate").0, 405);
-    assert_eq!(http(addr, "PUT", "/jobs/1", "").0, 405);
+    assert_eq!(client.request("GET", "/nope", "").unwrap().status, 404);
+    assert_eq!(client.request("POST", "/healthz", "").unwrap().status, 405);
+    assert_eq!(client.request("GET", "/simulate", "").unwrap().status, 405);
+    assert_eq!(client.request("PUT", "/jobs/1", "").unwrap().status, 405);
 
     // --- async jobs: submit, poll, result matches the sync body ---
-    let (status, _, body) = post(addr, "/jobs", SIM);
-    assert_eq!(status, 202, "{body}");
-    let submitted = Json::parse(&body).unwrap();
-    let id = submitted.get("job_id").unwrap().as_u64().unwrap();
-    let done = wait_for_job(addr, id);
+    let id = job_id(&client.request("POST", "/jobs", SIM).unwrap());
+    let done = client.wait_for_job(id, |_| {}).unwrap();
     assert_eq!(done.get("status").unwrap().as_str(), Some("done"));
     let result = done.get("result").expect("done jobs embed their result");
-    assert_eq!(result.encode(), Json::parse(&cold).unwrap().encode());
+    assert_eq!(result.encode(), Json::parse(&cold.body).unwrap().encode());
     // Solve jobs work too — by scenario name and by explicit game.
-    let (status, _, body) = post(addr, "/jobs", r#"{"kind":"solve","scenario":"stag-hunt"}"#);
-    assert_eq!(status, 202, "{body}");
-    let id = Json::parse(&body).unwrap().get("job_id").unwrap().as_u64().unwrap();
-    let done = wait_for_job(addr, id);
+    let submitted = client
+        .request("POST", "/jobs", r#"{"kind":"solve","scenario":"stag-hunt"}"#)
+        .unwrap();
+    let done = client.wait_for_job(job_id(&submitted), |_| {}).unwrap();
     assert_eq!(done.get("status").unwrap().as_str(), Some("done"));
-    let (status, _, body) = post(
-        addr,
-        "/jobs",
-        r#"{"kind":"solve","game":{"kind":"zero-sum","row":[[1.0,-1.0],[-1.0,1.0]]}}"#,
-    );
-    assert_eq!(status, 202, "{body}");
-    let id = Json::parse(&body).unwrap().get("job_id").unwrap().as_u64().unwrap();
-    let done = wait_for_job(addr, id);
+    let submitted = client
+        .request(
+            "POST",
+            "/jobs",
+            r#"{"kind":"solve","game":{"kind":"zero-sum","row":[[1.0,-1.0],[-1.0,1.0]]}}"#,
+        )
+        .unwrap();
+    let done = client.wait_for_job(job_id(&submitted), |_| {}).unwrap();
     assert_eq!(done.get("status").unwrap().as_str(), Some("done"), "{done:?}");
     let value = done
         .get("result")
@@ -136,45 +134,44 @@ fn every_endpoint_over_real_tcp() {
         .unwrap();
     assert!(value.abs() < 1e-9);
     // Unknown and malformed job ids.
-    assert_eq!(get(addr, "/jobs/99999").0, 404);
-    assert_eq!(get(addr, "/jobs/banana").0, 400);
+    assert_eq!(client.request("GET", "/jobs/99999", "").unwrap().status, 404);
+    assert_eq!(client.request("GET", "/jobs/banana", "").unwrap().status, 400);
 
     // --- health reflects the traffic ---
-    let (_, _, body) = get(addr, "/healthz");
-    let health = Json::parse(&body).unwrap();
+    let health = Json::parse(&client.request("GET", "/healthz", "").unwrap().body).unwrap();
     assert!(health.get("cache").unwrap().get("entries").unwrap().as_u64().unwrap() >= 2);
     assert!(health.get("cache").unwrap().get("hits").unwrap().as_u64().unwrap() >= 2);
     assert!(health.get("jobs").unwrap().get("done").unwrap().as_u64().unwrap() >= 2);
 
+    drop(client);
     service.shutdown();
 }
 
 #[test]
 fn metrics_exposition_spans_every_layer() {
     let service = PopgameService::start(ServiceConfig::default()).expect("start");
-    let addr = service.local_addr();
+    let mut client = Client::connect(service.local_addr()).expect("connect");
 
     // Generate traffic across the layers: health, a cold + warm simulate
     // (engine + runner + cache), one async job (lifecycle counters), and
     // one malformed request (parse-error counter).
-    assert_eq!(get(addr, "/healthz").0, 200);
-    let (status, head, cold) = post(addr, "/simulate", SIM);
-    assert_eq!(status, 200);
+    assert_eq!(client.request("GET", "/healthz", "").unwrap().status, 200);
+    let cold = client.request("POST", "/simulate", SIM).unwrap();
+    assert_eq!(cold.status, 200);
     // Every response carries a correlation id for the structured logs.
-    assert!(head.contains("x-popgame-request-id:"), "{head}");
-    let (_, warm_head, warm) = post(addr, "/simulate", SIM);
-    assert_eq!(cold, warm, "metrics must stay out-of-band of response bytes");
-    assert!(warm_head.contains("x-popgame-cache: hit"), "{warm_head}");
-    let (status, _, body) = post(addr, "/jobs", SIM);
-    assert_eq!(status, 202, "{body}");
-    let id = Json::parse(&body).unwrap().get("job_id").unwrap().as_u64().unwrap();
-    wait_for_job(addr, id);
-    assert_eq!(post(addr, "/simulate", "not json").0, 400);
+    assert!(cold.header("x-popgame-request-id").is_some(), "{:?}", cold.headers);
+    let warm = client.request("POST", "/simulate", SIM).unwrap();
+    assert_eq!(cold.body, warm.body, "metrics must stay out-of-band of response bytes");
+    assert_eq!(warm.header("x-popgame-cache"), Some("hit"));
+    let id = job_id(&client.request("POST", "/jobs", SIM).unwrap());
+    client.wait_for_job(id, |_| {}).unwrap();
+    assert_eq!(client.request("POST", "/simulate", "not json").unwrap().status, 400);
 
     // --- the exposition itself ---
-    let (status, head, text) = get(addr, "/metrics");
-    assert_eq!(status, 200);
-    assert!(head.contains("content-type: text/plain"), "{head}");
+    let reply = client.request("GET", "/metrics", "").unwrap();
+    assert_eq!(reply.status, 200);
+    assert_eq!(reply.header("content-type"), Some("text/plain; version=0.0.4"));
+    let text = reply.body;
     let samples = popgame_obs::metrics::parse_exposition(&text)
         .expect("every exposition line parses");
     assert!(
@@ -263,51 +260,42 @@ fn metrics_exposition_spans_every_layer() {
     assert!(last >= 3.0, "simulate latency histogram must cover the traffic");
 
     // --- healthz carries the new observability fields ---
-    let (_, _, body) = get(addr, "/healthz");
-    let health = Json::parse(&body).unwrap();
+    let health = Json::parse(&client.request("GET", "/healthz", "").unwrap().body).unwrap();
     assert!(health.get("queue_depth").unwrap().as_u64().is_some());
     assert!(health.get("in_flight").unwrap().as_u64().is_some());
     let workers = health.get("workers").expect("workers block");
     assert!(workers.get("http").unwrap().as_u64().unwrap() >= 1);
     assert!(workers.get("sim").unwrap().as_u64().unwrap() >= 1);
 
+    drop(client);
     service.shutdown();
 }
 
 #[test]
 fn job_progress_is_live_and_monotonic() {
     let service = PopgameService::start(ServiceConfig::default()).expect("start");
-    let addr = service.local_addr();
+    let mut client = Client::connect(service.local_addr()).expect("connect");
 
     // A multi-replica sweep so progress advances at replica granularity.
     let sweep = r#"{"scenario":"rock-paper-scissors","n":2000,"interactions":60000,"replicas":8,"seed":77}"#;
-    let (status, _, body) = post(addr, "/jobs", sweep);
-    assert_eq!(status, 202, "{body}");
-    let id = Json::parse(&body).unwrap().get("job_id").unwrap().as_u64().unwrap();
+    let id = job_id(&client.request("POST", "/jobs", sweep).unwrap());
 
-    // Poll tightly: every observed fraction must be non-decreasing.
-    let deadline = Instant::now() + Duration::from_secs(60);
+    // Every observed fraction must be non-decreasing.
     let mut last_fraction = -1.0f64;
     let mut last_done = 0u64;
-    let final_doc = loop {
-        let (status, _, body) = get(addr, &format!("/jobs/{id}"));
-        assert_eq!(status, 200, "{body}");
-        let doc = Json::parse(&body).expect("job body parses");
-        let progress = doc.get("progress").expect("every job reports progress");
-        let fraction = progress.get("fraction").unwrap().as_f64().unwrap();
-        let done = progress.get("tasks_done").unwrap().as_u64().unwrap();
-        assert!((0.0..=1.0).contains(&fraction), "{fraction}");
-        assert!(fraction >= last_fraction, "{fraction} < {last_fraction}");
-        assert!(done >= last_done, "{done} < {last_done}");
-        last_fraction = fraction;
-        last_done = done;
-        let state = doc.get("status").unwrap().as_str().unwrap().to_string();
-        if state == "done" {
-            break doc;
-        }
-        assert!(state == "queued" || state == "running", "{state}");
-        assert!(Instant::now() < deadline, "job stuck at {fraction}");
-    };
+    let final_doc = client
+        .wait_for_job(id, |doc| {
+            let progress = doc.get("progress").expect("every job reports progress");
+            let fraction = progress.get("fraction").unwrap().as_f64().unwrap();
+            let done = progress.get("tasks_done").unwrap().as_u64().unwrap();
+            assert!((0.0..=1.0).contains(&fraction), "{fraction}");
+            assert!(fraction >= last_fraction, "{fraction} < {last_fraction}");
+            assert!(done >= last_done, "{done} < {last_done}");
+            last_fraction = fraction;
+            last_done = done;
+        })
+        .unwrap();
+    assert_eq!(final_doc.get("status").unwrap().as_str(), Some("done"));
 
     // At completion: every replica accounted for, fraction exactly 1,
     // the elapsed clock frozen, and no ETA left to report.
@@ -320,14 +308,13 @@ fn job_progress_is_live_and_monotonic() {
     assert!(progress.get("eta_ms").is_none(), "{progress:?}");
 
     // The cached re-submission completes as a single instant task.
-    let (status, _, body) = post(addr, "/jobs", sweep);
-    assert_eq!(status, 202, "{body}");
-    let id = Json::parse(&body).unwrap().get("job_id").unwrap().as_u64().unwrap();
-    let done = wait_for_job(addr, id);
+    let id = job_id(&client.request("POST", "/jobs", sweep).unwrap());
+    let done = client.wait_for_job(id, |_| {}).unwrap();
     let progress = done.get("progress").unwrap();
     assert_eq!(progress.get("tasks_done").unwrap().as_u64(), Some(1));
     assert_eq!(progress.get("tasks_total").unwrap().as_u64(), Some(1));
 
+    drop(client);
     service.shutdown();
 }
 
@@ -335,21 +322,16 @@ fn job_progress_is_live_and_monotonic() {
 fn cache_hits_are_byte_identical_across_fresh_instances() {
     // The determinism contract end to end: a brand-new service instance
     // recomputes the same request to the same bytes.
-    let body_a = {
+    let simulate_once = || {
         let service = PopgameService::start(ServiceConfig::default()).expect("start");
-        let (status, _, body) = post(service.local_addr(), "/simulate", SIM);
-        assert_eq!(status, 200);
+        let mut client = Client::connect(service.local_addr()).expect("connect");
+        let reply = client.request("POST", "/simulate", SIM).unwrap();
+        assert_eq!(reply.status, 200);
+        drop(client);
         service.shutdown();
-        body
+        reply.body
     };
-    let body_b = {
-        let service = PopgameService::start(ServiceConfig::default()).expect("start");
-        let (status, _, body) = post(service.local_addr(), "/simulate", SIM);
-        assert_eq!(status, 200);
-        service.shutdown();
-        body
-    };
-    assert_eq!(body_a, body_b, "fresh instances must agree bitwise");
+    assert_eq!(simulate_once(), simulate_once(), "fresh instances must agree bitwise");
 }
 
 #[test]
@@ -412,19 +394,22 @@ fn job_queue_overflow_and_cancellation() {
         ..ServiceConfig::default()
     })
     .expect("start");
-    let addr = service.local_addr();
+    let mut client = Client::connect(service.local_addr()).expect("connect");
     // A heavy job pins the single executor (256 replicas × 3M
     // interactions — far more than can finish before the DELETE below
     // lands; the cooperative flag aborts it at a replica boundary)...
-    let slow = r#"{"scenario":"rock-paper-scissors","n":100000,"interactions":3000000,"replicas":256,"seed":101}"#;
-    let (status, _, body) = post(addr, "/jobs", slow);
-    assert_eq!(status, 202, "{body}");
-    let slow_id = Json::parse(&body).unwrap().get("job_id").unwrap().as_u64().unwrap();
+    let heavy = |seed: u64| {
+        format!(
+            r#"{{"scenario":"rock-paper-scissors","n":100000,"interactions":3000000,"replicas":256,"seed":{seed}}}"#
+        )
+    };
+    let slow_id = job_id(&client.request("POST", "/jobs", &heavy(101)).unwrap());
+    let slow_path = format!("/jobs/{slow_id}");
     // Wait until the executor has dequeued it: until then the slow job
     // itself still occupies the depth-1 queue.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let doc = Json::parse(&get(addr, &format!("/jobs/{slow_id}")).2).unwrap();
+        let doc = Json::parse(&client.request("GET", &slow_path, "").unwrap().body).unwrap();
         let state = doc.get("status").unwrap().as_str().unwrap().to_string();
         if state == "running" {
             break;
@@ -434,39 +419,24 @@ fn job_queue_overflow_and_cancellation() {
         std::thread::sleep(Duration::from_millis(5));
     }
     // ...a second fills the depth-1 queue (vary the seed: distinct work)...
-    let (status, _, body) = post(
-        addr,
-        "/jobs",
-        r#"{"scenario":"rock-paper-scissors","n":100000,"interactions":3000000,"replicas":256,"seed":102}"#,
-    );
-    assert_eq!(status, 202, "{body}");
+    let reply = client.request("POST", "/jobs", &heavy(102)).unwrap();
+    assert_eq!(reply.status, 202, "{}", reply.body);
     // ...and a third bounces with 503.
-    let (status, _, body) = post(
-        addr,
-        "/jobs",
-        r#"{"scenario":"rock-paper-scissors","n":100000,"interactions":3000000,"replicas":256,"seed":103}"#,
-    );
-    assert_eq!(status, 503, "{body}");
+    let reply = client.request("POST", "/jobs", &heavy(103)).unwrap();
+    assert_eq!(reply.status, 503, "{}", reply.body);
 
     // Cancel the running job: DELETE raises the cooperative flag and the
     // executor aborts at a replica boundary.
-    let (status, _, body) = http(addr, "DELETE", &format!("/jobs/{slow_id}"), "");
-    assert_eq!(status, 200, "{body}");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let doc = Json::parse(&get(addr, &format!("/jobs/{slow_id}")).2).unwrap();
-        let state = doc.get("status").unwrap().as_str().unwrap().to_string();
-        if state == "cancelled" {
-            break;
-        }
-        assert!(
-            state == "running" || state == "queued",
-            "cancelled job ended as {state}"
-        );
-        assert!(Instant::now() < deadline, "cancellation never landed");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    let reply = client.request("DELETE", &slow_path, "").unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let cancelled = client.wait_for_job(slow_id, |_| {}).unwrap();
+    assert_eq!(
+        cancelled.get("status").unwrap().as_str(),
+        Some("cancelled"),
+        "cancelled job ended as {cancelled:?}"
+    );
     // Cancelled work is never cached: no entry for the slow request.
-    assert_eq!(http(addr, "DELETE", "/jobs/4141", "").0, 404);
+    assert_eq!(client.request("DELETE", "/jobs/4141", "").unwrap().status, 404);
+    drop(client);
     service.shutdown();
 }
