@@ -2,7 +2,7 @@
 //! engine and the parallel replica harness.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use popgame_igt::dynamics::{counted_population, IgtProtocol};
+use popgame_igt::dynamics::counted_population;
 use popgame_igt::params::{GenerosityGrid, IgtConfig, PopulationComposition};
 use popgame_population::batch::BatchedEngine;
 use popgame_runner::run_replicas;
@@ -23,7 +23,7 @@ fn bench_count_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched/count_step");
     group.measurement_time(Duration::from_secs(2)).sample_size(30);
     let cfg = config();
-    let protocol = IgtProtocol::from_config(&cfg);
+    let protocol = cfg.dynamics().unwrap();
     for n in [1_000u64, 1_000_000] {
         let mut pop = counted_population(&cfg, n, 0).unwrap();
         let mut rng = rng_from_seed(5);
@@ -38,10 +38,10 @@ fn bench_alias_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched/alias_step");
     group.measurement_time(Duration::from_secs(2)).sample_size(30);
     let cfg = config();
-    let protocol = IgtProtocol::from_config(&cfg);
+    let protocol = cfg.dynamics().unwrap();
     for n in [1_000u64, 1_000_000] {
         let pop = counted_population(&cfg, n, 0).unwrap();
-        let mut engine = BatchedEngine::new(protocol, pop).unwrap();
+        let mut engine = BatchedEngine::new(protocol.clone(), pop).unwrap();
         let mut rng = rng_from_seed(6);
         group.bench_with_input(BenchmarkId::from_parameter(n), &(), |b, ()| {
             b.iter(|| engine.step(&mut rng))
@@ -54,10 +54,10 @@ fn bench_leap(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched/leap_n_interactions");
     group.measurement_time(Duration::from_secs(2)).sample_size(20);
     let cfg = config();
-    let protocol = IgtProtocol::from_config(&cfg);
+    let protocol = cfg.dynamics().unwrap();
     for n in [1_000u64, 1_000_000] {
         let pop = counted_population(&cfg, n, 0).unwrap();
-        let mut engine = BatchedEngine::new(protocol, pop).unwrap();
+        let mut engine = BatchedEngine::new(protocol.clone(), pop).unwrap();
         let batch = engine.suggested_batch();
         let mut rng = rng_from_seed(7);
         group.bench_with_input(BenchmarkId::from_parameter(n), &(), |b, ()| {
@@ -89,12 +89,12 @@ fn bench_replica_harness(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched/replicas_x16");
     group.measurement_time(Duration::from_secs(2)).sample_size(10);
     let cfg = config();
-    let protocol = IgtProtocol::from_config(&cfg);
+    let protocol = cfg.dynamics().unwrap();
     group.bench_function("igt_n10k_100k_interactions", |b| {
         b.iter(|| {
             run_replicas(11, 16, |_rep, mut rng| {
                 let pop = counted_population(&cfg, 10_000, 0).unwrap();
-                let mut engine = BatchedEngine::new(protocol, pop).unwrap();
+                let mut engine = BatchedEngine::new(protocol.clone(), pop).unwrap();
                 let batch = engine.suggested_batch();
                 engine.run_batched(100_000, batch, &mut rng).unwrap();
                 engine.counts().to_vec()

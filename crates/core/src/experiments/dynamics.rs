@@ -7,18 +7,16 @@ use popgame_ehrenfest::process::EhrenfestProtocol;
 use popgame_game::monte_carlo::{estimate_payoffs, NoiseModel};
 use popgame_game::params::GameParams;
 use popgame_game::strategy::MemoryOneStrategy;
-use popgame_igt::dynamics::{count_level_process, counted_population, IgtProtocol};
+use popgame_igt::dynamics::{count_level_process, counted_population};
 use popgame_igt::generosity::{
     asymptotic_approximation, corollary_c1_lower_bound, stationary_average_generosity,
     stationary_average_generosity_direct,
 };
 use popgame_igt::observed::{misclassification_rates, ObservedIgtProtocol};
 use popgame_igt::params::{GenerosityGrid, IgtConfig, PopulationComposition};
-use popgame_igt::state::AgentState;
 use popgame_igt::stationary::stationary_level_probs;
+use popgame_igt::trajectory::time_averaged_distribution_agent;
 use popgame_population::batch::BatchedEngine;
-use popgame_population::population::AgentPopulation;
-use popgame_population::protocol::Protocol;
 use popgame_util::rng::rng_from_seed;
 use std::fmt;
 
@@ -176,7 +174,7 @@ pub fn run_e10(interactions: u64, seed: u64) -> E10Report {
     let n = 200u64;
     let (_, n_ad, _) = cfg.composition().group_sizes(n).expect("valid");
     let mut pop = counted_population(&cfg, n, 2).expect("valid config");
-    let protocol = IgtProtocol::from_config(&cfg);
+    let protocol = cfg.dynamics().expect("k <= 250");
     let mut rng = rng_from_seed(seed);
     let mut per_level = vec![(0u64, 0u64); 6];
     let mut gtft_initiations = 0u64;
@@ -228,48 +226,6 @@ impl fmt::Display for E14Report {
     }
 }
 
-/// Ergodic level occupancy under an arbitrary protocol over [`AgentState`].
-fn observed_time_average<P>(
-    cfg: &IgtConfig,
-    protocol: &P,
-    n: u64,
-    burn_in: u64,
-    samples: u64,
-    stride: u64,
-    seed: u64,
-) -> Vec<f64>
-where
-    P: Protocol<State = AgentState>,
-{
-    let (ac, ad, gtft) = cfg.composition().group_sizes(n).expect("valid");
-    let mut pop = AgentPopulation::from_groups(&[
-        (AgentState::AllC, ac as usize),
-        (AgentState::AllD, ad as usize),
-        (AgentState::Gtft { level: 0 }, gtft as usize),
-    ]);
-    let mut rng = rng_from_seed(seed);
-    for _ in 0..burn_in {
-        pop.step(protocol, &mut rng).expect("n >= 2");
-    }
-    let k = cfg.grid().k();
-    let mut occupancy = vec![0u64; k];
-    for _ in 0..samples {
-        for _ in 0..stride {
-            pop.step(protocol, &mut rng).expect("n >= 2");
-        }
-        for state in pop.iter() {
-            if let AgentState::Gtft { level } = state {
-                occupancy[*level] += 1;
-            }
-        }
-    }
-    let total: u64 = occupancy.iter().sum();
-    occupancy
-        .into_iter()
-        .map(|c| c as f64 / total as f64)
-        .collect()
-}
-
 /// Runs E14 over a δ sweep.
 pub fn run_e14(seed: u64) -> E14Report {
     let rows = [0.5, 0.8, 0.95]
@@ -278,7 +234,16 @@ pub fn run_e14(seed: u64) -> E14Report {
             let cfg = config_for(0.2, 4, 0.6, delta);
             let rates = misclassification_rates(&cfg, 2_000, seed);
             let protocol = ObservedIgtProtocol::new(cfg);
-            let mu = observed_time_average(&cfg, &protocol, 80, 20_000, 150, 80, seed);
+            let mu = time_averaged_distribution_agent(
+                &protocol,
+                &cfg,
+                80,
+                20_000,
+                150,
+                80,
+                &mut rng_from_seed(seed),
+            )
+            .expect("valid configuration");
             let theory = stationary_level_probs(&cfg);
             let tv = tv_distance(&mu, &theory).expect("same length");
             (delta, rates.gtft_as_defector, tv)

@@ -10,7 +10,7 @@ use popgame_game::params::GameParams;
 use popgame_igt::dynamics::count_level_process;
 use popgame_igt::params::{GenerosityGrid, IgtConfig, PopulationComposition};
 use popgame_igt::stationary::stationary_level_probs;
-use popgame_igt::trajectory::time_averaged_distribution_agent;
+use popgame_igt::trajectory::{time_averaged_distribution, time_averaged_distribution_agent};
 use popgame_population::batch::BatchedEngine;
 use popgame_util::rng::rng_from_seed;
 use std::fmt;
@@ -187,12 +187,12 @@ fn config_for(beta: f64, k: usize) -> IgtConfig {
 /// across threads through the deterministic replica harness
 /// ([`popgame_runner::run_replicas`]); the report is bitwise identical for
 /// a fixed seed regardless of thread count. Within each job the
-/// "agent-level" column runs the exact per-interaction agent engine
+/// "agent-level" column steps the k-IGT walk one interaction at a time
 /// ([`time_averaged_distribution_agent`] — the ground truth, kept exact
 /// so E5 genuinely cross-validates the two engines) and the
-/// "count-level" column runs the idealized Ehrenfest chain of Section 2.4
-/// as [`EhrenfestProtocol`] τ-leaping on [`BatchedEngine`] at its
-/// suggested batch.
+/// "count-level" column τ-leaps the idealized Ehrenfest chain of Section
+/// 2.4 as [`EhrenfestProtocol`] on [`BatchedEngine`]
+/// ([`time_averaged_distribution`]).
 pub fn run_e5(seed: u64) -> E5Report {
     let grid = [
         (120u64, 3usize, 0.2),
@@ -206,32 +206,34 @@ pub fn run_e5(seed: u64) -> E5Report {
         let cfg = config_for(beta, k);
         let theory = stationary_level_probs(&cfg);
         // Engine 1: exact agent-level stepping (ground truth).
-        let mu_agent =
-            time_averaged_distribution_agent(&cfg, n, 80 * n, 400, n.max(64), seed ^ job)
-                .expect("valid configuration");
-        // Engine 2: idealized count-level (Ehrenfest) chain, batched.
+        let walk = cfg.dynamics().expect("k <= 250");
+        let mu_agent = time_averaged_distribution_agent(
+            &walk,
+            &cfg,
+            n,
+            80 * n,
+            400,
+            n.max(64),
+            &mut rng_from_seed(seed ^ job),
+        )
+        .expect("valid configuration");
+        // Engine 2: idealized count-level (Ehrenfest) chain, batched; its
+        // urns are the levels.
         let process = count_level_process(&cfg, n, 0).expect("valid configuration");
-        let mut engine = BatchedEngine::from_counts(
+        let engine = BatchedEngine::from_counts(
             EhrenfestProtocol::new(process.params()),
             process.counts().to_vec(),
         )
         .expect("m >= 2 balls");
-        let mut rng = rng_from_seed(seed ^ 0x5eed ^ job);
-        let batch = engine.suggested_batch();
-        engine
-            .run_batched(80 * n, batch, &mut rng)
-            .expect("m >= 2 balls");
-        let mut occupancy = vec![0u64; k];
-        for _ in 0..400 {
-            engine
-                .run_batched(n.max(64), batch, &mut rng)
-                .expect("m >= 2 balls");
-            for (acc, &z) in occupancy.iter_mut().zip(engine.counts()) {
-                *acc += z;
-            }
-        }
-        let total: u64 = occupancy.iter().sum();
-        let mu_count: Vec<f64> = occupancy.iter().map(|&c| c as f64 / total as f64).collect();
+        let mu_count = time_averaged_distribution(
+            engine,
+            0..,
+            80 * n,
+            400,
+            n.max(64),
+            &mut rng_from_seed(seed ^ 0x5eed ^ job),
+        )
+        .expect("m >= 2 balls");
         E5Row {
             n,
             k,

@@ -92,7 +92,6 @@ pub mod prelude {
     pub use popgame_game::params::GameParams;
     pub use popgame_game::payoff::{expected_payoff, gtft_vs_alld, gtft_vs_gtft};
     pub use popgame_game::strategy::{MemoryOneStrategy, StrategyKind};
-    pub use popgame_igt::dynamics::IgtProtocol;
     pub use popgame_igt::generosity::stationary_average_generosity;
     pub use popgame_igt::params::{GenerosityGrid, IgtConfig, PopulationComposition};
     pub use popgame_igt::state::AgentState;

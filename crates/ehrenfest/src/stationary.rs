@@ -8,23 +8,21 @@
 use crate::process::EhrenfestParams;
 use popgame_dist::multinomial::Multinomial;
 
-/// The stationary urn-probabilities `(p_1, …, p_k)` of Theorem 2.4.
+/// The stationary urn-probabilities `(p_1, …, p_k)` of Theorem 2.4:
+/// `p_j ∝ λ^{j−1}` over `k` urns. The same geometric law is the k-IGT
+/// level law of Theorem 2.7, so `popgame-igt` calls this with its own
+/// `λ = (1−β)/β`.
 ///
 /// # Example
 ///
 /// ```
-/// use popgame_ehrenfest::process::EhrenfestParams;
 /// use popgame_ehrenfest::stationary::stationary_probs;
 ///
 /// // λ = 2, k = 3: weights 1, 2, 4 → probabilities 1/7, 2/7, 4/7.
-/// let p = EhrenfestParams::new(3, 0.4, 0.2, 10)?;
-/// let probs = stationary_probs(&p);
+/// let probs = stationary_probs(3, 2.0);
 /// assert!((probs[2] - 4.0 / 7.0).abs() < 1e-12);
-/// # Ok::<(), popgame_ehrenfest::EhrenfestError>(())
 /// ```
-pub fn stationary_probs(params: &EhrenfestParams) -> Vec<f64> {
-    let k = params.k();
-    let lambda = params.lambda();
+pub fn stationary_probs(k: usize, lambda: f64) -> Vec<f64> {
     // Normalize by the dominant weight so nothing overflows even for huge
     // λ^{k-1}: weight_j = λ^{j-1} / λ^{j*-1} where j* is the dominant index.
     let log_lambda = lambda.ln();
@@ -37,7 +35,7 @@ pub fn stationary_probs(params: &EhrenfestParams) -> Vec<f64> {
 
 /// The full stationary distribution: `Multinomial(m, stationary_probs)`.
 pub fn stationary_distribution(params: &EhrenfestParams) -> Multinomial {
-    Multinomial::new(params.m(), stationary_probs(params))
+    Multinomial::new(params.m(), stationary_probs(params.k(), params.lambda()))
         .expect("stationary probabilities are a valid pmf by construction")
 }
 
@@ -55,7 +53,7 @@ mod tests {
     #[test]
     fn unbiased_process_has_uniform_urn_probs() {
         let p = EhrenfestParams::new(4, 0.25, 0.25, 8).unwrap();
-        for prob in stationary_probs(&p) {
+        for prob in stationary_probs(p.k(), p.lambda()) {
             assert!((prob - 0.25).abs() < 1e-12);
         }
     }
@@ -67,7 +65,7 @@ mod tests {
         // i.e. p1 = 1/(1+λ) after normalizing — here p_j ∝ λ^{j-1} gives
         // p1 = 1/(1+λ), p2 = λ/(1+λ). Consistent.
         let p = EhrenfestParams::new(2, 0.4, 0.2, 12).unwrap();
-        let probs = stationary_probs(&p);
+        let probs = stationary_probs(p.k(), p.lambda());
         let lambda = 2.0;
         assert!((probs[0] - 1.0 / (1.0 + lambda)).abs() < 1e-12);
         assert!((probs[1] - lambda / (1.0 + lambda)).abs() < 1e-12);
@@ -77,7 +75,7 @@ mod tests {
     fn extreme_lambda_is_stable() {
         // λ = 9, k = 64: λ^63 overflows naive arithmetic but not this path.
         let p = EhrenfestParams::new(64, 0.9, 0.1, 10).unwrap();
-        let probs = stationary_probs(&p);
+        let probs = stationary_probs(p.k(), p.lambda());
         assert!(probs.iter().all(|x| x.is_finite()));
         assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         // Mass concentrates at the top urn.
@@ -87,7 +85,7 @@ mod tests {
     #[test]
     fn tiny_lambda_concentrates_at_bottom() {
         let p = EhrenfestParams::new(16, 0.05, 0.45, 10).unwrap();
-        let probs = stationary_probs(&p);
+        let probs = stationary_probs(p.k(), p.lambda());
         assert!(probs[0] > 0.85);
         assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
@@ -120,7 +118,7 @@ mod tests {
             b in 0.05..0.45f64,
         ) {
             let p = EhrenfestParams::new(k, a, b, 5).unwrap();
-            let probs = stationary_probs(&p);
+            let probs = stationary_probs(p.k(), p.lambda());
             let lambda = a / b;
             for j in 0..k - 1 {
                 // p_{j+1}/p_j = λ

@@ -1,80 +1,17 @@
-//! The `k`-IGT transition rules (Definition 2.1) and the Ehrenfest mapping
-//! (Section 2.4).
+//! Populations of the `k`-IGT system and the Ehrenfest mapping (Section
+//! 2.4).
 //!
-//! Strategy-typed rules, applied by the *initiator* only (one-way,
-//! footnote 3):
-//!
-//! ```text
-//! (i)   g_j + AC  →  Inc(g_j) + AC
-//! (ii)  g_j + g_i →  Inc(g_j) + g_i
-//! (iii) g_j + AD  →  Dec(g_j) + AD
-//! ```
+//! The Definition 2.1 walk itself is the solver's k-IGT rule
+//! ([`IgtConfig::dynamics`]); the populations here hold its dense `u8`
+//! states (`AC = 0`, `AD = 1`, GTFT level `j = 2 + j`).
 
 use crate::params::IgtConfig;
-use crate::state::AgentState;
+use crate::state::{AgentState, FIRST_LEVEL};
 use popgame_ehrenfest::process::{EhrenfestParams, EhrenfestProcess};
+use popgame_population::batch::BatchedEngine;
 use popgame_population::counts::CountedPopulation;
 use popgame_population::population::AgentPopulation;
-use popgame_population::protocol::{EnumerableProtocol, Protocol};
-use rand::Rng;
-
-/// The `k`-IGT dynamics as a population protocol over [`AgentState`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IgtProtocol {
-    k: usize,
-}
-
-impl IgtProtocol {
-    /// Builds the protocol for a `k`-level grid.
-    pub fn new(k: usize) -> Self {
-        Self { k }
-    }
-
-    /// Builds the protocol from a config.
-    pub fn from_config(config: &IgtConfig) -> Self {
-        Self::new(config.grid().k())
-    }
-}
-
-impl Protocol for IgtProtocol {
-    type State = AgentState;
-
-    fn interact<R: Rng + ?Sized>(
-        &self,
-        initiator: AgentState,
-        responder: AgentState,
-        _rng: &mut R,
-    ) -> (AgentState, AgentState) {
-        let new_initiator = match (initiator, responder) {
-            (AgentState::Gtft { level }, AgentState::AllD) => AgentState::Gtft {
-                level: level.saturating_sub(1),
-            },
-            (AgentState::Gtft { level }, _) => AgentState::Gtft {
-                level: (level + 1).min(self.k - 1),
-            },
-            (fixed, _) => fixed,
-        };
-        (new_initiator, responder)
-    }
-
-    fn is_one_way(&self) -> bool {
-        true
-    }
-}
-
-impl EnumerableProtocol for IgtProtocol {
-    fn num_states(&self) -> usize {
-        2 + self.k
-    }
-
-    fn state_index(&self, state: AgentState) -> usize {
-        state.index()
-    }
-
-    fn state_at(&self, index: usize) -> AgentState {
-        AgentState::from_index(index)
-    }
-}
+use popgame_solver::dynamics::GameDynamics;
 
 /// Builds the agent-level population for `n` agents: `AC` first, then
 /// `AD`, then GTFT agents all starting at `initial_level`.
@@ -87,12 +24,13 @@ pub fn agent_population(
     config: &IgtConfig,
     n: u64,
     initial_level: usize,
-) -> Result<AgentPopulation<AgentState>, crate::error::IgtError> {
+) -> Result<AgentPopulation<u8>, crate::error::IgtError> {
     let (ac, ad, gtft) = config.composition().group_sizes(n)?;
+    let state = |s: AgentState| s.index() as u8;
     Ok(AgentPopulation::from_groups(&[
-        (AgentState::AllC, ac as usize),
-        (AgentState::AllD, ad as usize),
-        (AgentState::Gtft { level: initial_level }, gtft as usize),
+        (state(AgentState::AllC), ac as usize),
+        (state(AgentState::AllD), ad as usize),
+        (state(AgentState::Gtft { level: initial_level }), gtft as usize),
     ]))
 }
 
@@ -107,14 +45,29 @@ pub fn counted_population(
     initial_level: usize,
 ) -> Result<CountedPopulation, crate::error::IgtError> {
     let (ac, ad, gtft) = config.composition().group_sizes(n)?;
-    let mut counts = vec![0u64; 2 + config.grid().k()];
+    let mut counts = vec![0u64; FIRST_LEVEL + config.grid().k()];
     counts[0] = ac;
     counts[1] = ad;
-    counts[2 + initial_level] = gtft;
+    counts[FIRST_LEVEL + initial_level] = gtft;
     CountedPopulation::from_counts(counts).map_err(|_| crate::error::IgtError::PopulationTooSmall {
         n,
         reason: "fewer than two agents".into(),
     })
+}
+
+/// The Definition 2.1 walk ([`IgtConfig::dynamics`]) on the batched
+/// count-level engine, started from [`counted_population`].
+///
+/// # Errors
+///
+/// Propagates composition rounding and walk construction errors.
+pub fn walk_engine(
+    config: &IgtConfig,
+    n: u64,
+    initial_level: usize,
+) -> Result<BatchedEngine<GameDynamics>, crate::error::IgtError> {
+    let population = counted_population(config, n, initial_level)?;
+    Ok(BatchedEngine::new(config.dynamics()?, population).expect("one count per walk state"))
 }
 
 /// The Ehrenfest parameters of the idealized count-level chain
@@ -169,17 +122,8 @@ pub fn count_level_process(
 
 /// Extracts the GTFT level counts `z = (z_1, …, z_k)` from an agent
 /// population.
-pub fn gtft_level_counts(
-    population: &AgentPopulation<AgentState>,
-    k: usize,
-) -> Vec<u64> {
-    let mut counts = vec![0u64; k];
-    for state in population.iter() {
-        if let AgentState::Gtft { level } = state {
-            counts[*level] += 1;
-        }
-    }
-    counts
+pub fn gtft_level_counts(population: &AgentPopulation<u8>, k: usize) -> Vec<u64> {
+    population.counts_by(FIRST_LEVEL + k, usize::from)[FIRST_LEVEL..].to_vec()
 }
 
 #[cfg(test)]
@@ -187,6 +131,9 @@ mod tests {
     use super::*;
     use crate::params::{GenerosityGrid, PopulationComposition};
     use popgame_game::params::GameParams;
+    use popgame_population::protocol::Protocol;
+    use popgame_solver::dynamics::{DynamicsRule, GameDynamics};
+    use popgame_solver::game::MatrixGame;
     use popgame_util::rng::rng_from_seed;
     use proptest::prelude::*;
 
@@ -199,75 +146,11 @@ mod tests {
     }
 
     #[test]
-    fn definition_21_transitions() {
-        let p = IgtProtocol::new(4);
-        let mut rng = rng_from_seed(1);
-        let g1 = AgentState::Gtft { level: 1 };
-        // (i) meets AC → increment.
-        assert_eq!(
-            p.interact(g1, AgentState::AllC, &mut rng).0,
-            AgentState::Gtft { level: 2 }
-        );
-        // (ii) meets GTFT → increment.
-        assert_eq!(
-            p.interact(g1, AgentState::Gtft { level: 0 }, &mut rng).0,
-            AgentState::Gtft { level: 2 }
-        );
-        // (iii) meets AD → decrement.
-        assert_eq!(
-            p.interact(g1, AgentState::AllD, &mut rng).0,
-            AgentState::Gtft { level: 0 }
-        );
-        // Responder never changes under the one-way rule.
-        assert_eq!(
-            p.interact(g1, AgentState::Gtft { level: 3 }, &mut rng).1,
-            AgentState::Gtft { level: 3 }
-        );
-        assert!(p.is_one_way());
-    }
-
-    #[test]
-    fn truncation_at_grid_ends() {
-        let p = IgtProtocol::new(3);
-        let mut rng = rng_from_seed(2);
-        let top = AgentState::Gtft { level: 2 };
-        let bottom = AgentState::Gtft { level: 0 };
-        assert_eq!(p.interact(top, AgentState::AllC, &mut rng).0, top);
-        assert_eq!(p.interact(bottom, AgentState::AllD, &mut rng).0, bottom);
-    }
-
-    #[test]
-    fn fixed_strategies_never_change() {
-        let p = IgtProtocol::new(3);
-        let mut rng = rng_from_seed(3);
-        for fixed in [AgentState::AllC, AgentState::AllD] {
-            for responder in [
-                AgentState::AllC,
-                AgentState::AllD,
-                AgentState::Gtft { level: 1 },
-            ] {
-                assert_eq!(p.interact(fixed, responder, &mut rng).0, fixed);
-            }
-        }
-    }
-
-    #[test]
-    fn enumeration_round_trips() {
-        let p = IgtProtocol::new(5);
-        assert_eq!(p.num_states(), 7);
-        for i in 0..p.num_states() {
-            assert_eq!(p.state_index(p.state_at(i)), i);
-        }
-    }
-
-    #[test]
     fn populations_constructed_with_exact_groups() {
         let cfg = config();
         let pop = agent_population(&cfg, 100, 0).unwrap();
         assert_eq!(pop.len(), 100);
-        assert_eq!(pop.count_where(|s| *s == AgentState::AllC), 30);
-        assert_eq!(pop.count_where(|s| *s == AgentState::AllD), 20);
-        assert_eq!(pop.count_where(|s| s.is_gtft()), 50);
+        assert_eq!(pop.counts_by(6, usize::from), vec![30, 20, 50, 0, 0, 0]);
         assert_eq!(gtft_level_counts(&pop, 4), vec![50, 0, 0, 0]);
 
         let counted = counted_population(&cfg, 100, 2).unwrap();
@@ -298,13 +181,12 @@ mod tests {
     fn ac_ad_counts_invariant_under_simulation() {
         let cfg = config();
         let mut pop = agent_population(&cfg, 80, 1).unwrap();
-        let protocol = IgtProtocol::from_config(&cfg);
+        let protocol = cfg.dynamics().unwrap();
         let mut rng = rng_from_seed(6);
         for _ in 0..20_000 {
             pop.step(&protocol, &mut rng).unwrap();
         }
-        assert_eq!(pop.count_where(|s| *s == AgentState::AllC), 24);
-        assert_eq!(pop.count_where(|s| *s == AgentState::AllD), 16);
+        assert_eq!(pop.counts_by(6, usize::from)[..2], [24, 16]);
         assert_eq!(gtft_level_counts(&pop, 4).iter().sum::<u64>(), 40);
     }
 
@@ -312,15 +194,19 @@ mod tests {
         #[test]
         fn prop_update_moves_at_most_one_level(
             level in 0usize..6,
-            responder_idx in 0usize..8,
+            responder in 0u8..8,
             k in 2usize..7,
         ) {
             prop_assume!(level < k);
-            let p = IgtProtocol::new(k);
-            let responder = AgentState::from_index(responder_idx.min(k + 1));
+            let pd = MatrixGame::donation(2.0, 0.5).unwrap();
+            let walk = GameDynamics::new(&pd, DynamicsRule::KIgt { levels: k }).unwrap();
+            let responder = responder.min(k as u8 + 1);
+            let initiator = AgentState::Gtft { level }.index() as u8;
             let mut rng = rng_from_seed(0);
-            let (next, _) = p.interact(AgentState::Gtft { level }, responder, &mut rng);
-            let next_level = next.level().unwrap();
+            let (next, _) = walk.interact(initiator, responder, &mut rng);
+            let AgentState::Gtft { level: next_level } = AgentState::from_index(next.into()) else {
+                panic!("GTFT initiator left GTFT: state {next}");
+            };
             prop_assert!(next_level.abs_diff(level) <= 1);
             prop_assert!(next_level < k);
         }

@@ -26,6 +26,12 @@ pub enum IgtError {
         /// Human-readable description.
         reason: String,
     },
+    /// The solver's k-IGT rule refused the configuration: its `u8` states
+    /// cap a simulated grid at 250 levels.
+    Dynamics {
+        /// The solver's description.
+        reason: String,
+    },
 }
 
 impl fmt::Display for IgtError {
@@ -40,6 +46,7 @@ impl fmt::Display for IgtError {
             IgtError::PopulationTooSmall { n, reason } => {
                 write!(f, "population n = {n} too small: {reason}")
             }
+            IgtError::Dynamics { reason } => write!(f, "no k-IGT walk: {reason}"),
         }
     }
 }
@@ -64,6 +71,11 @@ mod tests {
         }
         .to_string()
         .contains("n = 3"));
+        assert!(IgtError::Dynamics {
+            reason: "k-igt needs a 2..=250 level grid, got 300".into()
+        }
+        .to_string()
+        .contains("300"));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   upward, as the paper's rule does).
 
 use crate::params::IgtConfig;
-use crate::state::AgentState;
+use crate::state::{AgentState, FIRST_LEVEL};
 use popgame_game::payoff::gtft_payoff_closed;
 use popgame_game::strategy::StrategyKind;
 use popgame_population::protocol::{EnumerableProtocol, Protocol};
@@ -69,7 +69,8 @@ pub fn local_best_response(config: &IgtConfig, level: usize, opponent: AgentStat
 }
 
 /// Introspection dynamics: the initiator jumps to its local best response
-/// against the opponent it just met (one-way).
+/// against the opponent it just met (one-way), on the dense states of
+/// [`crate::state`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntrospectionProtocol {
     config: IgtConfig,
@@ -83,19 +84,16 @@ impl IntrospectionProtocol {
 }
 
 impl Protocol for IntrospectionProtocol {
-    type State = AgentState;
+    type State = u8;
 
-    fn interact<R: Rng + ?Sized>(
-        &self,
-        initiator: AgentState,
-        responder: AgentState,
-        _rng: &mut R,
-    ) -> (AgentState, AgentState) {
-        let new_initiator = match initiator {
-            AgentState::Gtft { level } => AgentState::Gtft {
-                level: local_best_response(&self.config, level, responder),
-            },
-            fixed => fixed,
+    fn interact<R: Rng + ?Sized>(&self, initiator: u8, responder: u8, _rng: &mut R) -> (u8, u8) {
+        let new_initiator = match AgentState::from_index(initiator.into()) {
+            AgentState::Gtft { level } => {
+                let opponent = AgentState::from_index(responder.into());
+                let level = local_best_response(&self.config, level, opponent);
+                AgentState::Gtft { level }.index() as u8
+            }
+            _ => initiator,
         };
         (new_initiator, responder)
     }
@@ -107,15 +105,15 @@ impl Protocol for IntrospectionProtocol {
 
 impl EnumerableProtocol for IntrospectionProtocol {
     fn num_states(&self) -> usize {
-        2 + self.config.grid().k()
+        FIRST_LEVEL + self.config.grid().k()
     }
 
-    fn state_index(&self, state: AgentState) -> usize {
-        state.index()
+    fn state_index(&self, state: u8) -> usize {
+        state.into()
     }
 
-    fn state_at(&self, index: usize) -> AgentState {
-        AgentState::from_index(index)
+    fn state_at(&self, index: usize) -> u8 {
+        index as u8
     }
 }
 
@@ -129,22 +127,20 @@ impl EnumerableProtocol for IntrospectionProtocol {
 pub fn transitions_coincide_in_regime(config: &IgtConfig) -> Result<usize, String> {
     popgame_game::regime::check_prop22(&config.game(), config.grid().g_max())
         .map_err(|e| e.to_string())?;
-    let grid = config.grid();
-    let protocol = crate::dynamics::IgtProtocol::from_config(config);
+    let k = config.grid().k();
+    let walk = config.dynamics().map_err(|e| e.to_string())?;
     let mut rng = popgame_util::rng::rng_from_seed(0);
     let mut checked = 0;
-    for level in 0..grid.k() {
-        let opponents = std::iter::once(AgentState::AllC)
-            .chain(std::iter::once(AgentState::AllD))
-            .chain((0..grid.k()).map(|l| AgentState::Gtft { level: l }));
-        for opponent in opponents {
+    for level in 0..k {
+        let initiator = AgentState::Gtft { level }.index() as u8;
+        for responder in 0..(FIRST_LEVEL + k) as u8 {
+            let opponent = AgentState::from_index(responder.into());
             let br = local_best_response(config, level, opponent);
-            let (igt_state, _) =
-                protocol.interact(AgentState::Gtft { level }, opponent, &mut rng);
-            let igt = igt_state.level().expect("GTFT stays GTFT");
-            if br != igt {
+            let (next, _) = walk.interact(initiator, responder, &mut rng);
+            let igt = AgentState::from_index(next.into());
+            if igt != (AgentState::Gtft { level: br }) {
                 return Err(format!(
-                    "mismatch at level {level} vs {opponent}: best response {br}, IGT {igt}"
+                    "mismatch at level {level} vs {opponent}: best response g[{br}], IGT {igt}"
                 ));
             }
             checked += 1;
@@ -209,31 +205,27 @@ mod tests {
     fn introspection_protocol_behaves_like_igt_in_regime() {
         let cfg = regime_config();
         let intro = IntrospectionProtocol::new(cfg);
-        let igt = crate::dynamics::IgtProtocol::from_config(&cfg);
+        let igt = cfg.dynamics().unwrap();
         let mut rng = rng_from_seed(1);
-        for level in 0..5usize {
-            for opponent in [
-                AgentState::AllC,
-                AgentState::AllD,
-                AgentState::Gtft { level: 2 },
-            ] {
-                let a = intro.interact(AgentState::Gtft { level }, opponent, &mut rng);
-                let b = igt.interact(AgentState::Gtft { level }, opponent, &mut rng);
-                assert_eq!(a, b, "level {level} vs {opponent}");
+        // Levels 0..5 are states 2..7; opponents AC, AD and GTFT level 2.
+        for initiator in 2..7u8 {
+            for opponent in [0, 1, 4u8] {
+                let a = intro.interact(initiator, opponent, &mut rng);
+                let b = igt.interact(initiator, opponent, &mut rng);
+                assert_eq!(a, b, "state {initiator} vs {opponent}");
             }
         }
         assert!(intro.is_one_way());
         assert_eq!(intro.num_states(), 7);
-        assert_eq!(intro.state_at(0), AgentState::AllC);
-        assert_eq!(intro.state_index(AgentState::Gtft { level: 3 }), 5);
+        assert_eq!(intro.state_at(5), 5);
+        assert_eq!(intro.state_index(5), 5);
     }
 
     #[test]
     fn fixed_agents_never_introspect() {
         let intro = IntrospectionProtocol::new(regime_config());
         let mut rng = rng_from_seed(2);
-        let (a, b) = intro.interact(AgentState::AllD, AgentState::AllC, &mut rng);
-        assert_eq!(a, AgentState::AllD);
-        assert_eq!(b, AgentState::AllC);
+        assert_eq!(intro.interact(1, 0, &mut rng), (1, 0));
+        assert_eq!(intro.interact(0, 1, &mut rng), (0, 1));
     }
 }

@@ -10,7 +10,7 @@
 //! and the induced deviation from the strategy-typed dynamics.
 
 use crate::params::IgtConfig;
-use crate::state::AgentState;
+use crate::state::{AgentState, FIRST_LEVEL};
 use popgame_game::monte_carlo::play_repeated_game;
 use popgame_game::strategy::MemoryOneStrategy;
 use popgame_population::protocol::{EnumerableProtocol, Protocol};
@@ -25,7 +25,8 @@ fn classifies_as_defector(opponent_defections: u64, rounds: u64) -> bool {
     2 * opponent_defections > rounds
 }
 
-/// The action-observed `k`-IGT protocol: play a game, classify, update.
+/// The action-observed `k`-IGT protocol: play a game, classify, update,
+/// on the dense states of [`crate::state`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObservedIgtProtocol {
     config: IgtConfig,
@@ -64,26 +65,21 @@ impl ObservedIgtProtocol {
 }
 
 impl Protocol for ObservedIgtProtocol {
-    type State = AgentState;
+    type State = u8;
 
-    fn interact<R: Rng + ?Sized>(
-        &self,
-        initiator: AgentState,
-        responder: AgentState,
-        rng: &mut R,
-    ) -> (AgentState, AgentState) {
+    fn interact<R: Rng + ?Sized>(&self, initiator: u8, responder: u8, rng: &mut R) -> (u8, u8) {
         let grid = self.config.grid();
-        let new_initiator = match initiator {
+        let new_initiator = match AgentState::from_index(initiator.into()) {
             AgentState::Gtft { level } => {
-                let defector = self.classify_opponent(level, responder, rng);
-                let next = if defector {
+                let opponent = AgentState::from_index(responder.into());
+                let level = if self.classify_opponent(level, opponent, rng) {
                     grid.decrement(level)
                 } else {
                     grid.increment(level)
                 };
-                AgentState::Gtft { level: next }
+                AgentState::Gtft { level }.index() as u8
             }
-            fixed => fixed,
+            _ => initiator,
         };
         (new_initiator, responder)
     }
@@ -100,15 +96,15 @@ impl Protocol for ObservedIgtProtocol {
 
 impl EnumerableProtocol for ObservedIgtProtocol {
     fn num_states(&self) -> usize {
-        2 + self.config.grid().k()
+        FIRST_LEVEL + self.config.grid().k()
     }
 
-    fn state_index(&self, state: AgentState) -> usize {
-        state.index()
+    fn state_index(&self, state: u8) -> usize {
+        state.into()
     }
 
-    fn state_at(&self, index: usize) -> AgentState {
-        AgentState::from_index(index)
+    fn state_at(&self, index: usize) -> u8 {
+        index as u8
     }
 }
 
@@ -197,24 +193,15 @@ mod tests {
     fn transitions_match_strategy_typed_rule_for_fixed_opponents() {
         let p = ObservedIgtProtocol::new(config(0.9, 0.95));
         let mut rng = rng_from_seed(3);
-        let g1 = AgentState::Gtft { level: 1 };
-        assert_eq!(
-            p.interact(g1, AgentState::AllC, &mut rng).0,
-            AgentState::Gtft { level: 2 }
-        );
-        assert_eq!(
-            p.interact(g1, AgentState::AllD, &mut rng).0,
-            AgentState::Gtft { level: 0 }
-        );
+        // GTFT level 1 (state 3) moves up on AC (0), down on AD (1).
+        assert_eq!(p.interact(3, 0, &mut rng), (4, 0));
+        assert_eq!(p.interact(3, 1, &mut rng), (2, 1));
         // Fixed agents never move; responder untouched (one-way).
-        assert_eq!(
-            p.interact(AgentState::AllC, g1, &mut rng),
-            (AgentState::AllC, g1)
-        );
+        assert_eq!(p.interact(0, 3, &mut rng), (0, 3));
         assert!(p.is_one_way());
         assert_eq!(p.num_states(), 6);
-        assert_eq!(p.state_at(3), AgentState::Gtft { level: 1 });
-        assert_eq!(p.state_index(AgentState::Gtft { level: 1 }), 3);
+        assert_eq!(p.state_at(3), 3);
+        assert_eq!(p.state_index(3), 3);
     }
 
     #[test]

@@ -3,6 +3,8 @@
 
 use crate::error::IgtError;
 use popgame_game::params::GameParams;
+use popgame_solver::dynamics::{DynamicsRule, GameDynamics};
+use popgame_solver::game::MatrixGame;
 
 /// The `(α, β, γ)` population composition (Section 1.1.2): fractions of
 /// `AC`, `AD`, and `GTFT` agents, summing to one.
@@ -226,6 +228,23 @@ impl IgtConfig {
     pub fn game(&self) -> GameParams {
         self.game
     }
+
+    /// The Definition 2.1 walk on this grid: the solver's
+    /// [`DynamicsRule::KIgt`] rule over the donation game `(b, c)`, on the
+    /// dense states of [`crate::state`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IgtError::Dynamics`] when the grid has more than 250
+    /// levels.
+    pub fn dynamics(&self) -> Result<GameDynamics, IgtError> {
+        let levels = self.grid.k();
+        MatrixGame::donation(self.game.b(), self.game.c())
+            .and_then(|game| GameDynamics::new(&game, DynamicsRule::KIgt { levels }))
+            .map_err(|e| IgtError::Dynamics {
+                reason: e.to_string(),
+            })
+    }
 }
 
 #[cfg(test)]
@@ -307,6 +326,22 @@ mod tests {
         assert_eq!(config.grid().k(), 5);
         assert_eq!(config.composition().beta(), 0.2);
         assert_eq!(config.game().delta(), 0.9);
+    }
+
+    #[test]
+    fn dynamics_cap_the_grid_at_250_levels() {
+        let config = |k| {
+            IgtConfig::new(
+                PopulationComposition::new(0.3, 0.2, 0.5).unwrap(),
+                GenerosityGrid::new(k, 0.7).unwrap(),
+                GameParams::new(2.0, 0.5, 0.9, 0.95).unwrap(),
+            )
+        };
+        let walk = config(250).dynamics().unwrap();
+        assert_eq!(walk.rule(), DynamicsRule::KIgt { levels: 250 });
+        let err = config(251).dynamics().unwrap_err();
+        assert!(matches!(err, IgtError::Dynamics { .. }), "{err}");
+        assert!(err.to_string().contains("251"), "{err}");
     }
 
     proptest! {

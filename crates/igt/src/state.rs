@@ -1,7 +1,15 @@
 //! Agent states of the `k`-IGT system.
+//!
+//! Every simulation runs on dense `u8` states — `AC = 0`, `AD = 1`, GTFT
+//! level `j = 2 + j` — the encoding of the solver's k-IGT rule.
+//! [`AgentState`] is the typed decode of one such state.
 
 use popgame_game::strategy::StrategyKind;
 use std::fmt;
+
+/// The dense state of GTFT level 0; level `j` is `FIRST_LEVEL + j`, and
+/// `AC`/`AD` sit below it.
+pub const FIRST_LEVEL: usize = 2;
 
 /// The local state of one agent in an `(α, β, γ)` population: `AC` and
 /// `AD` agents are immutable; `GTFT` agents carry a 0-indexed generosity
@@ -20,26 +28,13 @@ pub enum AgentState {
 }
 
 impl AgentState {
-    /// Whether this agent is a GTFT agent.
-    pub fn is_gtft(&self) -> bool {
-        matches!(self, AgentState::Gtft { .. })
-    }
-
-    /// The GTFT level, if any.
-    pub fn level(&self) -> Option<usize> {
-        match self {
-            AgentState::Gtft { level } => Some(*level),
-            _ => None,
-        }
-    }
-
     /// The dense state index used by count-level engines:
     /// `AC = 0`, `AD = 1`, `GTFT level j = 2 + j`.
     pub fn index(&self) -> usize {
         match self {
             AgentState::AllC => 0,
             AgentState::AllD => 1,
-            AgentState::Gtft { level } => 2 + level,
+            AgentState::Gtft { level } => FIRST_LEVEL + level,
         }
     }
 
@@ -48,7 +43,7 @@ impl AgentState {
         match index {
             0 => AgentState::AllC,
             1 => AgentState::AllD,
-            j => AgentState::Gtft { level: j - 2 },
+            j => AgentState::Gtft { level: j - FIRST_LEVEL },
         }
     }
 
@@ -98,14 +93,6 @@ mod tests {
         for s in states {
             assert_eq!(AgentState::from_index(s.index()), s);
         }
-    }
-
-    #[test]
-    fn classification_helpers() {
-        assert!(AgentState::Gtft { level: 0 }.is_gtft());
-        assert!(!AgentState::AllC.is_gtft());
-        assert_eq!(AgentState::Gtft { level: 3 }.level(), Some(3));
-        assert_eq!(AgentState::AllD.level(), None);
     }
 
     #[test]

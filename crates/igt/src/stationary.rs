@@ -9,17 +9,12 @@
 
 use crate::params::IgtConfig;
 use popgame_dist::multinomial::Multinomial;
+use popgame_ehrenfest::stationary::stationary_probs;
 
 /// The stationary level probabilities `p_j ∝ λ^{j−1}` with
 /// `λ = (1−β)/β` (Theorem 2.7), computed in overflow-safe form.
 pub fn stationary_level_probs(config: &IgtConfig) -> Vec<f64> {
-    let k = config.grid().k();
-    let log_lambda = config.composition().lambda().ln();
-    let logs: Vec<f64> = (0..k).map(|j| j as f64 * log_lambda).collect();
-    let hi = logs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let weights: Vec<f64> = logs.iter().map(|&l| (l - hi).exp()).collect();
-    let total: f64 = weights.iter().sum();
-    weights.into_iter().map(|w| w / total).collect()
+    stationary_probs(config.grid().k(), config.composition().lambda())
 }
 
 /// The full stationary distribution of the level counts for a concrete
@@ -67,13 +62,7 @@ pub fn exact_level_probs(config: &IgtConfig, n: u64) -> Result<Vec<f64>, crate::
         });
     }
     let lambda_n = (n - 1 - n_ad) as f64 / n_ad as f64;
-    let k = config.grid().k();
-    let log_lambda = lambda_n.ln();
-    let logs: Vec<f64> = (0..k).map(|j| j as f64 * log_lambda).collect();
-    let hi = logs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let weights: Vec<f64> = logs.iter().map(|&l| (l - hi).exp()).collect();
-    let total: f64 = weights.iter().sum();
-    Ok(weights.into_iter().map(|w| w / total).collect())
+    Ok(stationary_probs(config.grid().k(), lambda_n))
 }
 
 /// Total-variation distance between the idealized (Theorem 2.7) and exact
@@ -110,12 +99,16 @@ pub fn theorem_27_upper_formula(config: &IgtConfig, n: u64) -> f64 {
 }
 
 /// The Theorem 2.7 lower bound `Ω(kn)` instantiated through the diameter
-/// argument: the level-count graph has diameter `(k−1)·γn`, so
-/// `t_mix ≥ (k−1)·γn/2` interactions.
-pub fn theorem_27_lower_bound(config: &IgtConfig, n: u64) -> u64 {
+/// argument: the level-count graph over the population's `m` GTFT agents
+/// has diameter `(k−1)·m`, so `t_mix ≥ (k−1)·m/2` interactions.
+///
+/// # Errors
+///
+/// Propagates composition rounding errors for the GTFT count `m`.
+pub fn theorem_27_lower_bound(config: &IgtConfig, n: u64) -> Result<u64, crate::error::IgtError> {
     let k = config.grid().k() as u64;
-    let m = (config.composition().gamma() * n as f64).floor() as u64;
-    (k - 1) * m / 2
+    let (_, _, m) = config.composition().group_sizes(n)?;
+    Ok((k - 1) * m / 2)
 }
 
 #[cfg(test)]
@@ -178,6 +171,28 @@ mod tests {
     }
 
     #[test]
+    fn level_probs_match_the_solver_rules_reference() {
+        // The k-IGT rule's Theorem 2.7 reference (served by /simulate and
+        // REPORT) is this law, scaled by γ, at the canonical composition.
+        use popgame_solver::dynamics::{KIGT_ALPHA, KIGT_BETA, KIGT_GAMMA};
+        let config = IgtConfig::new(
+            PopulationComposition::new(KIGT_ALPHA, KIGT_BETA, KIGT_GAMMA).unwrap(),
+            GenerosityGrid::new(5, 0.6).unwrap(),
+            GameParams::new(2.0, 0.5, 0.9, 0.95).unwrap(),
+        );
+        let reference = config.dynamics().unwrap().reference_profiles().unwrap().remove(0);
+        let probs = stationary_level_probs(&config);
+        assert_eq!(reference.len(), 2 + probs.len());
+        assert!((reference[0] - KIGT_ALPHA).abs() < 1e-12);
+        assert!((reference[1] - KIGT_BETA).abs() < 1e-12);
+        for (j, &p) in probs.iter().enumerate() {
+            let expected = KIGT_GAMMA * p;
+            let served = reference[2 + j];
+            assert!((served - expected).abs() < 1e-12, "level {j}: {served} vs {expected}");
+        }
+    }
+
+    #[test]
     fn mu_is_normalized_mean() {
         let cfg = config_with_beta(0.25);
         let mu = mean_stationary_mu(&cfg);
@@ -203,7 +218,16 @@ mod tests {
     #[test]
     fn lower_bound_formula() {
         let cfg = config_with_beta(0.2); // γ = 0.4
-        assert_eq!(theorem_27_lower_bound(&cfg, 100), 4 * 40 / 2);
+        assert_eq!(theorem_27_lower_bound(&cfg, 100).unwrap(), 4 * 40 / 2);
+        // n = 101 at (0.3, 0.2, 0.5): largest-remainder rounding gives the
+        // GTFT group 51 agents, not ⌊γn⌋ = 50.
+        let cfg = IgtConfig::new(
+            PopulationComposition::new(0.3, 0.2, 0.5).unwrap(),
+            GenerosityGrid::new(4, 0.8).unwrap(),
+            GameParams::new(2.0, 0.5, 0.9, 0.95).unwrap(),
+        );
+        assert_eq!(cfg.composition().group_sizes(101).unwrap().2, 51);
+        assert_eq!(theorem_27_lower_bound(&cfg, 101).unwrap(), 3 * 51 / 2);
     }
 
     #[test]
@@ -250,9 +274,10 @@ mod tests {
         #[test]
         fn prop_upper_dominates_lower(beta in 0.05..0.95f64, n in 10u64..10_000) {
             let cfg = config_with_beta(beta);
-            prop_assert!(
-                theorem_27_upper_formula(&cfg, n) >= theorem_27_lower_bound(&cfg, n) as f64
-            );
+            // Rounding may leave no GTFT agent at small n: no bound then.
+            if let Ok(lower) = theorem_27_lower_bound(&cfg, n) {
+                prop_assert!(theorem_27_upper_formula(&cfg, n) >= lower as f64);
+            }
         }
     }
 }

@@ -6,14 +6,21 @@
 //! * a *snapshot series* of the level counts `z^t` (for convergence plots
 //!   and mixing diagnostics);
 //! * a *time-averaged occupancy* after burn-in (an ergodic estimate of the
-//!   normalized mean stationary distribution `µ` of Theorem 2.9).
+//!   normalized mean stationary distribution `µ` of Theorem 2.9), either
+//!   per interaction on an agent population
+//!   ([`time_averaged_distribution_agent`]) or in τ-leaps on a count-level
+//!   engine ([`time_averaged_distribution`]).
 
-use crate::dynamics::{agent_population, counted_population, gtft_level_counts, IgtProtocol};
+use crate::dynamics::{agent_population, gtft_level_counts};
 use crate::error::IgtError;
 use crate::params::IgtConfig;
 use popgame_population::batch::BatchedEngine;
+use popgame_population::error::PopulationError;
+use popgame_population::protocol::{EnumerableProtocol, Protocol};
 use popgame_population::simulator::record_trajectory;
 use popgame_util::rng::rng_from_seed;
+use rand::Rng;
+use std::ops::RangeFrom;
 
 /// A recorded trajectory of GTFT level counts.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +46,7 @@ impl LevelTrajectory {
 ///
 /// # Errors
 ///
-/// Propagates population construction errors.
+/// Propagates population and walk construction errors.
 ///
 /// # Panics
 ///
@@ -55,7 +62,7 @@ pub fn simulate_level_trajectory(
     let mut population = agent_population(config, n, initial_level)?;
     let k = config.grid().k();
     let snapshots = record_trajectory(
-        &IgtProtocol::from_config(config),
+        &config.dynamics()?,
         &mut population,
         total,
         stride,
@@ -65,105 +72,105 @@ pub fn simulate_level_trajectory(
     Ok(LevelTrajectory { stride, snapshots })
 }
 
-/// Ergodic estimate of the normalized stationary distribution `µ ∈ ∆(G)`:
-/// runs `burn_in` interactions, then accumulates the level occupancy over
-/// `samples` snapshots spaced `stride` interactions apart.
+/// Ergodic estimate of the normalized level occupancy, one interaction at
+/// a time: starts every GTFT agent of an `n`-agent population at level 0,
+/// runs `burn_in` interactions of `protocol`, then accumulates the level
+/// occupancy over `samples` snapshots spaced `stride` interactions apart.
 ///
-/// Runs on the batched count-level engine
-/// ([`popgame_population::batch::BatchedEngine`]): the IGT transition
-/// function is deterministic, so the engine τ-leaps whole batches of
-/// interactions through the cached transition table — orders of magnitude
-/// faster than per-interaction agent stepping at large `n`, identical in
-/// law up to the `O(batch/n)` leap idealization. Use
-/// [`time_averaged_distribution_agent`] for the exact agent-level
-/// reference estimator.
+/// `protocol` is any dynamics over the dense states of [`crate::state`]:
+/// the Definition 2.1 walk ([`IgtConfig::dynamics`]) for the exact
+/// ground truth, or a variant such as the action-observed
+/// [`crate::observed::ObservedIgtProtocol`].
 ///
 /// # Errors
 ///
 /// Propagates population construction errors.
-pub fn time_averaged_distribution(
+pub fn time_averaged_distribution_agent<P, R>(
+    protocol: &P,
     config: &IgtConfig,
     n: u64,
     burn_in: u64,
     samples: u64,
     stride: u64,
-    seed: u64,
-) -> Result<Vec<f64>, IgtError> {
-    let protocol = IgtProtocol::from_config(config);
-    let k = config.grid().k();
-    let engine = BatchedEngine::new(protocol, counted_population(config, n, 0)?)
-        .map_err(|e| IgtError::InvalidComposition {
-            reason: e.to_string(),
-        })?;
-    let mut engine = engine;
-    let batch = engine.suggested_batch();
-    let mut rng = rng_from_seed(seed);
-    engine
-        .run_batched(burn_in, batch, &mut rng)
-        .expect("population has at least two agents");
-    let mut occupancy = vec![0u64; k];
-    for _ in 0..samples {
-        engine
-            .run_batched(stride, batch.min(stride.max(1)), &mut rng)
-            .expect("population has at least two agents");
-        // States 0 and 1 are AC/AD; levels start at index 2.
-        for (acc, &z) in occupancy.iter_mut().zip(&engine.counts()[2..]) {
-            *acc += z;
-        }
-    }
-    let total: u64 = occupancy.iter().sum();
-    Ok(occupancy
-        .into_iter()
-        .map(|c| c as f64 / total as f64)
-        .collect())
-}
-
-/// The agent-level (per-interaction, exact) version of
-/// [`time_averaged_distribution`] — the distributional ground truth the
-/// batched estimator is validated against.
-///
-/// # Errors
-///
-/// Propagates population construction errors.
-pub fn time_averaged_distribution_agent(
-    config: &IgtConfig,
-    n: u64,
-    burn_in: u64,
-    samples: u64,
-    stride: u64,
-    seed: u64,
-) -> Result<Vec<f64>, IgtError> {
+    rng: &mut R,
+) -> Result<Vec<f64>, IgtError>
+where
+    P: Protocol<State = u8>,
+    R: Rng + ?Sized,
+{
     let mut population = agent_population(config, n, 0)?;
-    let protocol = IgtProtocol::from_config(config);
     let k = config.grid().k();
-    let mut rng = rng_from_seed(seed);
     for _ in 0..burn_in {
         population
-            .step(&protocol, &mut rng)
+            .step(protocol, rng)
             .expect("population has at least two agents");
     }
     let mut occupancy = vec![0u64; k];
     for _ in 0..samples {
         for _ in 0..stride {
             population
-                .step(&protocol, &mut rng)
+                .step(protocol, rng)
                 .expect("population has at least two agents");
         }
         for (acc, z) in occupancy.iter_mut().zip(gtft_level_counts(&population, k)) {
             *acc += z;
         }
     }
+    Ok(normalized(&occupancy))
+}
+
+/// Ergodic estimate of the normalized level occupancy in τ-leaps: runs
+/// `burn_in` interactions of `engine` at its suggested batch, then
+/// accumulates the counts of the `levels` states over `samples` snapshots
+/// spaced `stride` interactions apart.
+///
+/// For the k-IGT walk the levels are `FIRST_LEVEL..`
+/// ([`crate::state::FIRST_LEVEL`]); for the Section 2.4 Ehrenfest chain,
+/// whose urns are the levels, they are `0..`. The walk draws no randomness
+/// per interaction, so the engine leaps whole batches through its
+/// transition table: identical in law to the agent-level estimator up to
+/// the `O(batch/n)` leap idealization, and orders of magnitude faster at
+/// large `n`.
+///
+/// # Errors
+///
+/// Returns [`PopulationError`] when the engine holds fewer than two agents.
+pub fn time_averaged_distribution<P, R>(
+    mut engine: BatchedEngine<P>,
+    levels: RangeFrom<usize>,
+    burn_in: u64,
+    samples: u64,
+    stride: u64,
+    rng: &mut R,
+) -> Result<Vec<f64>, PopulationError>
+where
+    P: EnumerableProtocol,
+    R: Rng + ?Sized,
+{
+    let batch = engine.suggested_batch();
+    engine.run_batched(burn_in, batch, rng)?;
+    let mut occupancy = vec![0u64; engine.counts()[levels.clone()].len()];
+    for _ in 0..samples {
+        engine.run_batched(stride, batch, rng)?;
+        for (acc, &z) in occupancy.iter_mut().zip(&engine.counts()[levels.clone()]) {
+            *acc += z;
+        }
+    }
+    Ok(normalized(&occupancy))
+}
+
+/// Occupancy counts as frequencies.
+fn normalized(occupancy: &[u64]) -> Vec<f64> {
     let total: u64 = occupancy.iter().sum();
-    Ok(occupancy
-        .into_iter()
-        .map(|c| c as f64 / total as f64)
-        .collect())
+    occupancy.iter().map(|&c| c as f64 / total as f64).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamics::walk_engine;
     use crate::params::{GenerosityGrid, PopulationComposition};
+    use crate::state::FIRST_LEVEL;
     use crate::stationary::stationary_level_probs;
     use popgame_dist::divergence::tv_distance;
     use popgame_game::params::GameParams;
@@ -176,6 +183,14 @@ mod tests {
             GenerosityGrid::new(k, 0.8).unwrap(),
             GameParams::new(2.0, 0.5, 0.9, 0.95).unwrap(),
         )
+    }
+
+    /// The k-IGT walk's ergodic level occupancy in τ-leaps.
+    fn batched(cfg: &IgtConfig, n: u64, run: (u64, u64, u64), seed: u64) -> Vec<f64> {
+        let (burn_in, samples, stride) = run;
+        let engine = walk_engine(cfg, n, 0).unwrap();
+        let rng = &mut rng_from_seed(seed);
+        time_averaged_distribution(engine, FIRST_LEVEL.., burn_in, samples, stride, rng).unwrap()
     }
 
     #[test]
@@ -202,15 +217,23 @@ mod tests {
         );
     }
 
-
     #[test]
     fn batched_and_agent_estimators_agree() {
         // The batched count-level estimator and the exact agent-level
         // estimator target the same stationary law; both must land within
         // TV 0.06 of Theorem 2.7 and within 0.08 of each other.
         let cfg = config(0.2, 4);
-        let batched = time_averaged_distribution(&cfg, 150, 120_000, 300, 300, 5).unwrap();
-        let agent = time_averaged_distribution_agent(&cfg, 150, 120_000, 300, 300, 6).unwrap();
+        let batched = batched(&cfg, 150, (120_000, 300, 300), 5);
+        let agent = time_averaged_distribution_agent(
+            &cfg.dynamics().unwrap(),
+            &cfg,
+            150,
+            120_000,
+            300,
+            300,
+            &mut rng_from_seed(6),
+        )
+        .unwrap();
         let theory = stationary_level_probs(&cfg);
         assert!(tv_distance(&batched, &theory).unwrap() < 0.06);
         assert!(tv_distance(&agent, &theory).unwrap() < 0.06);
@@ -222,7 +245,7 @@ mod tests {
         // β = 0.2 → λ = 4: the ergodic level occupancy must approach the
         // geometric stationary law.
         let cfg = config(0.2, 4);
-        let mu = time_averaged_distribution(&cfg, 200, 200_000, 400, 500, 3).unwrap();
+        let mu = batched(&cfg, 200, (200_000, 400, 500), 3);
         let theory = stationary_level_probs(&cfg);
         let tv = tv_distance(&mu, &theory).unwrap();
         assert!(tv < 0.05, "TV to Theorem 2.7 law too large: {tv} ({mu:?} vs {theory:?})");

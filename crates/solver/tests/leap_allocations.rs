@@ -6,11 +6,10 @@
 //! Count-coupled laws (pairwise imitation, br-sample) refresh their
 //! kernel between leaps and are out of scope here.
 
-use popgame_igt::dynamics::{counted_population, IgtProtocol};
-use popgame_igt::params::{GenerosityGrid, IgtConfig, PopulationComposition};
 use popgame_population::batch::BatchedEngine;
 use popgame_population::protocol::EnumerableProtocol;
 use popgame_solver::dynamics::{engine_from_profile, DynamicsRule, GameDynamics};
+use popgame_solver::game::MatrixGame;
 use popgame_solver::scenarios::by_name;
 use popgame_util::rng::rng_from_seed;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -75,17 +74,12 @@ fn assert_warm_leaps_allocate_nothing<P: EnumerableProtocol>(
 
 #[test]
 fn warm_tabulated_leaps_allocate_nothing() {
-    let cfg = IgtConfig::new(
-        PopulationComposition::new(0.3, 0.2, 0.5).unwrap(),
-        GenerosityGrid::new(4, 0.8).unwrap(),
-        popgame_game::params::GameParams::new(2.0, 0.5, 0.9, 0.95).unwrap(),
-    );
+    // k-IGT from a cold start: AC, AD, then every GTFT agent at level 0.
+    let donation = MatrixGame::donation(2.0, 0.5).unwrap();
     for n in [1_000u64, 100_000, 1_000_000] {
-        let engine = BatchedEngine::new(
-            IgtProtocol::from_config(&cfg),
-            counted_population(&cfg, n, 0).unwrap(),
-        )
-        .unwrap();
+        let dynamics = GameDynamics::new(&donation, DynamicsRule::KIgt { levels: 4 }).unwrap();
+        let counts = vec![3 * n / 10, n / 5, n / 2, 0, 0, 0];
+        let engine = BatchedEngine::from_counts(dynamics, counts).unwrap();
         assert_warm_leaps_allocate_nothing(&format!("k-IGT at n = {n}"), engine, n);
     }
 

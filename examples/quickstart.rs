@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use popgame::prelude::*;
-use popgame_igt::dynamics::{agent_population, gtft_level_counts};
+use popgame_igt::trajectory::time_averaged_distribution_agent;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Population: 30% Always-Cooperate, 20% Always-Defect, 50% GTFT.
@@ -22,28 +22,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("k-IGT dynamics: n = {n}, k = {k}, λ = (1-β)/β = {}", config.composition().lambda());
     println!("Theorem 2.7 predicts level probabilities p_j ∝ λ^(j-1):\n");
 
-    // Agent-level simulation, exactly Definition 2.1.
-    let mut population = agent_population(&config, n, 0)?;
-    let protocol = IgtProtocol::from_config(&config);
+    // Agent-level simulation, exactly Definition 2.1: burn in past the
+    // O(k n log n) mixing bound, then time-average 500 snapshots spaced n
+    // interactions apart.
+    let protocol = config.dynamics()?;
     let mut rng = rng_from_seed(42);
-
-    // Burn in past the O(k n log n) mixing bound, then time-average.
-    let burn_in = 60 * n;
-    for _ in 0..burn_in {
-        population.step(&protocol, &mut rng)?;
-    }
-    let mut occupancy = vec![0u64; k];
-    let samples = 500;
-    for _ in 0..samples {
-        for _ in 0..n {
-            population.step(&protocol, &mut rng)?;
-        }
-        for (acc, z) in occupancy.iter_mut().zip(gtft_level_counts(&population, k)) {
-            *acc += z;
-        }
-    }
-    let total: u64 = occupancy.iter().sum();
-    let simulated: Vec<f64> = occupancy.iter().map(|&c| c as f64 / total as f64).collect();
+    let simulated =
+        time_averaged_distribution_agent(&protocol, &config, n, 60 * n, 500, n, &mut rng)?;
     let theory = stationary_level_probs(&config);
 
     println!("{:>6} {:>10} {:>12} {:>12}", "level", "g value", "simulated", "Thm 2.7");

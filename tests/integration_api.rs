@@ -23,12 +23,13 @@ fn prelude_workflow_compiles_and_runs() {
     assert!(gap >= 0.0);
 
     // Simulation side.
-    let mut population: AgentPopulation<AgentState> =
+    let mut population: AgentPopulation<u8> =
         popgame_igt::dynamics::agent_population(&config, 60, 0).unwrap();
-    let protocol = IgtProtocol::new(4);
+    let protocol = config.dynamics().unwrap();
     let mut rng = rng_from_seed(1);
     run_steps(&protocol, &mut population, 1_000, &mut rng);
     assert_eq!(population.interactions(), 1_000);
+    assert_eq!(AgentState::from_index(population.state(0).into()), AgentState::AllC);
 
     // Game side.
     let outcome = play_repeated_game(

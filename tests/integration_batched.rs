@@ -2,9 +2,9 @@
 //! parallel replica harness driving the k-IGT dynamics end to end.
 
 use popgame::prelude::*;
-use popgame_igt::dynamics::counted_population;
+use popgame_igt::dynamics::walk_engine;
+use popgame_igt::state::FIRST_LEVEL;
 use popgame_igt::trajectory::{time_averaged_distribution, time_averaged_distribution_agent};
-use popgame_population::batch::BatchedEngine;
 use popgame_runner::{mean_vectors, run_replicas};
 
 fn config(beta: f64, k: usize) -> IgtConfig {
@@ -25,9 +25,7 @@ fn batched_engine_preserves_igt_invariants() {
     let n = 10_000u64;
     let (ac, ad, gtft) = cfg.composition().group_sizes(n).unwrap();
     for batch in [1u64, 64, n] {
-        let protocol = IgtProtocol::from_config(&cfg);
-        let mut engine =
-            BatchedEngine::new(protocol, counted_population(&cfg, n, 0).unwrap()).unwrap();
+        let mut engine = walk_engine(&cfg, n, 0).unwrap();
         let mut rng = rng_from_seed(17);
         engine.run_batched(20 * n, batch, &mut rng).unwrap();
         assert_eq!(engine.counts()[0], ac, "AC count drifted at batch {batch}");
@@ -48,7 +46,15 @@ fn batched_engine_preserves_igt_invariants() {
 fn batched_engine_reaches_theorem_27_law_at_scale() {
     let cfg = config(0.2, 4); // λ = 4
     let n = 200_000u64;
-    let mu = time_averaged_distribution(&cfg, n, 40 * n, 200, n / 4, 23).unwrap();
+    let mu = time_averaged_distribution(
+        walk_engine(&cfg, n, 0).unwrap(),
+        FIRST_LEVEL..,
+        40 * n,
+        200,
+        n / 4,
+        &mut rng_from_seed(23),
+    )
+    .unwrap();
     let theory = stationary_level_probs(&cfg);
     let tv = tv_distance(&mu, &theory).unwrap();
     assert!(tv < 0.05, "TV at n = 2e5: {tv} ({mu:?} vs {theory:?})");
@@ -59,8 +65,19 @@ fn batched_engine_reaches_theorem_27_law_at_scale() {
 #[test]
 fn batched_estimator_matches_agent_ground_truth() {
     let cfg = config(0.3, 3);
-    let batched = time_averaged_distribution(&cfg, 120, 50_000, 250, 200, 31).unwrap();
-    let agent = time_averaged_distribution_agent(&cfg, 120, 50_000, 250, 200, 37).unwrap();
+    let batched = time_averaged_distribution(
+        walk_engine(&cfg, 120, 0).unwrap(),
+        FIRST_LEVEL..,
+        50_000,
+        250,
+        200,
+        &mut rng_from_seed(31),
+    )
+    .unwrap();
+    let walk = cfg.dynamics().unwrap();
+    let agent =
+        time_averaged_distribution_agent(&walk, &cfg, 120, 50_000, 250, 200, &mut rng_from_seed(37))
+            .unwrap();
     let tv = tv_distance(&batched, &agent).unwrap();
     assert!(tv < 0.08, "engines disagree: TV {tv} ({batched:?} vs {agent:?})");
 }
@@ -74,23 +91,8 @@ fn replica_harness_determinism_and_aggregation() {
     let n = 2_000u64;
     let run = || {
         run_replicas(41, 16, |_rep, mut rng| {
-            let protocol = IgtProtocol::from_config(&cfg);
-            let mut engine =
-                BatchedEngine::new(protocol, counted_population(&cfg, n, 0).unwrap()).unwrap();
-            let batch = engine.suggested_batch();
-            engine.run_batched(60 * n, batch, &mut rng).unwrap();
-            let mut occupancy = vec![0u64; 4];
-            for _ in 0..100 {
-                engine.run_batched(n, batch, &mut rng).unwrap();
-                for (acc, &z) in occupancy.iter_mut().zip(&engine.counts()[2..]) {
-                    *acc += z;
-                }
-            }
-            let total: u64 = occupancy.iter().sum();
-            occupancy
-                .into_iter()
-                .map(|c| c as f64 / total as f64)
-                .collect::<Vec<f64>>()
+            let engine = walk_engine(&cfg, n, 0).unwrap();
+            time_averaged_distribution(engine, FIRST_LEVEL.., 60 * n, 100, n, &mut rng).unwrap()
         })
     };
     let first = run();
@@ -109,9 +111,7 @@ fn replica_harness_determinism_and_aggregation() {
 fn batched_path_full_stack_determinism() {
     let cfg = config(0.25, 4);
     let run = || {
-        let protocol = IgtProtocol::from_config(&cfg);
-        let mut engine =
-            BatchedEngine::new(protocol, counted_population(&cfg, 500, 0).unwrap()).unwrap();
+        let mut engine = walk_engine(&cfg, 500, 0).unwrap();
         let mut rng = rng_from_seed(12345);
         let mut snapshots = Vec::new();
         for _ in 0..20 {

@@ -4,6 +4,8 @@
 use popgame::prelude::*;
 use popgame_equilibrium::rd::{best_response, equilibrium_gap};
 use popgame_equilibrium::taylor::decompose;
+use popgame_igt::dynamics::walk_engine;
+use popgame_igt::state::FIRST_LEVEL;
 use popgame_igt::trajectory::time_averaged_distribution;
 
 fn regime_config(k: usize) -> IgtConfig {
@@ -22,7 +24,9 @@ fn simulated_mu_is_an_approximate_de() {
     let k = 8;
     let cfg = regime_config(k);
     check_theorem_29(&cfg).unwrap();
-    let mu_sim = time_averaged_distribution(&cfg, 300, 150_000, 400, 300, 31).unwrap();
+    let engine = walk_engine(&cfg, 300, 0).unwrap();
+    let rng = &mut rng_from_seed(31);
+    let mu_sim = time_averaged_distribution(engine, FIRST_LEVEL.., 150_000, 400, 300, rng).unwrap();
     let mu_theory = mean_stationary_mu(&cfg);
     assert!(tv_distance(&mu_sim, &mu_theory).unwrap() < 0.05);
 

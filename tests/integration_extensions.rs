@@ -68,6 +68,7 @@ fn introspection_and_igt_trajectories_identical_in_regime() {
     let cfg = config(0.2, 5);
     assert!(transitions_coincide_in_regime(&cfg).unwrap() > 0);
 
+    let walk = cfg.dynamics().unwrap();
     let run = |use_introspection: bool| {
         let mut pop = popgame_igt::dynamics::agent_population(&cfg, 80, 2).unwrap();
         let mut rng = rng_from_seed(99);
@@ -75,7 +76,7 @@ fn introspection_and_igt_trajectories_identical_in_regime() {
             if use_introspection {
                 pop.step(&IntrospectionProtocol::new(cfg), &mut rng).unwrap();
             } else {
-                pop.step(&IgtProtocol::from_config(&cfg), &mut rng).unwrap();
+                pop.step(&walk, &mut rng).unwrap();
             }
         }
         popgame_igt::dynamics::gtft_level_counts(&pop, 5)
@@ -91,8 +92,17 @@ fn finite_n_law_is_the_better_small_n_predictor() {
     let cfg = config(0.3, 3);
     let n = 40u64;
     // Ergodic occupancy at small n.
-    let mu =
-        popgame_igt::trajectory::time_averaged_distribution(&cfg, n, 40_000, 400, 100, 3).unwrap();
+    let engine = popgame_igt::dynamics::walk_engine(&cfg, n, 0).unwrap();
+    let levels = popgame_igt::state::FIRST_LEVEL..;
+    let mu = popgame_igt::trajectory::time_averaged_distribution(
+        engine,
+        levels,
+        40_000,
+        400,
+        100,
+        &mut rng_from_seed(3),
+    )
+    .unwrap();
     let ideal = stationary_level_probs(&cfg);
     let exact = exact_level_probs(&cfg, n).unwrap();
     let tv_ideal = tv_distance(&mu, &ideal).unwrap();

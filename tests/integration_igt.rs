@@ -7,8 +7,9 @@
 use popgame::prelude::*;
 use popgame_dist::binomial::Binomial;
 use popgame_igt::dynamics::{
-    agent_population, count_level_params, count_level_process, gtft_level_counts,
+    agent_population, count_level_params, count_level_process, gtft_level_counts, walk_engine,
 };
+use popgame_igt::state::FIRST_LEVEL;
 use popgame_igt::trajectory::{simulate_level_trajectory, time_averaged_distribution};
 use popgame_util::stats::RunningStats;
 
@@ -36,7 +37,7 @@ fn agent_level_matches_count_level_in_distribution() {
     for rep in 0..reps {
         let mut rng = stream_rng(1000, rep);
         let mut pop = agent_population(&cfg, n, 0).unwrap();
-        let protocol = IgtProtocol::from_config(&cfg);
+        let protocol = cfg.dynamics().unwrap();
         for _ in 0..steps {
             pop.step(&protocol, &mut rng).unwrap();
         }
@@ -143,7 +144,9 @@ fn full_stack_determinism() {
 fn ergodic_estimate_matches_theory_both_regimes() {
     for beta in [0.15, 0.6] {
         let cfg = config(beta, 3);
-        let mu = time_averaged_distribution(&cfg, 150, 60_000, 300, 200, 9).unwrap();
+        let engine = walk_engine(&cfg, 150, 0).unwrap();
+        let rng = &mut rng_from_seed(9);
+        let mu = time_averaged_distribution(engine, FIRST_LEVEL.., 60_000, 300, 200, rng).unwrap();
         let theory = stationary_level_probs(&cfg);
         let tv = tv_distance(&mu, &theory).unwrap();
         assert!(tv < 0.06, "beta = {beta}: TV {tv}");

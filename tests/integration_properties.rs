@@ -79,7 +79,7 @@ proptest! {
             let comp = cfg.composition();
             prop_assert!((params.a() + params.b() - comp.gamma()).abs() < 1e-12);
             prop_assert!((params.lambda() - comp.lambda()).abs() < 1e-9);
-            let eh = popgame::ehrenfest::stationary::stationary_probs(&params);
+            let eh = popgame::ehrenfest::stationary::stationary_probs(params.k(), params.lambda());
             let igt = stationary_level_probs(&cfg);
             for (a, b) in eh.iter().zip(igt.iter()) {
                 prop_assert!((a - b).abs() < 1e-9);
@@ -126,15 +126,18 @@ proptest! {
         seed in 0u64..500,
     ) {
         if let Ok(mut pop) = popgame::igt::dynamics::agent_population(&cfg, 60, 0) {
-            let ac = pop.count_where(|s| *s == AgentState::AllC);
-            let ad = pop.count_where(|s| *s == AgentState::AllD);
-            let protocol = IgtProtocol::from_config(&cfg);
+            let k = cfg.grid().k();
+            let groups = |pop: &AgentPopulation<u8>| {
+                let counts = pop.counts_by(2 + k, usize::from);
+                (counts[0], counts[1], counts[2..].iter().sum::<u64>())
+            };
+            let before = groups(&pop);
+            let protocol = cfg.dynamics().unwrap();
             let mut rng = rng_from_seed(seed);
             for _ in 0..50 {
                 pop.step(&protocol, &mut rng).unwrap();
             }
-            prop_assert_eq!(pop.count_where(|s| *s == AgentState::AllC), ac);
-            prop_assert_eq!(pop.count_where(|s| *s == AgentState::AllD), ad);
+            prop_assert_eq!(groups(&pop), before);
         }
     }
 }

@@ -435,7 +435,12 @@ fn job_queue_overflow_and_cancellation() {
         Some("cancelled"),
         "cancelled job ended as {cancelled:?}"
     );
-    // Cancelled work is never cached: no entry for the slow request.
+    // Cancelled work is never cached: the cache holds no entry at all
+    // (the queued second job is far from finishing).
+    let health = Json::parse(&client.request("GET", "/healthz", "").unwrap().body).unwrap();
+    let entries = health.get("cache").unwrap().get("entries").unwrap().as_u64();
+    assert_eq!(entries, Some(0), "{health:?}");
+    // An unknown job id cannot be cancelled.
     assert_eq!(client.request("DELETE", "/jobs/4141", "").unwrap().status, 404);
     drop(client);
     service.shutdown();
