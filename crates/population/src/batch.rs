@@ -30,10 +30,11 @@
 //! it, stays un-aggregated. A leap draws over at most `K(K − 1)` flows
 //! plus those entries. By the aggregation property of the multinomial
 //! the per-flow totals have exactly the law of a draw over every
-//! (pair, outcome) entry, which [`BatchedEngine::set_reference_leap`]
-//! keeps as the test oracle. This is the count-level view of
-//! Chatzigiannakis–Spirakis, *The Dynamics of Probabilistic Population
-//! Protocols*.
+//! (pair, outcome) entry, so a leap that cannot overdraw has the law of
+//! `batch` iid interactions from the frozen counts, which the tests
+//! compute by convolution and check leaps against. This is the
+//! count-level view of Chatzigiannakis–Spirakis, *The Dynamics of
+//! Probabilistic Population Protocols*.
 //!
 //! Which flow an alternative feeds depends on the law alone, not on the
 //! counts, so the engine classifies the alternatives once per law
@@ -143,12 +144,6 @@ impl TransitionTable {
         let (a, b) = self.targets[i * self.k + j];
         (a as usize, b as usize)
     }
-
-    /// Whether pair `(i, j)` is a no-op on the count vector.
-    #[inline]
-    pub fn is_identity(&self, i: usize, j: usize) -> bool {
-        self.targets[i * self.k + j] == (i as u32, j as u32)
-    }
 }
 
 /// A randomized protocol's per-pair outcome law tabulated over all `K²`
@@ -161,8 +156,6 @@ pub struct KernelTable {
     /// `cells[i * k + j]` — the outcome pmf for ordered pair `(i, j)`,
     /// entries `((initiator', responder'), p)` with positive `p`.
     cells: Vec<Vec<((u32, u32), f64)>>,
-    /// Whether cell `(i, j)` is a count-vector no-op with probability 1.
-    identity: Vec<bool>,
 }
 
 /// Outcome probabilities must sum to 1 within this tolerance.
@@ -230,25 +223,6 @@ fn declined((i, j): (usize, usize)) -> PopulationError {
     }
 }
 
-/// Validates one declared outcome pmf and writes its positive-mass entries
-/// into `cell` (cleared first, allocation reused). Returns whether the
-/// cell is an almost-sure count-vector no-op.
-fn fill_cell(
-    k: usize,
-    i: usize,
-    j: usize,
-    outcomes: &[((usize, usize), f64)],
-    cell: &mut Vec<((u32, u32), f64)>,
-) -> Result<bool, PopulationError> {
-    check_pmf(k, (i, j), outcomes)?;
-    cell.clear();
-    let positive = outcomes.iter().filter(|&&(_, p)| p > 0.0);
-    cell.extend(positive.map(|&((a, b), p)| ((a as u32, b as u32), p)));
-    Ok(cell
-        .iter()
-        .all(|&((a, b), _)| (a as usize, b as usize) == (i, j)))
-}
-
 impl KernelTable {
     /// Tabulates a protocol's declared outcome kernel; `None` when any
     /// pair declines to state its law (no kernel ⇒ exact stepping).
@@ -276,9 +250,8 @@ impl KernelTable {
     /// Tabulates a *count-coupled* protocol's outcome kernel at the given
     /// population frequencies, in one
     /// [`EnumerableProtocol::pair_kernels_at_into`] call over every cell.
-    /// The engine calls this at construction, and before each leap that
-    /// follows a count change on the reference path
-    /// ([`BatchedEngine::set_reference_leap`]).
+    /// The engine calls this once, at construction; later leaps re-weigh
+    /// its classified law ([`LeapLaw::reweigh_at`]).
     ///
     /// # Errors
     ///
@@ -297,13 +270,12 @@ impl KernelTable {
     /// when it holds fewer than all `k²`.
     fn from_laws(k: usize, laws: &KernelLaws) -> Result<Option<Self>, PopulationError> {
         let mut cells = Vec::with_capacity(k * k);
-        let mut identity = Vec::with_capacity(k * k);
         for (index, outcomes) in laws.cells().enumerate() {
-            let mut cell = Vec::with_capacity(outcomes.len());
-            identity.push(fill_cell(k, index / k, index % k, outcomes, &mut cell)?);
-            cells.push(cell);
+            check_pmf(k, (index / k, index % k), outcomes)?;
+            let positive = outcomes.iter().filter(|&&(_, p)| p > 0.0);
+            cells.push(positive.map(|&((a, b), p)| ((a as u32, b as u32), p)).collect());
         }
-        Ok((cells.len() == k * k).then_some(KernelTable { k, cells, identity }))
+        Ok((cells.len() == k * k).then_some(KernelTable { k, cells }))
     }
 
     /// Number of states.
@@ -316,19 +288,14 @@ impl KernelTable {
     pub fn outcomes(&self, i: usize, j: usize) -> &[((u32, u32), f64)] {
         &self.cells[i * self.k + j]
     }
-
-    /// Whether pair `(i, j)` is almost surely a no-op on the count vector.
-    #[inline]
-    pub fn is_identity(&self, i: usize, j: usize) -> bool {
-        self.identity[i * self.k + j]
-    }
 }
 
 /// The high-throughput count-level engine.
 ///
 /// Owns the protocol, the count vector, the lazily rebuilt alias table for
-/// `O(1)` exact pair sampling, the cached [`TransitionTable`], and all
-/// scratch buffers, so the hot loop performs no allocation.
+/// `O(1)` exact pair sampling, the cached [`TransitionTable`], the leap's
+/// classified law, and all scratch buffers, so the hot loop performs no
+/// allocation.
 ///
 /// # Example
 ///
@@ -352,27 +319,14 @@ pub struct BatchedEngine<P: EnumerableProtocol> {
     n: u64,
     interactions: u64,
     table: Option<TransitionTable>,
-    /// Outcome kernel for randomized protocols that declare their law
-    /// ([`EnumerableProtocol::pair_kernel`]); only built when `table` is
-    /// unavailable. For count-coupled protocols (`coupled`), this is the
-    /// full build at the counts of construction or of the reference
-    /// leap's last rebuild; the default paths read `law` and the protocol
-    /// instead.
-    kernel: Option<KernelTable>,
     /// Whether the protocol's kernel is coupled to the current counts
     /// ([`EnumerableProtocol::kernel_depends_on_counts`]): `law` is then
     /// re-weighed before each leap that follows a count change, and
     /// [`Protocol::interact`](crate::protocol::Protocol::interact) is
     /// never called.
     coupled: bool,
-    /// Whether `kernel` predates a count change (count-coupled only; the
-    /// reference leap rebuilds it).
-    kernel_dirty: bool,
     alias: Option<AliasTable>,
     alias_dirty: bool,
-    /// Scratch: indices of non-identity cells with positive weight (the
-    /// reference leap path only).
-    active_cells: Vec<usize>,
     /// Scratch: per-state count deltas of the current leap.
     deltas: Vec<i64>,
     /// Per-cell frequency dependencies declared by the protocol
@@ -388,9 +342,10 @@ pub struct BatchedEngine<P: EnumerableProtocol> {
     freq_scratch: Vec<f64>,
     /// Scratch: the flagged cells' declared laws, reused across updates.
     cell_laws: KernelLaws,
-    /// The table's or kernel's count-changing alternatives, classified by
-    /// effect ([`LeapLaw`]).
-    law: LeapLaw,
+    /// The count-changing alternatives of the table or of the declared
+    /// kernel, classified by effect ([`LeapLaw`]); `None` for a randomized
+    /// protocol that declares no kernel, which steps exactly instead.
+    law: Option<LeapLaw>,
     /// Scratch: the count flows of a leap — at most `k(k − 1)`
     /// single-agent flows plus the un-aggregated both-move entries.
     flows: Vec<Flow>,
@@ -407,10 +362,6 @@ pub struct BatchedEngine<P: EnumerableProtocol> {
     alias_slot: Vec<u32>,
     alias_small: Vec<u32>,
     alias_large: Vec<u32>,
-    /// Run the pre-incremental reference paths (full kernel rebuild per
-    /// change, per-cell outcome chains). Kept for equivalence tests and
-    /// benchmark baselines; see [`Self::set_reference_leap`].
-    reference: bool,
     /// Work done since the last public call returned; published to the
     /// [`crate::metrics`] counters as each one returns.
     work: Tally,
@@ -785,30 +736,28 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         let interactions = population.interactions();
         let counts = population.counts().to_vec();
         let n = population.len();
-        let kernel = if coupled {
-            // Probe the count-coupled kernel once at construction so a
-            // malformed law errors here, not deep inside a run. A `None`
-            // declaration is a contract violation with the same shape.
+        // A count-coupled kernel is probed once here, so a malformed law
+        // errors at construction, not deep inside a run; a `None`
+        // declaration is a contract violation with the same shape.
+        let kernel = if table.is_some() {
+            None
+        } else if coupled {
             let freq: Vec<f64> = counts.iter().map(|&c| c as f64 / n as f64).collect();
             let _build_span = crate::metrics::kernel_build_span();
-            let built = KernelTable::build_at(&protocol, &freq)?;
-            if built.is_none() {
+            let Some(built) = KernelTable::build_at(&protocol, &freq)? else {
                 return Err(PopulationError::InvalidArgument {
-                    reason: "count-coupled protocol declares no pair_kernel_at law".into(),
+                    reason: "count-coupled protocol states no law through pair_kernels_at_into"
+                        .into(),
                 });
-            }
-            crate::metrics::kernel_full_builds().inc();
-            built
-        } else if table.is_none() {
-            let _build_span = crate::metrics::kernel_build_span();
-            let built = KernelTable::build(&protocol)?;
-            if built.is_some() {
-                crate::metrics::kernel_full_builds().inc();
-            }
-            built
+            };
+            Some(built)
         } else {
-            None
+            let _build_span = crate::metrics::kernel_build_span();
+            KernelTable::build(&protocol)?
         };
+        if kernel.is_some() {
+            crate::metrics::kernel_full_builds().inc();
+        }
         let deps = if coupled {
             (0..k * k)
                 .map(|cell| protocol.pair_kernel_deps(cell / k, cell % k))
@@ -817,9 +766,8 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             Vec::new()
         };
         let law = match (&table, &kernel) {
-            (Some(table), _) => LeapLaw::from_table(table),
-            (None, Some(kernel)) => LeapLaw::from_kernel(kernel),
-            (None, None) => LeapLaw::default(),
+            (Some(table), _) => Some(LeapLaw::from_table(table)),
+            (None, kernel) => kernel.as_ref().map(LeapLaw::from_kernel),
         };
         Ok(BatchedEngine {
             protocol,
@@ -827,12 +775,9 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             n,
             interactions,
             table,
-            kernel,
             coupled,
-            kernel_dirty: false,
             alias: None,
             alias_dirty: true,
-            active_cells: Vec::with_capacity(k * k),
             deltas: vec![0; k],
             deps,
             stale: vec![false; k],
@@ -847,21 +792,8 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             alias_slot: Vec::with_capacity(k * k),
             alias_small: Vec::with_capacity(k * k),
             alias_large: Vec::with_capacity(k * k),
-            reference: false,
             work: Tally::default(),
         })
-    }
-
-    /// Switches the engine onto its *reference* execution paths: a full
-    /// allocating [`KernelTable::build_at`] rebuild before each leap that
-    /// follows a count change and the per-cell (unfused) multinomial
-    /// chains — the pre-incremental leap, preserved verbatim. The
-    /// reference and default paths are identical in law
-    /// (equivalence-tested), but draw different RNG streams; benchmarks
-    /// use this switch to measure the incremental path's speedup and tests
-    /// use it as an oracle.
-    pub fn set_reference_leap(&mut self, reference: bool) {
-        self.reference = reference;
     }
 
     /// Builds the engine directly from per-state counts.
@@ -960,6 +892,8 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         self.work.kernel_refreshes += 1;
         self.work.dirty_cells += recomputed;
         self.law
+            .as_mut()
+            .expect("a count-coupled protocol has a law")
             .reweigh_at(
                 &self.protocol,
                 &self.freq_scratch,
@@ -1058,7 +992,6 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             self.counts[j] -= 1;
             self.counts[nj] += 1;
             self.alias_dirty = true;
-            self.kernel_dirty = true;
             for s in [i, ni, j, nj] {
                 self.stale[s] = true;
             }
@@ -1098,7 +1031,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
     /// Returns whether its last leap found the population absorbed: every
     /// later leap is then a no-op that draws no random number.
     fn batch_step<R: Rng + ?Sized>(&mut self, batch: u64, rng: &mut R) -> bool {
-        if self.table.is_none() && self.kernel.is_none() {
+        if self.law.is_none() {
             // Randomized transitions without a declared kernel cannot be
             // tabulated; stay exact.
             for _ in 0..batch {
@@ -1106,11 +1039,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             }
             return false;
         }
-        if self.reference {
-            self.leap_reference(batch, rng)
-        } else {
-            self.leap(batch, rng)
-        }
+        self.leap(batch, rng)
     }
 
     /// Runs `total` interactions in leaps of `batch` (the final leap is
@@ -1227,9 +1156,9 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
     /// A batch size balancing leap overhead against τ-leap drift:
     /// `max(1, √n)`. Scaling sublinearly keeps the frozen-count
     /// idealization *vanishing* in `n` — the per-interaction perturbation
-    /// is `O(batch/n) = O(1/√n)`, strictly smaller than the paper's
-    /// `O(1/n)`-per-agent eq. (5) idealization only by a vanishing
-    /// factor — while amortizing the `O(K²)` leap cost over `√n`
+    /// is `O(batch/n) = O(1/√n)`, larger than the paper's
+    /// `O(1/n)`-per-agent eq. (5) idealization by a factor `√n` but
+    /// still vanishing — while amortizing the `O(K²)` leap cost over `√n`
     /// interactions.
     pub fn suggested_batch(&self) -> u64 {
         ((self.n as f64).sqrt() as u64).max(1)
@@ -1271,10 +1200,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         let _leap_span = crate::metrics::leap_span();
         self.work.leaps += 1;
         self.reweigh_law();
-        debug_assert!(
-            self.table.is_some() || self.kernel.is_some(),
-            "leap requires a table or a kernel"
-        );
+        let law = self.law.as_ref().expect("a leapable protocol has a law");
         // Pair weights through `i64`: exact, as every count is below 2⁵³.
         // An empty state's diagonal pair weighs `0 · (0 − 1) = −0`, which
         // adds to a flow's sum as `+0` does.
@@ -1291,9 +1217,9 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         // The flows, summed into `active_weight` in flow order.
         self.flows.clear();
         let mut active_weight = 0.0;
-        let (both_p, row_p) = self.law.probs.split_at(self.law.both.len());
+        let (both_p, row_p) = law.probs.split_at(law.both.len());
         let (row_p, _) = row_p.as_chunks::<LANES>();
-        for (&(pair, flow), &p) in self.law.both.iter().zip(both_p) {
+        for (&(pair, flow), &p) in law.both.iter().zip(both_p) {
             let wpair = self.pair_w[pair as usize];
             if wpair > 0.0 {
                 let w = wpair * p;
@@ -1302,10 +1228,10 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             }
         }
         let mut start = 0;
-        for group in &self.law.groups {
+        for group in &law.groups {
             let end = group.end as usize;
             let mut sums = [0.0f64; LANES];
-            for (pairs, probs) in self.law.rows[start..end].iter().zip(&row_p[start..end]) {
+            for (pairs, probs) in law.rows[start..end].iter().zip(&row_p[start..end]) {
                 for ((sum, &pair), &p) in sums.iter_mut().zip(pairs).zip(probs) {
                     *sum += self.pair_w[pair as usize] * p;
                 }
@@ -1403,11 +1329,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             let half = batch / 2;
             let mut absorbed = false;
             for part in [half, batch - half] {
-                absorbed = if self.reference {
-                    self.leap_reference(part, rng)
-                } else {
-                    self.leap(part, rng)
-                };
+                absorbed = self.leap(part, rng);
             }
             return absorbed;
         }
@@ -1422,7 +1344,6 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
         self.interactions += batch;
         if changed {
             self.alias_dirty = true;
-            self.kernel_dirty = true;
         }
         false
     }
@@ -1477,125 +1398,6 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
             self.alias_slot[i] = i as u32;
         }
     }
-
-    /// The pre-incremental leap: per-pair binomial chain with nested
-    /// per-outcome chains and no identity-mass fusion. Identical in law to
-    /// [`Self::leap`] (equivalence-tested), different in RNG stream; kept
-    /// as the benchmark baseline and test oracle behind
-    /// [`Self::set_reference_leap`]. Returns whether it found no active
-    /// cell, like [`Self::leap`].
-    fn leap_reference<R: Rng + ?Sized>(&mut self, batch: u64, rng: &mut R) -> bool {
-        let _leap_span = crate::metrics::leap_span();
-        self.work.leaps += 1;
-        if self.coupled && self.kernel_dirty {
-            let _span = crate::metrics::kernel_build_span();
-            self.fill_freq();
-            self.kernel = KernelTable::build_at(&self.protocol, &self.freq_scratch)
-                .expect("count-coupled kernel law broke mid-run (protocol bug)");
-            debug_assert!(self.kernel.is_some(), "validated at construction");
-            self.work.kernel_full_builds += 1;
-            self.kernel_dirty = false;
-        }
-        let k = self.counts.len();
-        debug_assert!(
-            self.table.is_some() || self.kernel.is_some(),
-            "leap requires a table or a kernel"
-        );
-        // Enumerate non-identity cells with positive weight. For kernel
-        // cells "identity" means almost surely a no-op; cells that are
-        // no-ops only with some probability stay active and simply
-        // contribute zero deltas on their identity outcomes.
-        self.active_cells.clear();
-        let mut active_weight = 0.0f64;
-        for i in 0..k {
-            let xi = self.counts[i];
-            if xi == 0 {
-                continue;
-            }
-            for j in 0..k {
-                let identity = match &self.table {
-                    Some(table) => table.is_identity(i, j),
-                    None => self.kernel.as_ref().expect("checked above").is_identity(i, j),
-                };
-                if identity {
-                    continue;
-                }
-                let w = xi as f64 * (self.counts[j] - u64::from(i == j)) as f64;
-                if w > 0.0 {
-                    self.active_cells.push(i * k + j);
-                    active_weight += w;
-                }
-            }
-        }
-        let total_weight = self.n as f64 * (self.n - 1) as f64;
-        if self.active_cells.is_empty() {
-            // Absorbed: every remaining interaction is a no-op.
-            self.interactions += batch;
-            return true;
-        }
-        // How many of the `batch` interactions change anything at all.
-        let p_active = (active_weight / total_weight).min(1.0);
-        let mut remaining = sample_binomial(batch, p_active, rng);
-        let mut mass_left = active_weight;
-        // Binomial chain over the active cells.
-        self.deltas.iter_mut().for_each(|d| *d = 0);
-        for idx in 0..self.active_cells.len() {
-            if remaining == 0 {
-                break;
-            }
-            let cell = self.active_cells[idx];
-            let (i, j) = (cell / k, cell % k);
-            let w = self.counts[i] as f64 * (self.counts[j] - u64::from(i == j)) as f64;
-            let q = if idx + 1 == self.active_cells.len() {
-                1.0
-            } else {
-                (w / mass_left).clamp(0.0, 1.0)
-            };
-            let c = sample_binomial(remaining, q, rng);
-            mass_left -= w;
-            if c > 0 {
-                remaining -= c;
-                match &self.table {
-                    Some(table) => {
-                        let (a, b) = table.apply(i, j);
-                        self.deltas[i] -= c as i64;
-                        self.deltas[a] += c as i64;
-                        self.deltas[j] -= c as i64;
-                        self.deltas[b] += c as i64;
-                    }
-                    None => {
-                        // Split this cell's c interactions multinomially
-                        // over the kernel's outcomes (binomial chain).
-                        let kernel = self.kernel.as_ref().expect("leap requires a kernel");
-                        let outs = kernel.outcomes(i, j);
-                        let mut cell_rem = c;
-                        let mut cell_mass = 1.0f64;
-                        for (out_idx, &((a, b), p)) in outs.iter().enumerate() {
-                            if cell_rem == 0 {
-                                break;
-                            }
-                            let oq = if out_idx + 1 == outs.len() {
-                                1.0
-                            } else {
-                                (p / cell_mass).clamp(0.0, 1.0)
-                            };
-                            let oc = sample_binomial(cell_rem, oq, rng);
-                            cell_mass -= p;
-                            cell_rem -= oc;
-                            let (a, b) = (a as usize, b as usize);
-                            if oc > 0 && (a, b) != (i, j) {
-                                self.deltas[i] -= oc as i64;
-                                self.deltas[a] += oc as i64;
-                                self.deltas[j] -= oc as i64;
-                                self.deltas[b] += oc as i64;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.commit_or_split(batch, rng)
-    }
 }
 
 #[cfg(test)]
@@ -1605,6 +1407,7 @@ mod tests {
     use popgame_util::rng::{rng_from_seed, stream_rng};
     use proptest::prelude::*;
     use rand::Rng;
+    use std::collections::BTreeMap;
 
     /// One-way epidemic over {0: healthy, 1: infected}.
     #[derive(Clone, Copy)]
@@ -1695,8 +1498,7 @@ mod tests {
         assert_eq!(table.num_states(), 2);
         assert_eq!(table.apply(0, 1), (1, 1));
         assert_eq!(table.apply(0, 0), (0, 0));
-        assert!(table.is_identity(1, 1));
-        assert!(!table.is_identity(0, 1));
+        assert_eq!(table.apply(1, 1), (1, 1));
     }
 
     #[test]
@@ -1742,10 +1544,8 @@ mod tests {
     fn kernel_table_tabulates_declared_randomized_protocols() {
         let kernel = KernelTable::build(&DeclaredRandomFlip).unwrap().unwrap();
         assert_eq!(kernel.num_states(), 3);
+        // (i, j) = (0, 1): the identity (0, 1) is one of three outcomes.
         assert_eq!(kernel.outcomes(0, 1).len(), 3);
-        // (i, j) = (0, 1): outcome (0, 1) is the identity with p = 1/3,
-        // but the cell as a whole is not an almost-sure no-op.
-        assert!(!kernel.is_identity(0, 1));
         // Undeclared randomized protocols yield no kernel.
         assert!(KernelTable::build(&RandomFlip).unwrap().is_none());
         // Deterministic protocols don't need one, but building works.
@@ -2033,8 +1833,8 @@ mod tests {
         // Both components change: (0, 2) -> (2, 2) and (2, 0) -> (2, 2).
         assert_eq!(table.apply(0, 2), (2, 2));
         assert_eq!(table.apply(2, 0), (2, 2));
-        assert!(table.is_identity(1, 1));
-        assert!(!table.is_identity(1, 0));
+        assert_eq!(table.apply(1, 1), (1, 1));
+        assert_eq!(table.apply(1, 0), (1, 1));
     }
 
     #[test]
@@ -2078,7 +1878,7 @@ mod tests {
     impl Protocol for FieldContagion {
         type State = u8;
         fn interact<R: Rng + ?Sized>(&self, _i: u8, _r: u8, _rng: &mut R) -> (u8, u8) {
-            unreachable!("count-coupled protocols run through pair_kernel_at")
+            unreachable!("count-coupled protocols run through pair_kernels_at_into")
         }
         fn is_one_way(&self) -> bool {
             true
@@ -2101,14 +1901,19 @@ mod tests {
         fn kernel_depends_on_counts(&self) -> bool {
             true
         }
-        fn pair_kernel_at(
-            &self,
-            _i: usize,
-            j: usize,
-            freq: &[f64],
-        ) -> Option<Vec<((usize, usize), f64)>> {
+        fn pair_kernels_at_into(&self, freq: &[f64], cells: &[bool], laws: &mut KernelLaws) {
             let p0 = freq[0];
-            Some(vec![((0, j), p0), ((1, j), 1.0 - p0)])
+            write_laws(cells, laws, |_, j| vec![((0, j), p0), ((1, j), 1.0 - p0)]);
+        }
+    }
+
+    /// Writes `law(i, j)` for every cell flagged in the `k²` cells of
+    /// `cells`, as a count-coupled protocol answers `pair_kernels_at_into`.
+    fn write_laws(cells: &[bool], laws: &mut KernelLaws, law: impl Fn(usize, usize) -> Law) {
+        let k = cells.len().isqrt();
+        for (cell, _) in cells.iter().enumerate().filter(|&(_, &flagged)| flagged) {
+            laws.entries.extend(law(cell / k, cell % k));
+            laws.ends.push(laws.entries.len());
         }
     }
 
@@ -2166,7 +1971,7 @@ mod tests {
     impl Protocol for LocalDrift {
         type State = u8;
         fn interact<R: Rng + ?Sized>(&self, _i: u8, _r: u8, _rng: &mut R) -> (u8, u8) {
-            unreachable!("count-coupled protocols run through pair_kernel_at")
+            unreachable!("count-coupled protocols run through pair_kernels_at_into")
         }
         fn is_one_way(&self) -> bool {
             true
@@ -2189,17 +1994,14 @@ mod tests {
         fn kernel_depends_on_counts(&self) -> bool {
             true
         }
-        fn pair_kernel_at(
-            &self,
-            i: usize,
-            j: usize,
-            freq: &[f64],
-        ) -> Option<Vec<((usize, usize), f64)>> {
-            if i == j {
-                return Some(vec![((i, j), 1.0)]);
-            }
-            let p = 0.2 + 0.6 * freq[i];
-            Some(vec![(((i + 1) % 4, j), p), ((i, j), 1.0 - p)])
+        fn pair_kernels_at_into(&self, freq: &[f64], cells: &[bool], laws: &mut KernelLaws) {
+            write_laws(cells, laws, |i, j| {
+                if i == j {
+                    return vec![((i, j), 1.0)];
+                }
+                let p = 0.2 + 0.6 * freq[i];
+                vec![(((i + 1) % 4, j), p), ((i, j), 1.0 - p)]
+            });
         }
         fn pair_kernel_deps(&self, i: usize, j: usize) -> KernelDeps {
             if i == j {
@@ -2290,13 +2092,8 @@ mod tests {
         fn kernel_depends_on_counts(&self) -> bool {
             true
         }
-        fn pair_kernel_at(
-            &self,
-            _i: usize,
-            j: usize,
-            freq: &[f64],
-        ) -> Option<Vec<((usize, usize), f64)>> {
-            Some(vec![((0, j), 1.0 + freq[0])])
+        fn pair_kernels_at_into(&self, freq: &[f64], cells: &[bool], laws: &mut KernelLaws) {
+            write_laws(cells, laws, |_, j| vec![((0, j), 1.0 + freq[0])]);
         }
     }
 
@@ -2415,48 +2212,140 @@ mod tests {
         },
     };
 
-    /// Asserts the flow leap and the reference (per-entry) leap agree in
-    /// law on every state's final count after `horizon` interactions in
-    /// leaps of `batch`. The two are the same law exactly, so the bound is
-    /// the chi-square 99.9% quantile (Wilson–Hilferty), with no leap-bias
-    /// allowance.
-    fn assert_flow_leap_matches_reference(
-        protocol: KernelOnly,
-        start: &[u64],
-        horizon: u64,
-        batch: u64,
-    ) {
-        let n = start.iter().sum::<u64>() as usize;
-        let mut hists = [vec![vec![0u64; n + 1]; start.len()], vec![vec![0u64; n + 1]; start.len()]];
-        for rep in 0..4_000 {
-            for (reference, hist) in [false, true].into_iter().zip(&mut hists) {
-                let mut engine = BatchedEngine::from_counts(protocol, start.to_vec()).unwrap();
-                engine.set_reference_leap(reference);
-                let mut rng = stream_rng(if reference { badge(rep) } else { 0xF10 ^ rep }, rep);
-                engine.run_batched(horizon, batch, &mut rng).unwrap();
-                for (h, &c) in hist.iter_mut().zip(engine.counts()) {
-                    h[c as usize] += 1;
-                }
+    /// Post-leap count vectors, padded with zeros to five states.
+    type Counts = [u64; 5];
+
+    /// Every cell's outcome law at `counts`, as the protocol states it:
+    /// its tabulated target with probability 1, or its declared pmf at
+    /// the frequencies of `counts`.
+    fn declared_laws<P: EnumerableProtocol>(protocol: &P, counts: &[u64]) -> Vec<Law> {
+        let k = counts.len();
+        if let Some(table) = TransitionTable::build(protocol).unwrap() {
+            return (0..k * k).map(|cell| vec![(table.apply(cell / k, cell % k), 1.0)]).collect();
+        }
+        let n = counts.iter().sum::<u64>() as f64;
+        let freq: Vec<f64> = counts.iter().map(|&c| c as f64 / n).collect();
+        let mut laws = KernelLaws::default();
+        protocol.pair_kernels_at_into(&freq, &vec![true; k * k], &mut laws);
+        laws.cells().map(<[_]>::to_vec).collect()
+    }
+
+    /// The exact law of the counts after `batch` interactions from
+    /// `counts`, each drawn independently from the frozen pair law: the
+    /// ordered pair `(i, j)` with probability `x_i (x_j − δ_ij) / n(n − 1)`,
+    /// then outcome `(a, b)` with probability `P(a, b | i, j)` from
+    /// `laws[i * k + j]`. The `batch`-fold convolution of the law of one
+    /// interaction's effect on the counts.
+    fn exact_leap_law(counts: &[u64], laws: &[Law], batch: u64) -> BTreeMap<Counts, f64> {
+        let (k, n) = (counts.len(), counts.iter().sum::<u64>() as f64);
+        let mut step = BTreeMap::<[i64; 5], f64>::new();
+        for (cell, law) in laws.iter().enumerate() {
+            let (i, j) = (cell / k, cell % k);
+            let pairs = counts[i] as f64 * (counts[j] - u64::from(i == j)) as f64;
+            for &((a, b), p) in law {
+                let mut delta = [0; 5];
+                delta[i] -= 1;
+                delta[j] -= 1;
+                delta[a] += 1;
+                delta[b] += 1;
+                *step.entry(delta).or_default() += pairs / (n * (n - 1.0)) * p;
             }
         }
-        for (state, (a, b)) in hists[0].iter().zip(&hists[1]).enumerate() {
-            let populated = a.iter().zip(b).filter(|(&x, &y)| x + y > 0).count();
-            let dof = populated.max(2) as f64 - 1.0;
-            let h = 2.0 / (9.0 * dof);
-            let bound = dof * (1.0 - h + 3.09 * h.sqrt()).powi(3);
-            let chi2 = two_sample_chi_square(a, b);
-            assert!(chi2 < bound, "state {state}: chi-square {chi2} >= {bound}: {a:?} vs {b:?}");
+        let mut start = [0; 5];
+        start[..k].copy_from_slice(counts);
+        let mut law = BTreeMap::from([(start, 1.0)]);
+        for _ in 0..batch {
+            let mut next = BTreeMap::new();
+            for (before, &p) in &law {
+                for (delta, &q) in &step {
+                    let after = std::array::from_fn(|s| {
+                        before[s].checked_add_signed(delta[s]).expect("counts >= 2 batch")
+                    });
+                    *next.entry(after).or_default() += p * q;
+                }
+            }
+            law = next;
         }
+        law
     }
 
-    #[test]
-    fn flow_leap_matches_reference_when_flows_aggregate_across_responders() {
-        assert_flow_leap_matches_reference(RESPONDER_SOFTMAX, &[8, 4, 4, 2, 2], 60, 10);
+    /// Leaps per case of [`assert_leap_matches_exact_law`].
+    const LEAPS: u64 = 20_000;
+
+    /// Checks one `batch`-interaction leap from `counts` against
+    /// [`exact_leap_law`]: a chi-square over [`LEAPS`] seeded leaps, with
+    /// the exact cells pooled, smallest expectation first, until each
+    /// pooled cell expects at least 5 leaps, held to the chi-square 99.9%
+    /// quantile (Wilson–Hilferty). No interaction takes more than two
+    /// agents out of a state, so with every count at least `2 batch` no
+    /// leap can overdraw and split. Returns the share of leaps that drew
+    /// through the flow alias table rather than the binomial chain.
+    fn assert_leap_matches_exact_law<P: EnumerableProtocol + Clone>(
+        protocol: P,
+        counts: &[u64],
+        batch: u64,
+        seed: u64,
+    ) -> f64 {
+        assert!(counts.iter().all(|&c| c >= 2 * batch), "a leap could split");
+        let exact = exact_leap_law(counts, &declared_laws(&protocol, counts), batch);
+        let engine = BatchedEngine::from_counts(protocol, counts.to_vec()).unwrap();
+        let (mut observed, mut alias_leaps) = (BTreeMap::<Counts, u64>::new(), 0);
+        for rep in 0..LEAPS {
+            let mut leap = engine.clone();
+            leap.batch_step(batch, &mut stream_rng(seed, rep));
+            assert_eq!(leap.work.leaps, 1, "the leap split");
+            alias_leaps += u64::from(leap.work.alias_rebuilds > 0);
+            let mut after = [0; 5];
+            after[..counts.len()].copy_from_slice(leap.counts());
+            *observed.entry(after).or_default() += 1;
+        }
+        if let Some(after) = observed.keys().find(|after| !exact.contains_key(*after)) {
+            panic!("a leap reached {after:?}, which the exact law cannot");
+        }
+        let mut cells: Vec<(f64, u64)> = exact
+            .iter()
+            .map(|(after, &p)| (p * LEAPS as f64, observed.get(after).copied().unwrap_or(0)))
+            .collect();
+        cells.sort_by(|x, y| x.0.total_cmp(&y.0));
+        let (mut bins, mut pool) = (Vec::new(), (0.0, 0));
+        for (expected, seen) in cells {
+            pool = (pool.0 + expected, pool.1 + seen);
+            if pool.0 >= 5.0 {
+                bins.push(std::mem::take(&mut pool));
+            }
+        }
+        match bins.last_mut() {
+            Some(last) => *last = (last.0 + pool.0, last.1 + pool.1),
+            None => bins.push(pool),
+        }
+        let chi2: f64 = bins.iter().map(|&(e, o)| (o as f64 - e).powi(2) / e).sum();
+        let dof = bins.len().max(2) as f64 - 1.0;
+        let h = 2.0 / (9.0 * dof);
+        let bound = dof * (1.0 - h + 3.09 * h.sqrt()).powi(3);
+        assert!(chi2 < bound, "chi-square {chi2} >= {bound} over {} pooled cells", bins.len());
+        alias_leaps as f64 / LEAPS as f64
     }
 
+    /// One leap has the exact law of `batch` independent interactions
+    /// from the frozen counts, on a static kernel whose flows aggregate
+    /// across responders, a law with both-move outcomes, a deterministic
+    /// two-way table and a count-coupled law. The short leaps draw
+    /// through the flow alias table, the long ones through the binomial
+    /// chain.
     #[test]
-    fn flow_leap_matches_reference_with_both_move_outcomes() {
-        assert_flow_leap_matches_reference(PAIR_SHIFT, &[6, 5, 4, 3], 40, 6);
+    fn one_leap_matches_the_exact_law() {
+        let alias = [
+            assert_leap_matches_exact_law(RESPONDER_SOFTMAX, &[8, 6, 6, 7, 9], 3, 1),
+            assert_leap_matches_exact_law(PAIR_SHIFT, &[6, 7, 6, 8], 3, 2),
+            assert_leap_matches_exact_law(MaxConsensus, &[6, 4, 5], 2, 3),
+            assert_leap_matches_exact_law(FieldContagion, &[4, 6], 2, 4),
+        ];
+        let chain = [
+            assert_leap_matches_exact_law(MaxConsensus, &[140, 150, 160], 70, 5),
+            assert_leap_matches_exact_law(FieldContagion, &[160, 200], 80, 6),
+        ];
+        assert!(alias.iter().all(|&share| share > 0.5), "alias shares {alias:?}");
+        assert!(chain.iter().all(|&share| share < 0.01), "alias shares {chain:?}");
     }
 
     /// Final counts of a seeded `run_batched(total, batch)` from `counts`.
@@ -2578,6 +2467,7 @@ mod tests {
         counts: &[u64],
         rng: &mut impl Rng,
     ) -> (Vec<Flow>, Vec<Alternative>) {
+        let kernel = KernelTable::build(&protocol).unwrap();
         let mut engine = BatchedEngine::from_counts(protocol, counts.to_vec()).unwrap();
         let k = counts.len();
         let mut alternatives = Vec::new();
@@ -2587,7 +2477,7 @@ mod tests {
                 if w <= 0.0 {
                     continue;
                 }
-                let outcomes = match (&engine.table, &engine.kernel) {
+                let outcomes = match (&engine.table, &kernel) {
                     (Some(table), _) => vec![(table.apply(i, j), 1.0)],
                     (None, Some(kernel)) => kernel
                         .outcomes(i, j)

@@ -98,7 +98,7 @@ impl CountedPopulation {
     /// state enumeration does not match the count vector length, and
     /// [`PopulationError::InvalidArgument`] for count-coupled protocols
     /// ([`EnumerableProtocol::kernel_depends_on_counts`]), whose law lives
-    /// in `pair_kernel_at` and can only be executed by
+    /// in `pair_kernels_at_into` and can only be executed by
     /// [`crate::batch::BatchedEngine`].
     pub fn step<P, R>(&mut self, protocol: &P, rng: &mut R) -> Result<(usize, usize), PopulationError>
     where
@@ -117,7 +117,7 @@ impl CountedPopulation {
             // `interact`; sampling it here would silently run a wrong law.
             return Err(PopulationError::InvalidArgument {
                 reason: "count-coupled protocols must run on BatchedEngine \
-                         (their law lives in pair_kernel_at, not interact)"
+                         (their law lives in pair_kernels_at_into, not interact)"
                     .into(),
             });
         }

@@ -102,14 +102,14 @@ pub fn exact_steps() -> &'static Counter {
     )
 }
 
-/// Full `KernelTable` builds: construction-time builds plus the
-/// reference path's per-change rebuilds.
+/// Full `KernelTable` builds, one per construction of an engine whose
+/// protocol declares a kernel.
 pub fn kernel_full_builds() -> &'static Counter {
     static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
     handle(
         &CELL,
         "popgame_engine_kernel_full_builds_total",
-        "Full KernelTable builds (engine construction and the reference leap path).",
+        "Full KernelTable builds (one per engine construction over a declared kernel).",
     )
 }
 
@@ -145,13 +145,13 @@ pub fn alias_rebuilds() -> &'static Counter {
     )
 }
 
-/// One engine's work since it last published: the six counters above,
-/// kept in plain fields on the hot path.
+/// One engine's work since it last published: the counters above but
+/// [`kernel_full_builds`], which construction bumps directly, kept in
+/// plain fields on the hot path.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Tally {
     pub(crate) leaps: u64,
     pub(crate) exact_steps: u64,
-    pub(crate) kernel_full_builds: u64,
     pub(crate) kernel_refreshes: u64,
     pub(crate) dirty_cells: u64,
     pub(crate) alias_rebuilds: u64,
@@ -164,7 +164,6 @@ impl Tally {
         for (count, counter) in [
             (work.leaps, leaps as fn() -> &'static Counter),
             (work.exact_steps, exact_steps),
-            (work.kernel_full_builds, kernel_full_builds),
             (work.kernel_refreshes, kernel_refreshes),
             (work.dirty_cells, kernel_dirty_cells),
             (work.alias_rebuilds, alias_rebuilds),

@@ -154,10 +154,11 @@ pub trait EnumerableProtocol: Protocol {
     /// directly. *Randomized* protocols
     /// ([`has_random_transitions`](Protocol::has_random_transitions) =
     /// `true`) that override it become τ-leapable on
-    /// [`crate::batch::BatchedEngine`]: the engine freezes the per-pair
-    /// kernel into a [`crate::batch::KernelTable`] and splits each leap's
-    /// pair draws multinomially over the declared outcomes instead of
-    /// falling back to exact per-interaction stepping. The declared law
+    /// [`crate::batch::BatchedEngine`]: the engine validates the per-pair
+    /// kernel as a [`crate::batch::KernelTable`], classifies its outcomes
+    /// into count flows ([`crate::batch::LeapLaw`]) and draws each leap
+    /// over them instead of falling back to exact per-interaction
+    /// stepping. The declared law
     /// **must** equal the law of `interact` exactly, or batched and exact
     /// execution will diverge distributionally.
     fn pair_kernel(&self, _i: usize, _j: usize) -> Option<Vec<((usize, usize), f64)>> {
@@ -178,8 +179,8 @@ pub trait EnumerableProtocol: Protocol {
     /// 1. return `true` here *and* from
     ///    [`has_random_transitions`](Protocol::has_random_transitions);
     /// 2. declare the full law via
-    ///    [`pair_kernel_at`](Self::pair_kernel_at) (and return `None` from
-    ///    the static [`pair_kernel`](Self::pair_kernel));
+    ///    [`pair_kernels_at_into`](Self::pair_kernels_at_into) (and return
+    ///    `None` from the static [`pair_kernel`](Self::pair_kernel));
     /// 3. treat [`interact`](Protocol::interact) as unreachable — engines
     ///    aware of this flag never call it, and
     ///    [`crate::counts::CountedPopulation`] rejects count-coupled
@@ -197,27 +198,11 @@ pub trait EnumerableProtocol: Protocol {
         false
     }
 
-    /// The outcome law of the ordered state-index pair `(i, j)` **given
-    /// the current population frequencies** `freq` (one entry per state
-    /// index, summing to 1). Count-coupled protocols override this;
-    /// everything else inherits the default, which ignores `freq` and
-    /// delegates to the static [`pair_kernel`](Self::pair_kernel).
-    ///
-    /// The declared law must be a pmf for every reachable `freq`, exactly
-    /// like the static kernel.
-    fn pair_kernel_at(
-        &self,
-        i: usize,
-        j: usize,
-        freq: &[f64],
-    ) -> Option<Vec<((usize, usize), f64)>> {
-        let _ = freq;
-        self.pair_kernel(i, j)
-    }
-
     /// The laws of every cell flagged in `cells` (`cells[i * k + j]`, row
-    /// by row) at `freq`, written in one call into the caller-owned
-    /// buffers of `laws`: for each flagged cell in order, its entries are
+    /// by row) **given the current population frequencies** `freq` (one
+    /// entry per state index, summing to 1), written in one call into the
+    /// caller-owned buffers of `laws`: for each flagged cell in order,
+    /// its entries `((initiator'_idx, responder'_idx), probability)` are
     /// appended to [`KernelLaws::entries`] and the new length pushed to
     /// [`KernelLaws::ends`]. The caller clears both first
     /// ([`KernelLaws::clear`]); [`KernelLaws::scratch`] is the protocol's
@@ -228,18 +213,20 @@ pub trait EnumerableProtocol: Protocol {
     /// every cell, a leap's re-weigh the dirty ones and an exact step the
     /// sampled pair's, so a protocol whose cells share work (one choice
     /// law per frequency vector, one pass over opponent pairs) does it
-    /// once per call, not once per cell. The
-    /// default delegates cell by cell to
-    /// [`pair_kernel_at`](Self::pair_kernel_at); hot count-coupled
-    /// protocols override it to write entries directly, so a warm refresh
-    /// performs no heap allocation. An override must write exactly the
-    /// entries (values and order) of
-    /// [`pair_kernel_at`](Self::pair_kernel_at) — engines rely on the two
-    /// being bitwise interchangeable.
+    /// once per call, not once per cell. The default ignores `freq` and
+    /// delegates cell by cell to the static
+    /// [`pair_kernel`](Self::pair_kernel). Count-coupled protocols
+    /// override it, and hot ones write their entries straight into the
+    /// buffers, so a warm refresh performs no heap allocation. The
+    /// declared law must be a pmf for every reachable `freq`, exactly
+    /// like the static kernel, and must depend on `freq` alone: the same
+    /// frequencies give the same entries bit for bit, whichever cells are
+    /// flagged with them.
     fn pair_kernels_at_into(&self, freq: &[f64], cells: &[bool], laws: &mut KernelLaws) {
+        let _ = freq;
         let k = self.num_states();
         for (cell, _) in cells.iter().enumerate().filter(|&(_, &flagged)| flagged) {
-            let Some(entries) = self.pair_kernel_at(cell / k, cell % k, freq) else {
+            let Some(entries) = self.pair_kernel(cell / k, cell % k) else {
                 return;
             };
             laws.entries.extend(entries);
@@ -248,7 +235,7 @@ pub trait EnumerableProtocol: Protocol {
     }
 
     /// Which frequency components the pair `(i, j)` law
-    /// ([`pair_kernel_at`](Self::pair_kernel_at)) reads. The default is
+    /// ([`pair_kernels_at_into`](Self::pair_kernels_at_into)) reads. The default is
     /// the conservative [`KernelDeps::All`]; count-coupled protocols
     /// should override it where cells are count-free (unconditional
     /// no-ops) or read only a few states, so the engine's incremental

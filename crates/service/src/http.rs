@@ -27,17 +27,22 @@
 //! Each response — head and body — goes out in one vectored write, so a
 //! `TCP_NODELAY` socket sends it without a separate head segment.
 //!
-//! Graceful shutdown: raise the flag, nudge the accept loop with a
-//! loopback connection, drop the queue sender, and join every thread.
-//! In-flight requests complete; queued connections are served; nothing
-//! is torn down mid-response. A worker holding an idle keep-alive
-//! connection frees itself at the read timeout, or as soon as the
-//! client hangs up.
+//! Graceful shutdown: raise the flag, end the reads of every connection
+//! being served, nudge the accept loop with a loopback connection, drop
+//! the queue sender, and join every thread. Each worker registers a
+//! clone of the stream it serves, so shutdown can call
+//! `shutdown(Read)` on it: a worker waiting on an idle keep-alive
+//! connection wakes at once instead of at the read timeout. Writes are
+//! untouched, so in-flight requests complete and nothing is torn down
+//! mid-response; a request that already arrived, on a served or a
+//! queued connection, is still read and answered (Linux keeps received
+//! bytes readable after `shutdown(Read)`).
 
 use popgame_obs::metrics::{registry, Counter, Gauge, GaugeGuard};
 use popgame_util::json::Json;
 use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::HashMap;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -226,10 +231,62 @@ fn status_text(status: u16) -> &'static str {
 /// all workers.
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
+/// The connections the workers are serving, each as a clone of its
+/// stream, so a shutdown can end their reads.
+#[derive(Default)]
+struct Live {
+    /// Whether shutdown has begun: a connection registered later has its
+    /// reads ended at once.
+    closing: bool,
+    next_id: u64,
+    streams: HashMap<u64, TcpStream>,
+}
+
+/// A connection's entry in [`Live`], removed on drop so that the clone
+/// keeps no socket open once the connection is done.
+struct Registration<'a> {
+    live: &'a Mutex<Live>,
+    id: u64,
+}
+
+impl Live {
+    /// Registers a clone of `stream` for as long as the registration
+    /// lives.
+    fn register<'a>(live: &'a Mutex<Live>, stream: &TcpStream) -> io::Result<Registration<'a>> {
+        let clone = stream.try_clone()?;
+        let mut this = live.lock().expect("connection registry lock");
+        if this.closing {
+            let _ = clone.shutdown(Shutdown::Read);
+        }
+        let id = this.next_id;
+        this.next_id += 1;
+        this.streams.insert(id, clone);
+        Ok(Registration { live, id })
+    }
+
+    /// Ends the reads of every registered connection, and of every one
+    /// registered later.
+    fn close(live: &Mutex<Live>) {
+        let mut this = live.lock().expect("connection registry lock");
+        this.closing = true;
+        for stream in this.streams.values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+}
+
+impl Drop for Registration<'_> {
+    fn drop(&mut self) {
+        let mut live = self.live.lock().expect("connection registry lock");
+        live.streams.remove(&self.id);
+    }
+}
+
 /// The running server. Dropping it performs a graceful shutdown.
 pub struct HttpServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
+    live: Arc<Mutex<Live>>,
     accept_handle: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     overflows: Arc<AtomicU64>,
@@ -248,10 +305,12 @@ impl HttpServer {
         let overflows = Arc::new(AtomicU64::new(0));
         let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.queue_depth.max(1));
         let rx = Arc::new(Mutex::new(rx));
+        let live = Arc::new(Mutex::new(Live::default()));
 
         let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
             .map(|_| {
                 let rx = Arc::clone(&rx);
+                let live = Arc::clone(&live);
                 let handler = Arc::clone(&handler);
                 let max_body = config.max_body;
                 let read_timeout = config.read_timeout;
@@ -266,7 +325,7 @@ impl HttpServer {
                             queue_depth_gauge().sub(1);
                             let _in_flight =
                                 GaugeGuard::new(Arc::clone(in_flight_gauge()));
-                            serve_connection(stream, &handler, max_body, read_timeout);
+                            serve_connection(stream, &handler, max_body, read_timeout, &live);
                         }
                         Err(_) => break, // sender dropped: shutdown
                     }
@@ -300,6 +359,7 @@ impl HttpServer {
         Ok(HttpServer {
             local_addr,
             shutdown,
+            live,
             accept_handle: Some(accept_handle),
             workers,
             overflows,
@@ -316,12 +376,14 @@ impl HttpServer {
         Arc::clone(&self.overflows)
     }
 
-    /// Graceful shutdown: stop accepting, serve what's queued, join all
-    /// threads. Idempotent (called by `Drop` too).
+    /// Graceful shutdown: stop accepting, end the reads of idle
+    /// connections, serve what's queued, join all threads. Idempotent
+    /// (called by `Drop` too).
     pub fn shutdown(&mut self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
+        Live::close(&self.live);
         // Nudge the accept loop out of `accept()`. A 0.0.0.0 / :: bind is
         // not connectable on every platform, so aim at loopback then.
         let wake_addr = if self.local_addr.ip().is_unspecified() {
@@ -374,12 +436,14 @@ fn reject_overloaded(mut stream: TcpStream) {
 }
 
 /// Serves one connection: a keep-alive loop of request → handler →
-/// response, ending on `Connection: close`, EOF, timeout, or error.
+/// response, ending on `Connection: close`, EOF, timeout, or error. The
+/// connection stays registered in `live` while it is served.
 fn serve_connection(
     stream: TcpStream,
     handler: &Handler,
     max_body: usize,
     read_timeout: Duration,
+    live: &Mutex<Live>,
 ) {
     if stream.set_read_timeout(Some(read_timeout)).is_err() {
         return;
@@ -387,6 +451,9 @@ fn serve_connection(
     let _ = stream.set_write_timeout(Some(read_timeout));
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    let Ok(_registration) = Live::register(live, &stream) else {
         return;
     };
     let mut reader = BufReader::new(read_half);
@@ -826,9 +893,13 @@ impl Client {
 mod tests {
     use super::*;
 
-    fn echo_server(workers: usize, queue_depth: usize) -> HttpServer {
-        let handler: Handler = Arc::new(|req: &Request| {
+    /// An echo server, and a receiver that takes one message each time
+    /// a `/slow` request starts.
+    fn echo_server(workers: usize, queue_depth: usize) -> (HttpServer, mpsc::Receiver<()>) {
+        let (entered, slow_started) = mpsc::channel();
+        let handler: Handler = Arc::new(move |req: &Request| {
             if req.path == "/slow" {
+                let _ = entered.send(());
                 std::thread::sleep(Duration::from_millis(300));
             }
             Response::json(
@@ -849,6 +920,7 @@ mod tests {
             },
             handler,
         )
+        .map(|server| (server, slow_started))
         .expect("bind loopback")
     }
 
@@ -862,7 +934,7 @@ mod tests {
 
     #[test]
     fn serves_get_and_post_with_body() {
-        let server = echo_server(2, 16);
+        let (server, _) = echo_server(2, 16);
         let mut client = Client::connect(server.local_addr()).unwrap();
         let reply = client.request("GET", "/healthz?probe=1", "").unwrap();
         assert_eq!(reply.status, 200);
@@ -874,7 +946,7 @@ mod tests {
 
     #[test]
     fn keep_alive_serves_multiple_requests_per_connection() {
-        let server = echo_server(1, 16);
+        let (server, _) = echo_server(1, 16);
         let mut client = Client::connect(server.local_addr()).unwrap();
         let first = client.local_addr();
         for i in 0..3 {
@@ -941,7 +1013,7 @@ mod tests {
 
     #[test]
     fn http_1_0_defaults_to_close() {
-        let server = echo_server(1, 16);
+        let (server, _) = echo_server(1, 16);
         // No Connection header: a 1.0 client must get an immediate close
         // (read_to_string returns instead of stalling to the timeout).
         let start = std::time::Instant::now();
@@ -952,7 +1024,7 @@ mod tests {
 
     #[test]
     fn malformed_requests_get_400() {
-        let server = echo_server(1, 16);
+        let (server, _) = echo_server(1, 16);
         for (request, status, needle) in [
             ("NONSENSE\r\n\r\n", 400, "malformed request line"),
             // Content-Length is `1*DIGIT` only: `+5` parses as a usize
@@ -990,7 +1062,7 @@ mod tests {
 
     #[test]
     fn transfer_encoding_gets_501_and_close() {
-        let server = echo_server(1, 16);
+        let (server, _) = echo_server(1, 16);
         // The chunked body ends in bytes laid out as a second request. A
         // parser that ignored the header would frame the body as empty
         // and read on; the daemon must answer once and close.
@@ -1093,12 +1165,12 @@ mod tests {
     fn queue_overflow_yields_503() {
         // One worker pinned on a slow request + a queue of depth 1: a
         // burst of idle connections must overflow into 503s.
-        let server = echo_server(1, 1);
+        let (server, slow_started) = echo_server(1, 1);
         let addr = server.local_addr();
         let slow = std::thread::spawn(move || {
             raw_request(addr, "GET /slow HTTP/1.1\r\nconnection: close\r\n\r\n")
         });
-        std::thread::sleep(Duration::from_millis(50));
+        slow_started.recv().expect("the worker takes /slow");
         // The worker is busy; connection 1 fills the queue, further ones
         // must bounce. Open several without reading so they stay queued.
         let mut held: Vec<TcpStream> = Vec::new();
@@ -1131,12 +1203,19 @@ mod tests {
 
     #[test]
     fn graceful_shutdown_joins_all_threads() {
-        let mut server = echo_server(2, 8);
+        let (mut server, _) = echo_server(2, 8);
+        assert_eq!(HttpConfig::default().read_timeout, Duration::from_secs(5));
         let addr = server.local_addr();
         let mut client = Client::connect(addr).unwrap();
         assert_eq!(client.request("GET", "/x", "").unwrap().status, 200);
-        drop(client);
+        // The kept-alive client holds a worker in an idle read: shutdown
+        // must end that read, not wait out the read timeout.
+        let started = Instant::now();
         server.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+        assert!(server.live.lock().unwrap().streams.is_empty(), "a clone outlived its connection");
+        drop(client);
         server.shutdown(); // idempotent
         assert!(TcpStream::connect(addr).is_err() || {
             // The OS may accept briefly on some platforms; a request must

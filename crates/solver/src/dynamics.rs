@@ -207,18 +207,11 @@ pub struct GameDynamics {
     br_comp_counts: Vec<u8>,
     br_comp_coef: Vec<f64>,
     br_comp_br: Vec<u8>,
-    /// When set, count-coupled law evaluations take the pre-optimization
-    /// reference path (the composition *recursion* per rebuild instead of
-    /// the precomputed table). Identical in law — kept as the bench
-    /// baseline and test oracle for the fast path. See
-    /// [`Self::set_reference_laws`].
-    reference_laws: bool,
 }
 
 impl PartialEq for GameDynamics {
     fn eq(&self, other: &Self) -> bool {
-        // The precomputed tables follow from the game and the rule, and
-        // the reference knob picks an evaluation path, not a law: two
+        // The precomputed tables follow from the game and the rule: two
         // dynamics are equal when they encode the same game under the
         // same rule.
         self.payoff == other.payoff && self.rule == other.rule
@@ -358,7 +351,6 @@ impl GameDynamics {
             br_comp_counts,
             br_comp_coef,
             br_comp_br,
-            reference_laws: false,
         })
     }
 
@@ -421,35 +413,10 @@ impl GameDynamics {
         }
     }
 
-    /// Schlag switch probability for initiator strategy `i` observing
-    /// responder strategy `j`, with both comparison payoffs realized
-    /// against independent opponents drawn from `freq`:
-    /// `E[(u(j, X) − u(i, Y))₊] / κ`, `X, Y ~ freq` iid.
-    ///
-    /// The sum runs over every `(X, Y)` without branches: a pair with no
-    /// mass or no gain adds `fa · fb · max(diff, 0) = ±0`, which leaves the
-    /// sum's bits where skipping it would.
-    fn proportional_switch_prob(&self, i: usize, j: usize, freq: &[f64]) -> f64 {
-        let (gain, loss) = (&self.payoff[j], &self.payoff[i]);
-        let mut expect = 0.0;
-        for (&fa, &ua) in freq.iter().zip(gain) {
-            for (&fb, &ub) in freq.iter().zip(loss) {
-                expect += fa * fb * (ua - ub).max(0.0);
-            }
-        }
-        (expect / self.span).clamp(0.0, 1.0)
-    }
-
-    /// The sampled-best-response choice law at `freq`: the distribution of
-    /// `argmax_a Σ_t c_t · u(a, t)` over multiset samples `c` of size
-    /// `samples` drawn iid from `freq` (ties to the lowest index).
-    ///
-    /// This is the *reference* evaluation — a fresh composition recursion
-    /// per call. The hot path is [`Self::sampled_br_law_fast`], which
-    /// reads the construction-time composition table instead; the two
-    /// agree up to floating-point reassociation and are cross-checked by
-    /// tests. The recursion stays reachable through
-    /// [`Self::set_reference_laws`] as the bench baseline.
+    /// [`Self::sampled_br_law_fast`] by a fresh composition recursion per
+    /// call: its test oracle. The two agree up to floating-point
+    /// reassociation.
+    #[cfg(test)]
     fn sampled_br_law(&self, freq: &[f64], samples: usize) -> Vec<f64> {
         let k = self.payoff.len();
         let mut rho = vec![0.0; k];
@@ -510,9 +477,13 @@ impl GameDynamics {
         rho
     }
 
-    /// Table-driven [`Self::sampled_br_law`]: the multinomial coefficient
-    /// and the argmax best reply of every composition were precomputed at
-    /// construction ([`build_br_comp_table`]), so each kernel rebuild only
+    /// The sampled-best-response choice law at `freq`: the distribution of
+    /// `argmax_a Σ_t c_t · u(a, t)` over multiset samples `c` of size
+    /// `samples` drawn iid from `freq` (ties to the lowest index).
+    ///
+    /// The multinomial coefficient and the argmax best reply of every
+    /// composition were precomputed at construction
+    /// ([`build_br_comp_table`]), so each kernel rebuild only
     /// evaluates the frequency-dependent product `coef · Π_t freq[t]^{c_t}`
     /// per composition row. The powers come from a table refilled per
     /// call with `freq[t]^c` for every `c ≤ samples`, by the
@@ -551,13 +522,16 @@ impl GameDynamics {
     }
 
     /// Writes the pairwise-imitation law of every cell flagged in `cells`
-    /// into `laws`. All switch probabilities are summed in one pass over
-    /// the comparison-opponent pairs `(a, b)` and the gain table, into one
-    /// accumulator per cell in `laws.scratch`: every cell takes its terms
-    /// `freq[a] · freq[b] · (u(j, a) − u(i, b))₊` in the `(a, b)` order
-    /// [`Self::proportional_switch_prob`] adds them in, from the same
-    /// `0.0`, so each probability carries that method's bits. Every cell
-    /// is summed, flagged or not, so the pass has no branch.
+    /// into `laws`: a strategy-`i` initiator observing `j` switches with
+    /// the Schlag probability `E[(u(j, X) − u(i, Y))₊] / κ`, the
+    /// comparison opponents `X, Y ~ freq` iid.
+    ///
+    /// All switch probabilities are summed in one pass over the
+    /// comparison-opponent pairs `(a, b)` and the gain table, into one
+    /// accumulator per cell in `laws.scratch`, from `0.0` and in `(a, b)`
+    /// order. A pair with no mass or no gain adds `fa · fb · 0 = ±0`,
+    /// which leaves the sum's bits where skipping it would. Every cell is
+    /// summed, flagged or not, so the pass has no branch.
     fn switch_laws(&self, freq: &[f64], cells: &[bool], laws: &mut KernelLaws) {
         let k = self.payoff.len();
         let expect = &mut laws.scratch;
@@ -590,18 +564,6 @@ impl GameDynamics {
                 laws.ends.push(laws.entries.len());
             }
         }
-    }
-
-    /// Routes count-coupled law evaluations through the pre-optimization
-    /// *reference* implementations (currently: sampled best response
-    /// re-runs the composition recursion per kernel rebuild instead of
-    /// reading the precomputed table). The reference and fast paths agree
-    /// up to floating-point reassociation — this knob exists so benches
-    /// can measure the optimized path against a faithful baseline and
-    /// tests can cross-check the two laws; simulation results differ only
-    /// within that reassociation tolerance.
-    pub fn set_reference_laws(&mut self, reference: bool) {
-        self.reference_laws = reference;
     }
 
     /// The k-IGT level walk: `AC`(0) and `AD`(1) are immutable; a GTFT
@@ -639,8 +601,7 @@ fn powi_bits(mut x: f64, mut c: u32) -> f64 {
 }
 
 /// Enumerates every composition of `samples` opponents into the `k`
-/// strategies of `payoff` — the same depth-first order as the reference
-/// recursion in [`GameDynamics::sampled_br_law`] — and precomputes the
+/// strategies of `payoff`, depth first, and precomputes the
 /// frequency-*independent* part of each term: the multinomial coefficient
 /// `samples! / Π c_t!` and the best reply to the empirical sample (ties
 /// to the lowest index). Returns `(counts, coef, br)` with `counts`
@@ -737,7 +698,7 @@ impl Protocol for GameDynamics {
             }
             DynamicsRule::PairwiseImitation | DynamicsRule::SampledBestResponse { .. } => {
                 unreachable!(
-                    "count-coupled dynamics ({}) run through pair_kernel_at on \
+                    "count-coupled dynamics ({}) run through pair_kernels_at_into on \
                      BatchedEngine, never through interact",
                     self.rule.label()
                 )
@@ -796,7 +757,8 @@ impl EnumerableProtocol for GameDynamics {
                 )
             }
             // Deterministic rules are tabulated directly by the engine;
-            // count-coupled rules declare their law via pair_kernel_at.
+            // count-coupled rules declare their law via
+            // pair_kernels_at_into.
             _ => None,
         }
     }
@@ -808,32 +770,6 @@ impl EnumerableProtocol for GameDynamics {
         )
     }
 
-    fn pair_kernel_at(
-        &self,
-        i: usize,
-        j: usize,
-        freq: &[f64],
-    ) -> Option<Vec<((usize, usize), f64)>> {
-        match self.rule {
-            // Copying one's own strategy is a no-op regardless of the
-            // sampled payoffs.
-            DynamicsRule::PairwiseImitation if i == j => Some(vec![((i, j), 1.0)]),
-            DynamicsRule::PairwiseImitation => {
-                let p = self.proportional_switch_prob(i, j, freq);
-                Some(vec![((j, j), p), ((i, j), 1.0 - p)])
-            }
-            DynamicsRule::SampledBestResponse { samples } => {
-                let rho = if self.reference_laws {
-                    self.sampled_br_law(freq, samples)
-                } else {
-                    self.sampled_br_law_fast(freq, samples, &mut Vec::new()).to_vec()
-                };
-                Some(rho.into_iter().enumerate().map(|(a, p)| ((a, j), p)).collect())
-            }
-            _ => self.pair_kernel(i, j),
-        }
-    }
-
     fn pair_kernels_at_into(&self, freq: &[f64], cells: &[bool], laws: &mut KernelLaws) {
         let k = self.num_states();
         match self.rule {
@@ -841,13 +777,7 @@ impl EnumerableProtocol for GameDynamics {
             DynamicsRule::SampledBestResponse { samples } => {
                 // The choice law reads neither agent's state: one
                 // evaluation serves every cell.
-                let reference;
-                let rho = if self.reference_laws {
-                    reference = self.sampled_br_law(freq, samples);
-                    &reference
-                } else {
-                    self.sampled_br_law_fast(freq, samples, &mut laws.scratch)
-                };
+                let rho = self.sampled_br_law_fast(freq, samples, &mut laws.scratch);
                 for flagged in cells.chunks_exact(k) {
                     for (j, _) in flagged.iter().enumerate().filter(|&(_, &f)| f) {
                         laws.entries.extend(rho.iter().enumerate().map(|(a, &p)| ((a, j), p)));
@@ -965,6 +895,16 @@ mod tests {
 
     fn hawk_dove() -> MatrixGame {
         MatrixGame::symmetric(vec![vec![-1.0, 2.0], vec![0.0, 1.0]]).unwrap()
+    }
+
+    /// The law of cell `(i, j)` at `freq`, as the engine reads it.
+    fn cell_law(d: &GameDynamics, i: usize, j: usize, freq: &[f64]) -> Vec<((usize, usize), f64)> {
+        let k = d.num_states();
+        let mut cells = vec![false; k * k];
+        cells[i * k + j] = true;
+        let mut laws = KernelLaws::default();
+        d.pair_kernels_at_into(freq, &cells, &mut laws);
+        laws.entries
     }
 
     #[test]
@@ -1115,7 +1055,7 @@ mod tests {
         assert!(d.has_random_transitions());
         assert_eq!(d.payoff_span(), 3.0);
         let freq = [0.5, 0.5];
-        let cell = d.pair_kernel_at(1, 0, &freq).unwrap();
+        let cell = cell_law(&d, 1, 0, &freq);
         let switch = cell
             .iter()
             .find(|&&((a, _), _)| a == 0)
@@ -1125,7 +1065,7 @@ mod tests {
         // Total mass 1; self-pairs are exact no-ops.
         let total: f64 = cell.iter().map(|&(_, p)| p).sum();
         assert!((total - 1.0).abs() < 1e-12);
-        assert_eq!(d.pair_kernel_at(1, 1, &freq).unwrap(), vec![((1, 1), 1.0)]);
+        assert_eq!(cell_law(&d, 1, 1, &freq), vec![((1, 1), 1.0)]);
         // Static kernel declines (the law needs the counts).
         assert!(d.pair_kernel(1, 0).is_none());
     }
@@ -1138,12 +1078,20 @@ mod tests {
         let game = crate::scenarios::by_name("random-symmetric-5").unwrap();
         let d = GameDynamics::new(game.game(), DynamicsRule::PairwiseImitation).unwrap();
         let mut rng = rng_from_seed(41);
+        let mut laws = KernelLaws::default();
         for round in 0..200 {
             let mut freq: Vec<f64> = (0..5).map(|_| rng.gen_range(0..4u32) as f64).collect();
             freq[round % 5] = 0.0;
             let total: f64 = freq.iter().sum::<f64>().max(1.0);
             freq.iter_mut().for_each(|f| *f /= total);
+            laws.clear();
+            d.pair_kernels_at_into(&freq, &[true; 25], &mut laws);
+            let cells: Vec<_> = laws.cells().collect();
             for (i, j) in (0..5).flat_map(|i| (0..5).map(move |j| (i, j))) {
+                if i == j {
+                    assert_eq!(cells[i * 5 + j], [((i, j), 1.0)]);
+                    continue;
+                }
                 let mut expect = 0.0;
                 for (a, &fa) in freq.iter().enumerate().filter(|&(_, &f)| f != 0.0) {
                     for (b, &fb) in freq.iter().enumerate().filter(|&(_, &f)| f != 0.0) {
@@ -1154,7 +1102,8 @@ mod tests {
                     }
                 }
                 let skipping = (expect / d.span).clamp(0.0, 1.0);
-                let got = d.proportional_switch_prob(i, j, &freq);
+                let ((target, _), got) = cells[i * 5 + j][0];
+                assert_eq!(target, j, "the first outcome is the switch");
                 assert_eq!(got.to_bits(), skipping.to_bits(), "({i}, {j}) at {freq:?}");
             }
         }
@@ -1216,8 +1165,8 @@ mod tests {
         let d = GameDynamics::new(&hawk_dove(), DynamicsRule::PairwiseImitation).unwrap();
         for &h in &[0.2, 0.5, 0.8] {
             let freq = [h, 1.0 - h];
-            let p_dh = d.proportional_switch_prob(1, 0, &freq); // D adopts H
-            let p_hd = d.proportional_switch_prob(0, 1, &freq); // H adopts D
+            let p_dh = cell_law(&d, 1, 0, &freq)[0].1; // D adopts H
+            let p_hd = cell_law(&d, 0, 1, &freq)[0].1; // H adopts D
             // (Ax)_H − (Ax)_D = (−1)h + 2(1−h) − (1−h) = 1 − 2h.
             let payoff_gap = 1.0 - 2.0 * h;
             let net = p_dh - p_hd;
@@ -1252,7 +1201,7 @@ mod tests {
         assert!((rho5.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(rho5[1] > 0.8, "BR(rock-heavy mix) = paper: {rho5:?}");
         // The kernel cell shares the law across responders.
-        let cell = d5.pair_kernel_at(0, 2, &[0.8, 0.1, 0.1]).unwrap();
+        let cell = cell_law(&d5, 0, 2, &[0.8, 0.1, 0.1]);
         for &((_, rj), _) in &cell {
             assert_eq!(rj, 2, "responder never changes");
         }
@@ -1442,39 +1391,6 @@ mod tests {
         let d = GameDynamics::new(&hawk_dove(), DynamicsRule::PairwiseImitation).unwrap();
         let chi2 = step_vs_batch_chi_square(&d, &[6, 6], 40, 3, 4_000, 103);
         assert!(chi2 < 45.0, "chi-square {chi2}");
-    }
-
-    #[test]
-    fn pairwise_imitation_incremental_vs_reference_leap_chi_square() {
-        // The production leap (incremental `reweigh_at` law updates +
-        // fused multinomial chains) against the pinned pre-optimization
-        // path (full rebuild every leap, unfused chains). Different
-        // samplers, one law — final-count histograms must stay
-        // chi-square-equivalent.
-        let d = GameDynamics::new(&hawk_dove(), DynamicsRule::PairwiseImitation).unwrap();
-        let counts = [6u64, 6];
-        let n: u64 = counts.iter().sum();
-        let (horizon, batch, reps) = (40u64, 3u64, 4_000u64);
-        let mut hist_fast = vec![0u64; n as usize + 1];
-        let mut hist_ref = vec![0u64; n as usize + 1];
-        for rep in 0..reps {
-            let mut engine =
-                BatchedEngine::from_counts(d.clone(), counts.to_vec()).unwrap();
-            let mut rng = stream_rng(211, rep);
-            engine.run_batched(horizon, batch, &mut rng).unwrap();
-            hist_fast[engine.counts()[0] as usize] += 1;
-
-            let mut engine =
-                BatchedEngine::from_counts(d.clone(), counts.to_vec()).unwrap();
-            engine.set_reference_leap(true);
-            let mut rng =
-                stream_rng(0x0BAD_5EED ^ rep.wrapping_mul(0x9E37_79B9), rep);
-            engine.run_batched(horizon, batch, &mut rng).unwrap();
-            hist_ref[engine.counts()[0] as usize] += 1;
-        }
-        let chi2 = two_sample_chi_square(&hist_fast, &hist_ref);
-        // 13 cells; 99.9% quantile of chi2(12) ~ 32.9, plus leap-bias room.
-        assert!(chi2 < 45.0, "chi-square {chi2}: {hist_fast:?} vs {hist_ref:?}");
     }
 
     #[test]
@@ -1736,60 +1652,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reference_laws_knob_routes_to_the_recursion_bitwise() {
-        // Under `set_reference_laws(true)` the kernel entries must equal
-        // the pre-optimization recursion's output *bitwise* — that is the
-        // whole point of keeping the reference path around as an oracle.
-        let mut d = GameDynamics::new(
-            &rps(),
-            DynamicsRule::SampledBestResponse { samples: 5 },
-        )
-        .unwrap();
-        let freq = [0.5, 0.3, 0.2];
-        d.set_reference_laws(true);
-        let via_knob = d.pair_kernel_at(0, 1, &freq).unwrap();
-        let direct = d.sampled_br_law(&freq, 5);
-        for ((entry, &rho), a) in via_knob.iter().zip(&direct).zip(0..) {
-            assert_eq!(*entry, ((a, 1), rho));
-            assert_eq!(entry.1.to_bits(), rho.to_bits());
-        }
-        d.set_reference_laws(false);
-        let fast = d.pair_kernel_at(0, 1, &freq).unwrap();
-        for (f, r) in fast.iter().zip(&via_knob) {
-            assert_eq!(f.0, r.0);
-            assert!((f.1 - r.1).abs() <= 1e-12, "{f:?} vs {r:?}");
-        }
-    }
-
-    /// A kernel entry with its probability as bits.
-    type BitsEntry = ((usize, usize), u64);
-
-    /// The entries of every cell flagged in `cells`, as
-    /// `pair_kernels_at_into` writes them and as per-cell `pair_kernel_at`
-    /// states them, with each probability as bits.
-    fn both_entry_points(
-        d: &GameDynamics,
-        freq: &[f64],
-        cells: &[bool],
-        laws: &mut KernelLaws,
-    ) -> (Option<Vec<BitsEntry>>, Option<Vec<BitsEntry>>) {
-        let k = d.num_states();
-        let bits = |entries: &[((usize, usize), f64)]| {
-            entries.iter().map(|&(ab, p)| (ab, p.to_bits())).collect::<Vec<_>>()
-        };
-        laws.clear();
-        d.pair_kernels_at_into(freq, cells, laws);
-        let written = cells.iter().filter(|&&c| c).count() == laws.ends.len();
-        let batched = written.then(|| laws.cells().flat_map(bits).collect());
-        let per_cell = (0..k * k)
-            .filter(|&cell| cells[cell])
-            .map(|cell| d.pair_kernel_at(cell / k, cell % k, freq).map(|e| bits(&e)))
-            .collect::<Option<Vec<_>>>()
-            .map(|cells| cells.concat());
-        (batched, per_cell)
-    }
-
     /// The engine's dirty mask after the states flagged in `changed` moved.
     fn dirty_mask(d: &GameDynamics, changed: &[bool]) -> Vec<bool> {
         let k = d.num_states();
@@ -1803,21 +1665,11 @@ mod tests {
     }
 
     #[test]
-    fn pair_kernel_entry_points_are_bitwise_interchangeable() {
+    fn reweigh_at_matches_a_fresh_build_bitwise() {
         use popgame_population::batch::{KernelTable, LeapLaw};
-        // The trait contract: `pair_kernels_at_into` must write exactly
-        // the entries per-cell `pair_kernel_at` returns, in order, for
-        // every rule that states a frequency-dependent law — over every
-        // cell and over a refresh's partial mask, on both sampled-BR
-        // evaluation paths. The engine's per-leap re-weigh, which reads
-        // the partial masks' entries, must then land on the law of a
-        // fresh build bit for bit.
-        let mut laws = KernelLaws::default();
-        let logit = GameDynamics::new(&rps(), DynamicsRule::Logit { eta: 2.0 }).unwrap();
-        let full = vec![true; 9];
-        let (batched, per_cell) = both_entry_points(&logit, &[0.2, 0.5, 0.3], &full, &mut laws);
-        assert!(batched.is_some());
-        assert_eq!(batched, per_cell);
+        // The engine's per-leap re-weigh writes only the cells a move
+        // made dirty, and must land on the law of a fresh build bit for
+        // bit, for every rule that states a frequency-dependent law.
         let mut rng = rng_from_seed(61);
         let symmetric = crate::scenarios::registry()
             .iter()
@@ -1830,52 +1682,41 @@ mod tests {
                 DynamicsRule::SampledBestResponse { samples: 5 },
                 DynamicsRule::SampledBestResponse { samples: MAX_BR_SAMPLES },
             ] {
-                for reference in [false, true] {
-                    let mut d = GameDynamics::new(scenario.game(), rule).unwrap();
-                    d.set_reference_laws(reference);
-                    let k = d.num_states();
-                    let label = format!("{} {rule:?} reference={reference}", scenario.name());
-                    // Counts of 0..4 per state, one state emptied on the
-                    // first round.
-                    let mut counts: Vec<u64> = (0..k).map(|_| rng.gen_range(1..4u64)).collect();
-                    counts[0] = 0;
-                    let freq_of = |counts: &[u64]| {
-                        let n = counts.iter().sum::<u64>() as f64;
-                        counts.iter().map(|&c| c as f64 / n).collect::<Vec<_>>()
-                    };
-                    let mut freq = freq_of(&counts);
-                    let fresh = |freq: &[f64]| {
-                        LeapLaw::from_kernel(&KernelTable::build_at(&d, freq).unwrap().unwrap())
-                    };
-                    let mut law = fresh(&freq);
-                    let mut refresh_laws = KernelLaws::default();
-                    let every = vec![true; k * k];
-                    for round in 0..20 {
-                        let partial: Vec<bool> = (0..k * k).map(|_| rng.gen_bool(0.5)).collect();
-                        for cells in [&every, &partial] {
-                            let (batched, per_cell) =
-                                both_entry_points(&d, &freq, cells, &mut laws);
-                            assert!(batched.is_some(), "{label}");
-                            assert_eq!(batched, per_cell, "{label} round {round} at {freq:?}");
-                        }
-                        // Move one agent, re-weigh, and compare against
-                        // a fresh build bit for bit.
-                        let occupied: Vec<usize> = (0..k).filter(|&s| counts[s] > 0).collect();
-                        let from = occupied[round % occupied.len()];
-                        let to = (from + 1 + round % (k - 1)) % k;
-                        counts[from] -= 1;
-                        counts[to] += 1;
-                        let mut changed = vec![false; k];
-                        (changed[from], changed[to]) = (true, true);
-                        freq = freq_of(&counts);
-                        let dirty = dirty_mask(&d, &changed);
-                        in_place += u32::from(
-                            law.reweigh_at(&d, &freq, &dirty, &mut refresh_laws).unwrap(),
-                        );
-                        // `LeapLaw`'s `==` compares probabilities by bits.
-                        assert!(law == fresh(&freq), "{label} round {round} at {freq:?}");
-                        checked += 1;
-                    }
+                let d = GameDynamics::new(scenario.game(), rule).unwrap();
+                let k = d.num_states();
+                let label = format!("{} {rule:?}", scenario.name());
+                // Counts of 0..4 per state, one state emptied on the
+                // first round.
+                let mut counts: Vec<u64> = (0..k).map(|_| rng.gen_range(1..4u64)).collect();
+                counts[0] = 0;
+                let freq_of = |counts: &[u64]| {
+                    let n = counts.iter().sum::<u64>() as f64;
+                    counts.iter().map(|&c| c as f64 / n).collect::<Vec<_>>()
+                };
+                let mut freq = freq_of(&counts);
+                let fresh = |freq: &[f64]| {
+                    LeapLaw::from_kernel(&KernelTable::build_at(&d, freq).unwrap().unwrap())
+                };
+                let mut law = fresh(&freq);
+                let mut refresh_laws = KernelLaws::default();
+                for round in 0..20 {
+                    // Move one agent, re-weigh, and compare against
+                    // a fresh build bit for bit.
+                    let occupied: Vec<usize> = (0..k).filter(|&s| counts[s] > 0).collect();
+                    let from = occupied[round % occupied.len()];
+                    let to = (from + 1 + round % (k - 1)) % k;
+                    counts[from] -= 1;
+                    counts[to] += 1;
+                    let mut changed = vec![false; k];
+                    (changed[from], changed[to]) = (true, true);
+                    freq = freq_of(&counts);
+                    let dirty = dirty_mask(&d, &changed);
+                    in_place += u32::from(
+                        law.reweigh_at(&d, &freq, &dirty, &mut refresh_laws).unwrap(),
+                    );
+                    // `LeapLaw`'s `==` compares probabilities by bits.
+                    assert!(law == fresh(&freq), "{label} round {round} at {freq:?}");
+                    checked += 1;
                 }
             }
         }
@@ -1899,8 +1740,8 @@ mod tests {
                     assert_eq!(ppi.pair_kernel_deps(i, j), KernelDeps::None);
                     // Contract check: the diagonal law really is
                     // count-free.
-                    let a = ppi.pair_kernel_at(i, j, &[0.2, 0.5, 0.3]).unwrap();
-                    let b = ppi.pair_kernel_at(i, j, &[0.9, 0.05, 0.05]).unwrap();
+                    let a = cell_law(&ppi, i, j, &[0.2, 0.5, 0.3]);
+                    let b = cell_law(&ppi, i, j, &[0.9, 0.05, 0.05]);
                     assert_eq!(a, b);
                 } else {
                     assert_eq!(ppi.pair_kernel_deps(i, j), KernelDeps::All);
