@@ -1,10 +1,9 @@
-//! Batched-engine benches: the per-interaction cost of each population
-//! engine and the parallel replica harness.
+//! Batched-engine benches: the per-interaction cost of exact steps and of
+//! leaps, and the parallel replica harness.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use popgame_igt::dynamics::counted_population;
+use popgame_igt::dynamics::walk_engine;
 use popgame_igt::params::{GenerosityGrid, IgtConfig, PopulationComposition};
-use popgame_population::batch::BatchedEngine;
 use popgame_runner::run_replicas;
 use popgame_solver::dynamics::{engine_from_profile, DynamicsRule, GameDynamics};
 use popgame_solver::scenarios::by_name;
@@ -19,29 +18,12 @@ fn config() -> IgtConfig {
     )
 }
 
-fn bench_count_step(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batched/count_step");
-    group.measurement_time(Duration::from_secs(2)).sample_size(30);
-    let cfg = config();
-    let protocol = cfg.dynamics().unwrap();
-    for n in [1_000u64, 1_000_000] {
-        let mut pop = counted_population(&cfg, n, 0).unwrap();
-        let mut rng = rng_from_seed(5);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &(), |b, ()| {
-            b.iter(|| pop.step(&protocol, &mut rng).unwrap())
-        });
-    }
-    group.finish();
-}
-
 fn bench_alias_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched/alias_step");
     group.measurement_time(Duration::from_secs(2)).sample_size(30);
     let cfg = config();
-    let protocol = cfg.dynamics().unwrap();
     for n in [1_000u64, 1_000_000] {
-        let pop = counted_population(&cfg, n, 0).unwrap();
-        let mut engine = BatchedEngine::new(protocol.clone(), pop).unwrap();
+        let mut engine = walk_engine(&cfg, n, 0).unwrap();
         let mut rng = rng_from_seed(6);
         group.bench_with_input(BenchmarkId::from_parameter(n), &(), |b, ()| {
             b.iter(|| engine.step(&mut rng))
@@ -54,10 +36,8 @@ fn bench_leap(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched/leap_n_interactions");
     group.measurement_time(Duration::from_secs(2)).sample_size(20);
     let cfg = config();
-    let protocol = cfg.dynamics().unwrap();
     for n in [1_000u64, 1_000_000] {
-        let pop = counted_population(&cfg, n, 0).unwrap();
-        let mut engine = BatchedEngine::new(protocol.clone(), pop).unwrap();
+        let mut engine = walk_engine(&cfg, n, 0).unwrap();
         let batch = engine.suggested_batch();
         let mut rng = rng_from_seed(7);
         group.bench_with_input(BenchmarkId::from_parameter(n), &(), |b, ()| {
@@ -89,12 +69,10 @@ fn bench_replica_harness(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched/replicas_x16");
     group.measurement_time(Duration::from_secs(2)).sample_size(10);
     let cfg = config();
-    let protocol = cfg.dynamics().unwrap();
     group.bench_function("igt_n10k_100k_interactions", |b| {
         b.iter(|| {
             run_replicas(11, 16, |_rep, mut rng| {
-                let pop = counted_population(&cfg, 10_000, 0).unwrap();
-                let mut engine = BatchedEngine::new(protocol.clone(), pop).unwrap();
+                let mut engine = walk_engine(&cfg, 10_000, 0).unwrap();
                 let batch = engine.suggested_batch();
                 engine.run_batched(100_000, batch, &mut rng).unwrap();
                 engine.counts().to_vec()
@@ -106,7 +84,6 @@ fn bench_replica_harness(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_count_step,
     bench_alias_step,
     bench_leap,
     bench_leap_harness,

@@ -7,7 +7,7 @@ use popgame_ehrenfest::process::EhrenfestProtocol;
 use popgame_game::monte_carlo::{estimate_payoffs, NoiseModel};
 use popgame_game::params::GameParams;
 use popgame_game::strategy::MemoryOneStrategy;
-use popgame_igt::dynamics::{count_level_process, counted_population};
+use popgame_igt::dynamics::{count_level_process, walk_engine};
 use popgame_igt::generosity::{
     asymptotic_approximation, corollary_c1_lower_bound, stationary_average_generosity,
     stationary_average_generosity_direct,
@@ -173,8 +173,7 @@ pub fn run_e10(interactions: u64, seed: u64) -> E10Report {
     let cfg = config_for(beta, 6, 0.9, 0.9);
     let n = 200u64;
     let (_, n_ad, _) = cfg.composition().group_sizes(n).expect("valid");
-    let mut pop = counted_population(&cfg, n, 2).expect("valid config");
-    let protocol = cfg.dynamics().expect("k <= 250");
+    let mut engine = walk_engine(&cfg, n, 2).expect("valid config");
     let mut rng = rng_from_seed(seed);
     let mut per_level = vec![(0u64, 0u64); 6];
     let mut gtft_initiations = 0u64;
@@ -184,7 +183,7 @@ pub fn run_e10(interactions: u64, seed: u64) -> E10Report {
         // levels. Figure 1 describes the *event* rates — increments fire
         // w.p. 1−β, decrements w.p. β — with values truncated at the grid
         // ends, so events are tallied regardless of truncation.
-        let (i, j) = pop.step(&protocol, &mut rng).expect("valid step");
+        let (i, j) = engine.step(&mut rng);
         if i >= 2 {
             gtft_initiations += 1;
             let level = i - 2;

@@ -9,7 +9,6 @@ use crate::params::IgtConfig;
 use crate::state::{AgentState, FIRST_LEVEL};
 use popgame_ehrenfest::process::{EhrenfestParams, EhrenfestProcess};
 use popgame_population::batch::BatchedEngine;
-use popgame_population::counts::CountedPopulation;
 use popgame_population::population::AgentPopulation;
 use popgame_solver::dynamics::GameDynamics;
 
@@ -34,40 +33,26 @@ pub fn agent_population(
     ]))
 }
 
-/// Builds the count-level population (states indexed `AC, AD, g_0, …`).
-///
-/// # Errors
-///
-/// Propagates composition rounding errors.
-pub fn counted_population(
-    config: &IgtConfig,
-    n: u64,
-    initial_level: usize,
-) -> Result<CountedPopulation, crate::error::IgtError> {
-    let (ac, ad, gtft) = config.composition().group_sizes(n)?;
-    let mut counts = vec![0u64; FIRST_LEVEL + config.grid().k()];
-    counts[0] = ac;
-    counts[1] = ad;
-    counts[FIRST_LEVEL + initial_level] = gtft;
-    CountedPopulation::from_counts(counts).map_err(|_| crate::error::IgtError::PopulationTooSmall {
-        n,
-        reason: "fewer than two agents".into(),
-    })
-}
-
 /// The Definition 2.1 walk ([`IgtConfig::dynamics`]) on the batched
-/// count-level engine, started from [`counted_population`].
+/// count-level engine over `n` agents (states indexed `AC, AD, g_0, …`):
+/// `AC` and `AD` agents, and GTFT agents all starting at `initial_level`.
 ///
 /// # Errors
 ///
-/// Propagates composition rounding and walk construction errors.
+/// Propagates composition rounding errors (which include `n < 2`) and
+/// walk construction errors.
 pub fn walk_engine(
     config: &IgtConfig,
     n: u64,
     initial_level: usize,
 ) -> Result<BatchedEngine<GameDynamics>, crate::error::IgtError> {
-    let population = counted_population(config, n, initial_level)?;
-    Ok(BatchedEngine::new(config.dynamics()?, population).expect("one count per walk state"))
+    let (ac, ad, gtft) = config.composition().group_sizes(n)?;
+    let mut counts = vec![0u64; FIRST_LEVEL + config.grid().k()];
+    counts[0] = ac;
+    counts[1] = ad;
+    counts[FIRST_LEVEL + initial_level] = gtft;
+    let engine = BatchedEngine::from_counts(config.dynamics()?, counts);
+    Ok(engine.expect("n >= 2 agents and one count per walk state"))
 }
 
 /// The Ehrenfest parameters of the idealized count-level chain
@@ -153,8 +138,8 @@ mod tests {
         assert_eq!(pop.counts_by(6, usize::from), vec![30, 20, 50, 0, 0, 0]);
         assert_eq!(gtft_level_counts(&pop, 4), vec![50, 0, 0, 0]);
 
-        let counted = counted_population(&cfg, 100, 2).unwrap();
-        assert_eq!(counted.counts(), &[30, 20, 0, 0, 50, 0]);
+        let engine = walk_engine(&cfg, 100, 2).unwrap();
+        assert_eq!(engine.counts(), &[30, 20, 0, 0, 50, 0]);
     }
 
     #[test]

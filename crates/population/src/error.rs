@@ -18,13 +18,6 @@ pub enum PopulationError {
         /// The number of states.
         num_states: usize,
     },
-    /// Counts did not match the expected population size.
-    CountMismatch {
-        /// Expected total.
-        expected: u64,
-        /// Received total.
-        got: u64,
-    },
     /// A configuration argument was out of its valid range.
     InvalidArgument {
         /// Human-readable description of the violation.
@@ -40,9 +33,6 @@ impl fmt::Display for PopulationError {
             }
             PopulationError::StateOutOfRange { index, num_states } => {
                 write!(f, "state index {index} out of range (protocol has {num_states} states)")
-            }
-            PopulationError::CountMismatch { expected, got } => {
-                write!(f, "count total {got} does not match population size {expected}")
             }
             PopulationError::InvalidArgument { reason } => {
                 write!(f, "invalid argument: {reason}")
@@ -66,12 +56,6 @@ mod tests {
         }
         .to_string()
         .contains("index 5"));
-        assert!(PopulationError::CountMismatch {
-            expected: 10,
-            got: 9
-        }
-        .to_string()
-        .contains("10"));
     }
 
     #[test]

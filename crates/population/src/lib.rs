@@ -10,18 +10,18 @@
 //! *one-way* convention where only the initiator updates; this crate
 //! supports both.
 //!
-//! Three execution engines:
+//! Two execution engines:
 //!
 //! * [`population::AgentPopulation`] — an explicit vector of agent states
 //!   (`O(1)` per interaction, `O(n)` memory), faithful to the model; the
-//!   distributional ground truth the other engines are tested against;
-//! * [`counts::CountedPopulation`] — tracks only the count of agents per
-//!   state (`O(#states)` per interaction), identical in law, usable
-//!   whenever the protocol's state space is enumerable;
-//! * [`batch::BatchedEngine`] — alias-table `O(1)` exact stepping plus a
-//!   multinomial τ-leap [`batch::BatchedEngine::step_batch`] that executes
-//!   whole batches of interactions in `O(#states²)` work; this is the
-//!   engine that scales to `n` in the millions.
+//!   distributional ground truth the count-level engine is tested against;
+//! * [`batch::BatchedEngine`] — the count-level engine for enumerable
+//!   protocols: it tracks only the count of agents per state (the paper's
+//!   count vector `z^t`, §2.2.1), with alias-table `O(1)` exact stepping
+//!   identical in law to the agent level, plus a multinomial τ-leap
+//!   [`batch::BatchedEngine::step_batch`] that executes whole batches of
+//!   interactions in `O(#states²)` work; this is the engine that scales to
+//!   `n` in the millions.
 //!
 //! [`classic`] contains two textbook protocols (3-state approximate
 //! majority, pairwise averaging) used as substrate validation and as the
@@ -47,7 +47,6 @@
 
 pub mod batch;
 pub mod classic;
-pub mod counts;
 pub mod error;
 pub mod metrics;
 pub mod population;

@@ -69,7 +69,8 @@ pub fn alias_rebuild_span() -> Option<Span> {
     sampled_span("engine:alias-rebuild", &ALIAS_TICK)
 }
 
-/// A span over one full `KernelTable` build (rare — always recorded).
+/// A span over one engine construction's read, check and classification
+/// of a declared law (rare — always recorded).
 pub fn kernel_build_span() -> Option<Span> {
     trace::is_enabled().then(|| trace::span(Family::Engine, "engine:kernel-build"))
 }
@@ -102,14 +103,14 @@ pub fn exact_steps() -> &'static Counter {
     )
 }
 
-/// Full `KernelTable` builds, one per construction of an engine whose
+/// Full builds of a declared law, one per construction of an engine whose
 /// protocol declares a kernel.
 pub fn kernel_full_builds() -> &'static Counter {
     static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
     handle(
         &CELL,
         "popgame_engine_kernel_full_builds_total",
-        "Full KernelTable builds (one per engine construction over a declared kernel).",
+        "Full kernel-law builds (one per engine construction over a declared kernel).",
     )
 }
 

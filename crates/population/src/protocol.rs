@@ -65,8 +65,8 @@ impl KernelLaws {
 /// Protocols where *both* agents may update are first-class: every engine
 /// in this crate applies the returned `(initiator', responder')` pair in
 /// full, [`crate::batch::TransitionTable`] tabulates both components, and
-/// [`crate::batch::KernelTable`] leaps joint outcome laws over ordered
-/// pairs. A two-way protocol must (a) return `false` from
+/// [`crate::batch::LeapLaw`] leaps joint outcome laws over ordered pairs.
+/// A two-way protocol must (a) return `false` from
 /// [`is_one_way`](Protocol::is_one_way) and (b) keep its outcome a
 /// function of the *ordered* pair — the scheduler's pair law
 /// `x_i (x_j − δ_ij)` is ordered, so symmetric rules must hold for both
@@ -126,7 +126,7 @@ pub trait Protocol {
 }
 
 /// A protocol whose state space is finite and enumerable, enabling the
-/// count-level engine ([`crate::counts::CountedPopulation`]).
+/// count-level engine ([`crate::batch::BatchedEngine`]).
 ///
 /// The enumeration must be a bijection between `0..num_states()` and the
 /// reachable states.
@@ -154,13 +154,12 @@ pub trait EnumerableProtocol: Protocol {
     /// directly. *Randomized* protocols
     /// ([`has_random_transitions`](Protocol::has_random_transitions) =
     /// `true`) that override it become τ-leapable on
-    /// [`crate::batch::BatchedEngine`]: the engine validates the per-pair
-    /// kernel as a [`crate::batch::KernelTable`], classifies its outcomes
-    /// into count flows ([`crate::batch::LeapLaw`]) and draws each leap
-    /// over them instead of falling back to exact per-interaction
-    /// stepping. The declared law
-    /// **must** equal the law of `interact` exactly, or batched and exact
-    /// execution will diverge distributionally.
+    /// [`crate::batch::BatchedEngine`]: the engine checks every cell's pmf
+    /// and classifies its outcomes into count flows
+    /// ([`crate::batch::LeapLaw::from_laws`]) and draws each leap over
+    /// them instead of falling back to exact per-interaction stepping.
+    /// The declared law **must** equal the law of `interact` exactly, or
+    /// batched and exact execution will diverge distributionally.
     fn pair_kernel(&self, _i: usize, _j: usize) -> Option<Vec<((usize, usize), f64)>> {
         None
     }
@@ -181,12 +180,11 @@ pub trait EnumerableProtocol: Protocol {
     /// 2. declare the full law via
     ///    [`pair_kernels_at_into`](Self::pair_kernels_at_into) (and return
     ///    `None` from the static [`pair_kernel`](Self::pair_kernel));
-    /// 3. treat [`interact`](Protocol::interact) as unreachable — engines
-    ///    aware of this flag never call it, and
-    ///    [`crate::counts::CountedPopulation`] rejects count-coupled
-    ///    protocols with an error instead of silently sampling a wrong
-    ///    law. Implementations conventionally `panic!` with a message
-    ///    pointing at [`crate::batch::BatchedEngine`].
+    /// 3. treat [`interact`](Protocol::interact) as unreachable — the
+    ///    count-level engine never calls it, and the agent-level engine,
+    ///    which can only call it, cannot run such a protocol.
+    ///    Implementations conventionally `panic!` with a message pointing
+    ///    at [`crate::batch::BatchedEngine`].
     ///
     /// [`crate::batch::BatchedEngine`] executes such protocols from the
     /// law at the current frequencies: the sampled pair's law at **every**

@@ -1782,6 +1782,46 @@ mod tests {
     }
 
     #[test]
+    fn simulate_bodies_are_pinned() {
+        use popgame_solver::dynamics::DynamicsRule;
+        // One small request per canonical dynamics label, plus six agents
+        // whose leaps run over tiny counts, its encoded body pinned by
+        // digest: refactors of the engine must leave /simulate bytes
+        // unchanged.
+        let cases: [(&str, &str, u64, bool, u64); 8] = [
+            ("best-response", "hawk-dove", 300, true, 0xe6ba_67d3_8a32_08cc),
+            ("logit", "rock-paper-scissors", 300, true, 0xc172_90cb_4135_2075),
+            ("imitation", "stag-hunt", 300, false, 0x93dc_b1ea_3531_a4dc),
+            ("pairwise-imitation", "rock-paper-scissors", 300, false, 0xa7e3_419d_8b98_f2db),
+            ("imitation-two-way", "hawk-dove", 300, false, 0xb2be_d838_36e1_89eb),
+            ("br-sample", "rock-paper-scissors", 300, false, 0x5991_2ca0_a748_6364),
+            ("k-igt", "prisoners-dilemma", 300, true, 0x2004_f17e_f9dc_3826),
+            ("logit", "hawk-dove", 6, false, 0xe8a3_dbe4_1fb5_69d1),
+        ];
+        let labels: Vec<&str> = cases.iter().map(|case| case.0).collect();
+        for rule in DynamicsRule::canonical_all() {
+            assert!(labels.contains(&rule.label()), "{} is not pinned", rule.label());
+        }
+        let never = AtomicBool::new(false);
+        let mut drifted = Vec::new();
+        for (dynamics, scenario, n, analytics, digest) in cases {
+            let doc = Json::parse(&format!(
+                r#"{{"scenario": "{scenario}", "dynamics": "{dynamics}", "n": {n},
+                    "interactions": 6000, "replicas": 2, "seed": 13,
+                    "analytics": {analytics}}}"#
+            ))
+            .unwrap();
+            let request = SimulateRequest::from_json(&doc).unwrap();
+            let body = execute_simulate(&request, &never).unwrap().encode();
+            let got = fnv1a64(body.as_bytes());
+            if got != digest {
+                drifted.push(format!("{dynamics}/{scenario}/n={n}: {got:#018x}"));
+            }
+        }
+        assert!(drifted.is_empty(), "/simulate bodies moved: {drifted:#?}");
+    }
+
+    #[test]
     fn canonical_round_trip_through_execute() {
         let doc = Json::parse(r#"{"scenario": "stag-hunt", "n": 500, "replicas": 2}"#).unwrap();
         let request = SimulateRequest::from_json(&doc).unwrap();

@@ -882,6 +882,7 @@ pub fn engine_from_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use popgame_population::batch::LeapLaw;
     use popgame_util::rng::{rng_from_seed, stream_rng};
 
     fn rps() -> MatrixGame {
@@ -905,6 +906,15 @@ mod tests {
         let mut laws = KernelLaws::default();
         d.pair_kernels_at_into(freq, &cells, &mut laws);
         laws.entries
+    }
+
+    /// The law a fresh engine at `freq` starts from: every cell's law in
+    /// one call, checked and classified.
+    fn fresh_law(d: &GameDynamics, freq: &[f64]) -> LeapLaw {
+        let k = d.num_states();
+        let mut laws = KernelLaws::default();
+        d.pair_kernels_at_into(freq, &vec![true; k * k], &mut laws);
+        LeapLaw::from_laws(k, &laws).unwrap().expect("every cell stated")
     }
 
     #[test]
@@ -1299,22 +1309,21 @@ mod tests {
 
     #[test]
     fn logit_declares_a_tau_leapable_kernel() {
-        use popgame_population::batch::KernelTable;
         let d = GameDynamics::new(&rps(), DynamicsRule::Logit { eta: 1.0 }).unwrap();
-        let kernel = KernelTable::build(&d).unwrap().expect("logit has a kernel");
-        assert_eq!(kernel.num_states(), 3);
         // The declared pmf matches the CDF interact() samples from.
         for j in 0..3 {
-            let outs = kernel.outcomes(0, j);
+            let outs = d.pair_kernel(0, j).expect("logit has a kernel");
             let total: f64 = outs.iter().map(|&(_, p)| p).sum();
             assert!((total - 1.0).abs() < 1e-12);
-            for &((_, rj), _) in outs {
-                assert_eq!(rj as usize, j, "responder never changes");
+            for &((_, rj), _) in &outs {
+                assert_eq!(rj, j, "responder never changes");
             }
         }
+        // Every cell is stated and classifies, so the engine leaps logit.
+        fresh_law(&d, &[1.0 / 3.0; 3]);
         // Deterministic rules keep using the transition table (no kernel).
         let br = GameDynamics::new(&rps(), DynamicsRule::BestResponse).unwrap();
-        assert!(KernelTable::build(&br).unwrap().is_none());
+        assert!((0..9).all(|cell| br.pair_kernel(cell / 3, cell % 3).is_none()));
     }
 
     /// Two-sample chi-square statistic over paired histograms.
@@ -1666,7 +1675,6 @@ mod tests {
 
     #[test]
     fn reweigh_at_matches_a_fresh_build_bitwise() {
-        use popgame_population::batch::{KernelTable, LeapLaw};
         // The engine's per-leap re-weigh writes only the cells a move
         // made dirty, and must land on the law of a fresh build bit for
         // bit, for every rule that states a frequency-dependent law.
@@ -1694,10 +1702,7 @@ mod tests {
                     counts.iter().map(|&c| c as f64 / n).collect::<Vec<_>>()
                 };
                 let mut freq = freq_of(&counts);
-                let fresh = |freq: &[f64]| {
-                    LeapLaw::from_kernel(&KernelTable::build_at(&d, freq).unwrap().unwrap())
-                };
-                let mut law = fresh(&freq);
+                let mut law = fresh_law(&d, &freq);
                 let mut refresh_laws = KernelLaws::default();
                 for round in 0..20 {
                     // Move one agent, re-weigh, and compare against
@@ -1715,7 +1720,7 @@ mod tests {
                         law.reweigh_at(&d, &freq, &dirty, &mut refresh_laws).unwrap(),
                     );
                     // `LeapLaw`'s `==` compares probabilities by bits.
-                    assert!(law == fresh(&freq), "{label} round {round} at {freq:?}");
+                    assert!(law == fresh_law(&d, &freq), "{label} round {round} at {freq:?}");
                     checked += 1;
                 }
             }
