@@ -1,12 +1,10 @@
 //! Substrate benches: the primitives every experiment sits on — simplex
-//! ranking, samplers, and the population scheduler.
+//! ranking and samplers.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use popgame_dist::simplex::SimplexSpace;
-use popgame_population::classic::{Opinion, UndecidedDynamics};
-use popgame_population::population::AgentPopulation;
 use popgame_util::rng::rng_from_seed;
-use popgame_util::sampler::{sample_binomial, sample_ordered_pair, AliasTable};
+use popgame_util::sampler::{sample_binomial, AliasTable};
 use std::time::Duration;
 
 fn bench_simplex_rank(c: &mut Criterion) {
@@ -49,27 +47,8 @@ fn bench_samplers(c: &mut Criterion) {
     }
     let alias = AliasTable::new(&vec![1.0; 64]).unwrap();
     group.bench_function("alias_64", |b| b.iter(|| alias.sample(&mut rng)));
-    group.bench_function("ordered_pair_1e6", |b| {
-        b.iter(|| sample_ordered_pair(1_000_000, &mut rng))
-    });
     group.finish();
 }
 
-fn bench_majority_protocol(c: &mut Criterion) {
-    let mut group = c.benchmark_group("substrate/majority_step");
-    group.measurement_time(Duration::from_secs(2)).sample_size(30);
-    for n in [1_000usize, 100_000] {
-        let mut pop = AgentPopulation::from_groups(&[
-            (Opinion::A, n * 6 / 10),
-            (Opinion::B, n - n * 6 / 10),
-        ]);
-        let mut rng = rng_from_seed(11);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &(), |b, ()| {
-            b.iter(|| pop.step(&UndecidedDynamics, &mut rng).unwrap())
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_simplex_rank, bench_samplers, bench_majority_protocol);
+criterion_group!(benches, bench_simplex_rank, bench_samplers);
 criterion_main!(benches);

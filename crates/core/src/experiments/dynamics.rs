@@ -7,15 +7,16 @@ use popgame_ehrenfest::process::EhrenfestProtocol;
 use popgame_game::monte_carlo::{estimate_payoffs, NoiseModel};
 use popgame_game::params::GameParams;
 use popgame_game::strategy::MemoryOneStrategy;
-use popgame_igt::dynamics::{count_level_process, walk_engine};
+use popgame_igt::dynamics::{count_level_process, walk_counts, walk_engine};
 use popgame_igt::generosity::{
     asymptotic_approximation, corollary_c1_lower_bound, stationary_average_generosity,
     stationary_average_generosity_direct,
 };
 use popgame_igt::observed::{misclassification_rates, ObservedIgtProtocol};
 use popgame_igt::params::{GenerosityGrid, IgtConfig, PopulationComposition};
+use popgame_igt::state::FIRST_LEVEL;
 use popgame_igt::stationary::stationary_level_probs;
-use popgame_igt::trajectory::time_averaged_distribution_agent;
+use popgame_igt::trajectory::time_averaged_distribution;
 use popgame_population::batch::BatchedEngine;
 use popgame_util::rng::rng_from_seed;
 use std::fmt;
@@ -232,17 +233,21 @@ pub fn run_e14(seed: u64) -> E14Report {
         .map(|&delta| {
             let cfg = config_for(0.2, 4, 0.6, delta);
             let rates = misclassification_rates(&cfg, 2_000, seed);
-            let protocol = ObservedIgtProtocol::new(cfg);
-            let mu = time_averaged_distribution_agent(
-                &protocol,
-                &cfg,
-                80,
+            // The observed rule declares no law, so the engine steps it
+            // exactly at any batch; 1 says so.
+            let counts = walk_counts(&cfg, 80, 0).expect("valid configuration");
+            let engine = BatchedEngine::from_counts(ObservedIgtProtocol::new(cfg), counts)
+                .expect("80 agents");
+            let mu = time_averaged_distribution(
+                engine,
+                FIRST_LEVEL..,
                 20_000,
                 150,
                 80,
+                1,
                 &mut rng_from_seed(seed),
             )
-            .expect("valid configuration");
+            .expect("80 agents");
             let theory = stationary_level_probs(&cfg);
             let tv = tv_distance(&mu, &theory).expect("same length");
             (delta, rates.gtft_as_defector, tv)

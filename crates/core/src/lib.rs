@@ -96,9 +96,8 @@ pub mod prelude {
     pub use popgame_igt::params::{GenerosityGrid, IgtConfig, PopulationComposition};
     pub use popgame_igt::state::AgentState;
     pub use popgame_igt::stationary::{mean_stationary_mu, stationary_level_probs};
-    pub use popgame_population::population::AgentPopulation;
+    pub use popgame_population::batch::BatchedEngine;
     pub use popgame_population::protocol::Protocol;
-    pub use popgame_population::simulator::{run_steps, run_until};
     pub use popgame_population::trajectory::{TrajectoryPoint, TrajectoryRecorder};
     pub use popgame_report::{run_report, Report, ReportConfig};
     pub use popgame_solver::dynamics::{DynamicsRule, GameDynamics};

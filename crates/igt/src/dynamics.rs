@@ -2,40 +2,37 @@
 //! 2.4).
 //!
 //! The Definition 2.1 walk itself is the solver's k-IGT rule
-//! ([`IgtConfig::dynamics`]); the populations here hold its dense `u8`
-//! states (`AC = 0`, `AD = 1`, GTFT level `j = 2 + j`).
+//! ([`IgtConfig::dynamics`]); [`walk_engine`] runs it over the counts of
+//! its dense `u8` states (`AC = 0`, `AD = 1`, GTFT level `j = 2 + j`).
 
 use crate::params::IgtConfig;
-use crate::state::{AgentState, FIRST_LEVEL};
+use crate::state::FIRST_LEVEL;
 use popgame_ehrenfest::process::{EhrenfestParams, EhrenfestProcess};
 use popgame_population::batch::BatchedEngine;
-use popgame_population::population::AgentPopulation;
 use popgame_solver::dynamics::GameDynamics;
 
-/// Builds the agent-level population for `n` agents: `AC` first, then
-/// `AD`, then GTFT agents all starting at `initial_level`.
+/// The counts of an `n`-agent population over the walk's states (indexed
+/// `AC, AD, g_0, …`): `AC` and `AD` agents, and GTFT agents all at
+/// `initial_level`.
 ///
 /// # Errors
 ///
-/// Propagates composition rounding errors
-/// ([`crate::error::IgtError::PopulationTooSmall`]).
-pub fn agent_population(
+/// Propagates composition rounding errors (which include `n < 2`).
+pub fn walk_counts(
     config: &IgtConfig,
     n: u64,
     initial_level: usize,
-) -> Result<AgentPopulation<u8>, crate::error::IgtError> {
+) -> Result<Vec<u64>, crate::error::IgtError> {
     let (ac, ad, gtft) = config.composition().group_sizes(n)?;
-    let state = |s: AgentState| s.index() as u8;
-    Ok(AgentPopulation::from_groups(&[
-        (state(AgentState::AllC), ac as usize),
-        (state(AgentState::AllD), ad as usize),
-        (state(AgentState::Gtft { level: initial_level }), gtft as usize),
-    ]))
+    let mut counts = vec![0u64; FIRST_LEVEL + config.grid().k()];
+    counts[0] = ac;
+    counts[1] = ad;
+    counts[FIRST_LEVEL + initial_level] = gtft;
+    Ok(counts)
 }
 
 /// The Definition 2.1 walk ([`IgtConfig::dynamics`]) on the batched
-/// count-level engine over `n` agents (states indexed `AC, AD, g_0, …`):
-/// `AC` and `AD` agents, and GTFT agents all starting at `initial_level`.
+/// count-level engine, started from [`walk_counts`].
 ///
 /// # Errors
 ///
@@ -46,11 +43,7 @@ pub fn walk_engine(
     n: u64,
     initial_level: usize,
 ) -> Result<BatchedEngine<GameDynamics>, crate::error::IgtError> {
-    let (ac, ad, gtft) = config.composition().group_sizes(n)?;
-    let mut counts = vec![0u64; FIRST_LEVEL + config.grid().k()];
-    counts[0] = ac;
-    counts[1] = ad;
-    counts[FIRST_LEVEL + initial_level] = gtft;
+    let counts = walk_counts(config, n, initial_level)?;
     let engine = BatchedEngine::from_counts(config.dynamics()?, counts);
     Ok(engine.expect("n >= 2 agents and one count per walk state"))
 }
@@ -60,8 +53,9 @@ pub fn walk_engine(
 /// `(k, γ(1−β), γβ, γn)`-Ehrenfest process over the GTFT level counts.
 ///
 /// The mapping uses the *idealized* fractions (sampling the responder with
-/// replacement), introducing an `O(1/n)` discrepancy from the agent-level
-/// scheduler — exactly the approximation the paper makes in eq. (5).
+/// replacement), introducing an `O(1/n)` discrepancy from the model's
+/// scheduler, which draws two distinct agents — exactly the approximation
+/// the paper makes in eq. (5).
 ///
 /// # Errors
 ///
@@ -105,16 +99,11 @@ pub fn count_level_process(
     })
 }
 
-/// Extracts the GTFT level counts `z = (z_1, …, z_k)` from an agent
-/// population.
-pub fn gtft_level_counts(population: &AgentPopulation<u8>, k: usize) -> Vec<u64> {
-    population.counts_by(FIRST_LEVEL + k, usize::from)[FIRST_LEVEL..].to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::{GenerosityGrid, PopulationComposition};
+    use crate::state::AgentState;
     use popgame_game::params::GameParams;
     use popgame_population::protocol::Protocol;
     use popgame_solver::dynamics::{DynamicsRule, GameDynamics};
@@ -133,10 +122,10 @@ mod tests {
     #[test]
     fn populations_constructed_with_exact_groups() {
         let cfg = config();
-        let pop = agent_population(&cfg, 100, 0).unwrap();
-        assert_eq!(pop.len(), 100);
-        assert_eq!(pop.counts_by(6, usize::from), vec![30, 20, 50, 0, 0, 0]);
-        assert_eq!(gtft_level_counts(&pop, 4), vec![50, 0, 0, 0]);
+        let engine = walk_engine(&cfg, 100, 0).unwrap();
+        assert_eq!(engine.len(), 100);
+        assert_eq!(engine.counts(), &[30, 20, 50, 0, 0, 0]);
+        assert_eq!(engine.counts()[FIRST_LEVEL..], [50, 0, 0, 0]);
 
         let engine = walk_engine(&cfg, 100, 2).unwrap();
         assert_eq!(engine.counts(), &[30, 20, 0, 0, 50, 0]);
@@ -165,14 +154,11 @@ mod tests {
     #[test]
     fn ac_ad_counts_invariant_under_simulation() {
         let cfg = config();
-        let mut pop = agent_population(&cfg, 80, 1).unwrap();
-        let protocol = cfg.dynamics().unwrap();
+        let mut engine = walk_engine(&cfg, 80, 1).unwrap();
         let mut rng = rng_from_seed(6);
-        for _ in 0..20_000 {
-            pop.step(&protocol, &mut rng).unwrap();
-        }
-        assert_eq!(pop.counts_by(6, usize::from)[..2], [24, 16]);
-        assert_eq!(gtft_level_counts(&pop, 4).iter().sum::<u64>(), 40);
+        engine.run_batched(20_000, 1, &mut rng).unwrap();
+        assert_eq!(engine.counts()[..2], [24, 16]);
+        assert_eq!(engine.counts()[FIRST_LEVEL..].iter().sum::<u64>(), 40);
     }
 
     proptest! {

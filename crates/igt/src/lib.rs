@@ -14,8 +14,9 @@
 //! Three fidelities of the same dynamics, which the tests cross-validate:
 //!
 //! 1. **strategy-typed** ([`IgtConfig::dynamics`]: the solver's k-IGT
-//!    rule, per interaction on an agent population or τ-leaped on the
-//!    batched engine) — exactly Definition 2.1;
+//!    rule on the batched count-level engine, [`dynamics::walk_engine`],
+//!    exact one interaction at a time and τ-leaped above that) — exactly
+//!    Definition 2.1;
 //! 2. **count-level** ([`dynamics::count_level_process`]) — the
 //!    `(k, γ(1−β), γβ, γn)`-Ehrenfest process of Section 2.4;
 //! 3. **action-observed** ([`observed::ObservedIgtProtocol`]) — agents
@@ -23,8 +24,7 @@
 //!    actions (the remark after Definition 2.1).
 //!
 //! All of them run on the same dense `u8` states ([`state`]), and
-//! [`trajectory`] holds the two time-averaged occupancy estimators they
-//! share.
+//! [`trajectory`] holds the time-averaged occupancy estimator they share.
 //!
 //! [`stationary`] packages Theorem 2.7 (multinomial stationary law with
 //! `p_j ∝ ((1−β)/β)^{j−1}` and the mixing bounds), and [`generosity`]

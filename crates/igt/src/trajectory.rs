@@ -4,20 +4,20 @@
 //! The experiment harnesses need two estimators:
 //!
 //! * a *snapshot series* of the level counts `z^t` (for convergence plots
-//!   and mixing diagnostics);
+//!   and mixing diagnostics), stepped exactly
+//!   ([`simulate_level_trajectory`]);
 //! * a *time-averaged occupancy* after burn-in (an ergodic estimate of the
-//!   normalized mean stationary distribution `µ` of Theorem 2.9), either
-//!   per interaction on an agent population
-//!   ([`time_averaged_distribution_agent`]) or in τ-leaps on a count-level
-//!   engine ([`time_averaged_distribution`]).
+//!   normalized mean stationary distribution `µ` of Theorem 2.9) on a
+//!   count-level engine ([`time_averaged_distribution`]), exact at batch 1
+//!   and τ-leaped above it.
 
-use crate::dynamics::{agent_population, gtft_level_counts};
+use crate::dynamics::walk_engine;
 use crate::error::IgtError;
 use crate::params::IgtConfig;
+use crate::state::FIRST_LEVEL;
 use popgame_population::batch::BatchedEngine;
 use popgame_population::error::PopulationError;
-use popgame_population::protocol::{EnumerableProtocol, Protocol};
-use popgame_population::simulator::record_trajectory;
+use popgame_population::protocol::EnumerableProtocol;
 use popgame_util::rng::rng_from_seed;
 use rand::Rng;
 use std::ops::RangeFrom;
@@ -41,12 +41,14 @@ impl LevelTrajectory {
     }
 }
 
-/// Runs the agent-level dynamics for `total` interactions, recording the
-/// level counts every `stride` interactions.
+/// Runs the Definition 2.1 walk ([`walk_engine`]) for `total`
+/// interactions, one exact interaction at a time, recording the level
+/// counts at `t = 0` and every `stride` interactions (the last stride may
+/// be ragged).
 ///
 /// # Errors
 ///
-/// Propagates population and walk construction errors.
+/// Propagates walk construction errors.
 ///
 /// # Panics
 ///
@@ -59,104 +61,85 @@ pub fn simulate_level_trajectory(
     stride: u64,
     seed: u64,
 ) -> Result<LevelTrajectory, IgtError> {
-    let mut population = agent_population(config, n, initial_level)?;
-    let k = config.grid().k();
-    let snapshots = record_trajectory(
-        &config.dynamics()?,
-        &mut population,
-        total,
-        stride,
-        |population| gtft_level_counts(population, k),
-        &mut rng_from_seed(seed),
-    );
+    assert!(stride > 0, "stride must be positive");
+    let mut engine = walk_engine(config, n, initial_level)?;
+    let mut rng = rng_from_seed(seed);
+    let mut snapshots = vec![engine.counts()[FIRST_LEVEL..].to_vec()];
+    while engine.interactions() < total {
+        let burst = stride.min(total - engine.interactions());
+        advance(&mut engine, burst, 1, &mut rng).expect("a walk engine holds two agents");
+        snapshots.push(engine.counts()[FIRST_LEVEL..].to_vec());
+    }
     Ok(LevelTrajectory { stride, snapshots })
 }
 
-/// Ergodic estimate of the normalized level occupancy, one interaction at
-/// a time: starts every GTFT agent of an `n`-agent population at level 0,
-/// runs `burn_in` interactions of `protocol`, then accumulates the level
-/// occupancy over `samples` snapshots spaced `stride` interactions apart.
-///
-/// `protocol` is any dynamics over the dense states of [`crate::state`]:
-/// the Definition 2.1 walk ([`IgtConfig::dynamics`]) for the exact
-/// ground truth, or a variant such as the action-observed
-/// [`crate::observed::ObservedIgtProtocol`].
-///
-/// # Errors
-///
-/// Propagates population construction errors.
-pub fn time_averaged_distribution_agent<P, R>(
-    protocol: &P,
-    config: &IgtConfig,
-    n: u64,
-    burn_in: u64,
-    samples: u64,
-    stride: u64,
-    rng: &mut R,
-) -> Result<Vec<f64>, IgtError>
-where
-    P: Protocol<State = u8>,
-    R: Rng + ?Sized,
-{
-    let mut population = agent_population(config, n, 0)?;
-    let k = config.grid().k();
-    for _ in 0..burn_in {
-        population
-            .step(protocol, rng)
-            .expect("population has at least two agents");
-    }
-    let mut occupancy = vec![0u64; k];
-    for _ in 0..samples {
-        for _ in 0..stride {
-            population
-                .step(protocol, rng)
-                .expect("population has at least two agents");
-        }
-        for (acc, z) in occupancy.iter_mut().zip(gtft_level_counts(&population, k)) {
-            *acc += z;
-        }
-    }
-    Ok(normalized(&occupancy))
-}
-
-/// Ergodic estimate of the normalized level occupancy in τ-leaps: runs
-/// `burn_in` interactions of `engine` at its suggested batch, then
-/// accumulates the counts of the `levels` states over `samples` snapshots
-/// spaced `stride` interactions apart.
+/// Ergodic estimate of the normalized level occupancy: runs `burn_in`
+/// interactions of `engine` in leaps of `batch`, then accumulates the
+/// counts of the `levels` states over `samples` snapshots spaced `stride`
+/// interactions apart.
 ///
 /// For the k-IGT walk the levels are `FIRST_LEVEL..`
 /// ([`crate::state::FIRST_LEVEL`]); for the Section 2.4 Ehrenfest chain,
-/// whose urns are the levels, they are `0..`. The walk draws no randomness
-/// per interaction, so the engine leaps whole batches through its
-/// transition table: identical in law to the agent-level estimator up to
-/// the `O(batch/n)` leap idealization, and orders of magnitude faster at
-/// large `n`.
+/// whose urns are the levels, they are `0..`. At `batch = 1` every
+/// interaction is exact. Above it, a protocol with a declared law is
+/// τ-leaped, up to the `O(batch/n)` leap idealization and orders of
+/// magnitude faster at large `n` (`engine.suggested_batch()` is the usual
+/// choice), while a randomized protocol without one, such as the
+/// action-observed [`crate::observed::ObservedIgtProtocol`], still steps
+/// exactly.
 ///
 /// # Errors
 ///
 /// Returns [`PopulationError`] when the engine holds fewer than two agents.
+///
+/// # Panics
+///
+/// Panics when `batch == 0`.
 pub fn time_averaged_distribution<P, R>(
     mut engine: BatchedEngine<P>,
     levels: RangeFrom<usize>,
     burn_in: u64,
     samples: u64,
     stride: u64,
+    batch: u64,
     rng: &mut R,
 ) -> Result<Vec<f64>, PopulationError>
 where
     P: EnumerableProtocol,
     R: Rng + ?Sized,
 {
-    let batch = engine.suggested_batch();
-    engine.run_batched(burn_in, batch, rng)?;
+    advance(&mut engine, burn_in, batch, rng)?;
     let mut occupancy = vec![0u64; engine.counts()[levels.clone()].len()];
     for _ in 0..samples {
-        engine.run_batched(stride, batch, rng)?;
+        advance(&mut engine, stride, batch, rng)?;
         for (acc, &z) in occupancy.iter_mut().zip(&engine.counts()[levels.clone()]) {
             *acc += z;
         }
     }
     Ok(normalized(&occupancy))
+}
+
+/// Runs `interactions` interactions of `engine` in leaps of `batch`. At
+/// `batch = 1` it takes exact steps ([`BatchedEngine::step`]) instead of
+/// one-interaction leaps: both are exact, but a step draws its pair from
+/// the alias table in `O(1)` where a leap weighs all `K²` pairs.
+fn advance<P, R>(
+    engine: &mut BatchedEngine<P>,
+    interactions: u64,
+    batch: u64,
+    rng: &mut R,
+) -> Result<(), PopulationError>
+where
+    P: EnumerableProtocol,
+    R: Rng + ?Sized,
+{
+    if batch != 1 {
+        return engine.run_batched(interactions, batch, rng);
+    }
+    for _ in 0..interactions {
+        engine.step(rng);
+    }
+    Ok(())
 }
 
 /// Occupancy counts as frequencies.
@@ -168,10 +151,8 @@ fn normalized(occupancy: &[u64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamics::walk_engine;
     use crate::params::{GenerosityGrid, PopulationComposition};
-    use crate::state::FIRST_LEVEL;
-    use crate::stationary::stationary_level_probs;
+    use crate::stationary::{exact_level_probs, stationary_level_probs};
     use popgame_dist::divergence::tv_distance;
     use popgame_game::params::GameParams;
 
@@ -185,12 +166,21 @@ mod tests {
         )
     }
 
-    /// The k-IGT walk's ergodic level occupancy in τ-leaps.
-    fn batched(cfg: &IgtConfig, n: u64, run: (u64, u64, u64), seed: u64) -> Vec<f64> {
+    /// The k-IGT walk's ergodic level occupancy in leaps of `batch`, or
+    /// of the engine's suggested batch when `batch` is `None`.
+    fn walk_occupancy(
+        cfg: &IgtConfig,
+        n: u64,
+        run: (u64, u64, u64),
+        batch: Option<u64>,
+        seed: u64,
+    ) -> Vec<f64> {
         let (burn_in, samples, stride) = run;
         let engine = walk_engine(cfg, n, 0).unwrap();
+        let batch = batch.unwrap_or_else(|| engine.suggested_batch());
         let rng = &mut rng_from_seed(seed);
-        time_averaged_distribution(engine, FIRST_LEVEL.., burn_in, samples, stride, rng).unwrap()
+        time_averaged_distribution(engine, FIRST_LEVEL.., burn_in, samples, stride, batch, rng)
+            .unwrap()
     }
 
     #[test]
@@ -207,6 +197,19 @@ mod tests {
     }
 
     #[test]
+    fn trajectory_records_a_ragged_final_stride() {
+        let cfg = config(0.2, 3);
+        let traj = simulate_level_trajectory(&cfg, 40, 0, 110, 25, 1).unwrap();
+        assert_eq!(traj.snapshots.len(), 6); // t = 0, 25, 50, 75, 100, 110
+    }
+
+    #[test]
+    #[should_panic(expected = "stride must be positive")]
+    fn zero_stride_panics() {
+        let _ = simulate_level_trajectory(&config(0.2, 3), 40, 0, 10, 0, 1);
+    }
+
+    #[test]
     fn generosity_rises_from_cold_start_when_beta_small() {
         let cfg = config(0.1, 4);
         let traj = simulate_level_trajectory(&cfg, 100, 0, 30_000, 30_000, 2).unwrap();
@@ -218,26 +221,28 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_agent_estimators_agree() {
-        // The batched count-level estimator and the exact agent-level
-        // estimator target the same stationary law; both must land within
-        // TV 0.06 of Theorem 2.7 and within 0.08 of each other.
+    fn exact_and_leaped_estimators_match_the_exact_law() {
+        // The batch-1 and τ-leap estimators both target the finite-n
+        // stationary law of the walk; each must land within TV 0.06 of it,
+        // and within 0.08 of each other.
         let cfg = config(0.2, 4);
-        let batched = batched(&cfg, 150, (120_000, 300, 300), 5);
-        let agent = time_averaged_distribution_agent(
-            &cfg.dynamics().unwrap(),
-            &cfg,
-            150,
-            120_000,
-            300,
-            300,
-            &mut rng_from_seed(6),
-        )
-        .unwrap();
-        let theory = stationary_level_probs(&cfg);
-        assert!(tv_distance(&batched, &theory).unwrap() < 0.06);
-        assert!(tv_distance(&agent, &theory).unwrap() < 0.06);
-        assert!(tv_distance(&batched, &agent).unwrap() < 0.08);
+        let n = 150;
+        let exact = exact_level_probs(&cfg, n).unwrap();
+        let stepped = walk_occupancy(&cfg, n, (120_000, 300, 300), Some(1), 6);
+        let leaped = walk_occupancy(&cfg, n, (120_000, 300, 300), None, 5);
+        let (tv_stepped, tv_leaped) = (
+            tv_distance(&stepped, &exact).unwrap(),
+            tv_distance(&leaped, &exact).unwrap(),
+        );
+        assert!(
+            tv_stepped < 0.06,
+            "batch 1: TV {tv_stepped} ({stepped:?} vs {exact:?})"
+        );
+        assert!(
+            tv_leaped < 0.06,
+            "τ-leap: TV {tv_leaped} ({leaped:?} vs {exact:?})"
+        );
+        assert!(tv_distance(&stepped, &leaped).unwrap() < 0.08);
     }
 
     #[test]
@@ -245,7 +250,7 @@ mod tests {
         // β = 0.2 → λ = 4: the ergodic level occupancy must approach the
         // geometric stationary law.
         let cfg = config(0.2, 4);
-        let mu = batched(&cfg, 200, (200_000, 400, 500), 3);
+        let mu = walk_occupancy(&cfg, 200, (200_000, 400, 500), None, 3);
         let theory = stationary_level_probs(&cfg);
         let tv = tv_distance(&mu, &theory).unwrap();
         assert!(tv < 0.05, "TV to Theorem 2.7 law too large: {tv} ({mu:?} vs {theory:?})");

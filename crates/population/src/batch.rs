@@ -7,9 +7,10 @@
 //!
 //! 1. [`BatchedEngine::step`] — one interaction at a time, `O(1)` expected
 //!    via a Walker alias table rebuilt lazily, only when the counts have
-//!    changed since the last build. Exact: identical in law to the
-//!    agent-level [`crate::population::AgentPopulation`] on every count
-//!    observable.
+//!    changed since the last build. Exact: the pair is drawn with weight
+//!    `x_i (x_j − δ_ij)`, the law of an ordered pair of distinct agents
+//!    drawn uniformly at random (§1.1.1), so every count observable has
+//!    the law of the model itself.
 //! 2. [`BatchedEngine::step_batch`] — a *τ-leap*: freezes the count vector
 //!    for `batch` interactions, draws how many of them make each count
 //!    flow from the exact multinomial, and applies the flows in bulk.
@@ -61,7 +62,7 @@
 //! feed the flows like tabulated pairs. Randomized protocols *without* a
 //! declared law fall back to exact per-interaction stepping.
 //!
-//! The pair law matches the agent-level scheduler exactly: the ordered
+//! The pair law is the model's scheduler exactly (§1.1.1): the ordered
 //! pair `(i, j)` has weight `x_i (x_j − δ_ij)` — sampling *without*
 //! replacement, including the `δ` correction that removes the initiator
 //! from its own state's responder pool.
@@ -223,10 +224,33 @@ fn declined((i, j): (usize, usize)) -> PopulationError {
 ///
 /// ```
 /// use popgame_population::batch::BatchedEngine;
-/// use popgame_population::classic::UndecidedDynamics;
+/// use popgame_population::protocol::{EnumerableProtocol, Protocol};
 /// use popgame_util::rng::rng_from_seed;
+/// use rand::Rng;
 ///
-/// let mut engine = BatchedEngine::from_counts(UndecidedDynamics, vec![600, 400, 0]).unwrap();
+/// /// Two-way annihilation: opposite opinions that meet both fall silent.
+/// struct Annihilation;
+///
+/// impl Protocol for Annihilation {
+///     type State = usize; // 0 = A, 1 = B, 2 = silent
+///     fn interact<R: Rng + ?Sized>(&self, i: usize, r: usize, _rng: &mut R) -> (usize, usize) {
+///         if i + r == 1 { (2, 2) } else { (i, r) }
+///     }
+/// }
+///
+/// impl EnumerableProtocol for Annihilation {
+///     fn num_states(&self) -> usize {
+///         3
+///     }
+///     fn state_index(&self, state: usize) -> usize {
+///         state
+///     }
+///     fn state_at(&self, index: usize) -> usize {
+///         index
+///     }
+/// }
+///
+/// let mut engine = BatchedEngine::from_counts(Annihilation, vec![600, 400, 0]).unwrap();
 /// let mut rng = rng_from_seed(7);
 /// engine.run_batched(100_000, 128, &mut rng).unwrap();
 /// assert_eq!(engine.counts().iter().sum::<u64>(), 1000);
@@ -871,7 +895,7 @@ impl<P: EnumerableProtocol> BatchedEngine<P> {
     /// One exact interaction via alias-table sampling: `O(1)` expected when
     /// the counts are unchanged since the last step, `O(K)` to rebuild the
     /// table after a change. The ordered pair `(i, j)` is drawn with
-    /// weight `x_i (x_j − δ_ij)`, as the agent-level scheduler draws it.
+    /// weight `x_i (x_j − δ_ij)`, as the model's scheduler draws it.
     /// Returns the sampled pre-interaction `(initiator_state,
     /// responder_state)` indices.
     ///

@@ -10,52 +10,62 @@
 //! *one-way* convention where only the initiator updates; this crate
 //! supports both.
 //!
-//! Two execution engines:
-//!
-//! * [`population::AgentPopulation`] — an explicit vector of agent states
-//!   (`O(1)` per interaction, `O(n)` memory), faithful to the model; the
-//!   distributional ground truth the count-level engine is tested against;
-//! * [`batch::BatchedEngine`] — the count-level engine for enumerable
-//!   protocols: it tracks only the count of agents per state (the paper's
-//!   count vector `z^t`, §2.2.1), with alias-table `O(1)` exact stepping
-//!   identical in law to the agent level, plus a multinomial τ-leap
-//!   [`batch::BatchedEngine::step_batch`] that executes whole batches of
-//!   interactions in `O(#states²)` work; this is the engine that scales to
-//!   `n` in the millions.
-//!
-//! [`classic`] contains two textbook protocols (3-state approximate
-//! majority, pairwise averaging) used as substrate validation and as the
-//! `majority_baseline` example.
+//! One execution engine, [`batch::BatchedEngine`], runs every
+//! [`EnumerableProtocol`]. Agents are anonymous, so it tracks only the
+//! count of agents per state (the paper's count vector `z^t`, §2.2.1) and
+//! draws the ordered pair of distinct agents with weight `x_i (x_j − δ_ij)`.
+//! [`batch::BatchedEngine::step`] and a leap of one interaction are exact;
+//! a multinomial τ-leap ([`batch::BatchedEngine::step_batch`]) executes
+//! whole batches of interactions in `O(#states²)` work, which is what
+//! scales to `n` in the millions.
 //!
 //! # Example
 //!
 //! ```
-//! use popgame_population::classic::UndecidedDynamics;
-//! use popgame_population::population::AgentPopulation;
-//! use popgame_population::simulator::run_steps;
+//! use popgame_population::batch::BatchedEngine;
+//! use popgame_population::protocol::{EnumerableProtocol, Protocol};
 //! use popgame_util::rng::rng_from_seed;
+//! use rand::Rng;
 //!
-//! // 70/30 split: the majority opinion should win.
-//! let mut pop = AgentPopulation::from_groups(&[
-//!     (popgame_population::classic::Opinion::A, 70),
-//!     (popgame_population::classic::Opinion::B, 30),
-//! ]);
+//! /// One-way epidemic: an initiator meeting an infected responder is
+//! /// infected.
+//! struct Epidemic;
+//!
+//! impl Protocol for Epidemic {
+//!     type State = bool;
+//!     fn interact<R: Rng + ?Sized>(&self, i: bool, r: bool, _rng: &mut R) -> (bool, bool) {
+//!         (i || r, r)
+//!     }
+//! }
+//!
+//! impl EnumerableProtocol for Epidemic {
+//!     fn num_states(&self) -> usize {
+//!         2
+//!     }
+//!     fn state_index(&self, infected: bool) -> usize {
+//!         usize::from(infected)
+//!     }
+//!     fn state_at(&self, index: usize) -> bool {
+//!         index == 1
+//!     }
+//! }
+//!
+//! // 99 susceptible agents and one infected agent, one exact interaction
+//! // at a time: the infection reaches everyone.
+//! let mut engine = BatchedEngine::from_counts(Epidemic, vec![99, 1])?;
 //! let mut rng = rng_from_seed(11);
-//! run_steps(&UndecidedDynamics, &mut pop, 40_000, &mut rng);
-//! assert!(pop.iter().all(|&s| s != popgame_population::classic::Opinion::B));
+//! engine.run_batched(20_000, 1, &mut rng)?;
+//! assert_eq!(engine.counts(), &[0, 100]);
+//! # Ok::<(), popgame_population::PopulationError>(())
 //! ```
 
 pub mod batch;
-pub mod classic;
 pub mod error;
 pub mod metrics;
-pub mod population;
 pub mod protocol;
-pub mod simulator;
 pub mod trajectory;
 
 pub use batch::BatchedEngine;
 pub use error::PopulationError;
-pub use population::AgentPopulation;
 pub use protocol::{EnumerableProtocol, Protocol};
 pub use trajectory::{TrajectoryPoint, TrajectoryRecorder};

@@ -58,12 +58,12 @@ impl KernelLaws {
 /// The paper's protocols are *one-way* (footnote 3): only the initiator
 /// updates. Implementors of one-way protocols simply return the responder's
 /// state unchanged; [`Protocol::is_one_way`] documents the intent and lets
-/// engines and tests assert it.
+/// tests assert it.
 ///
 /// # The two-way contract
 ///
-/// Protocols where *both* agents may update are first-class: every engine
-/// in this crate applies the returned `(initiator', responder')` pair in
+/// Protocols where *both* agents may update are first-class: the engine
+/// applies the returned `(initiator', responder')` pair in
 /// full, [`crate::batch::TransitionTable`] tabulates both components, and
 /// [`crate::batch::LeapLaw`] leaps joint outcome laws over ordered pairs.
 /// A two-way protocol must (a) return `false` from
@@ -115,7 +115,7 @@ pub trait Protocol {
     /// Whether [`interact`](Self::interact) consults its RNG. Default
     /// `false` (deterministic transition function).
     ///
-    /// Engines use this to decide whether the transition function can be
+    /// The engine uses this to decide whether the transition function can be
     /// tabulated once and replayed — the key enabler of the batched
     /// count-level stepper. Implementations whose transitions are
     /// randomized **must** override this to `true`; a cached table built
@@ -181,8 +181,7 @@ pub trait EnumerableProtocol: Protocol {
     ///    [`pair_kernels_at_into`](Self::pair_kernels_at_into) (and return
     ///    `None` from the static [`pair_kernel`](Self::pair_kernel));
     /// 3. treat [`interact`](Protocol::interact) as unreachable — the
-    ///    count-level engine never calls it, and the agent-level engine,
-    ///    which can only call it, cannot run such a protocol.
+    ///    engine never calls it, since it cannot state the law.
     ///    Implementations conventionally `panic!` with a message pointing
     ///    at [`crate::batch::BatchedEngine`].
     ///
@@ -222,14 +221,7 @@ pub trait EnumerableProtocol: Protocol {
     /// flagged with them.
     fn pair_kernels_at_into(&self, freq: &[f64], cells: &[bool], laws: &mut KernelLaws) {
         let _ = freq;
-        let k = self.num_states();
-        for (cell, _) in cells.iter().enumerate().filter(|&(_, &flagged)| flagged) {
-            let Some(entries) = self.pair_kernel(cell / k, cell % k) else {
-                return;
-            };
-            laws.entries.extend(entries);
-            laws.ends.push(laws.entries.len());
-        }
+        write_static_kernels(self, cells, laws);
     }
 
     /// Which frequency components the pair `(i, j)` law
@@ -242,6 +234,26 @@ pub trait EnumerableProtocol: Protocol {
     /// laws across any change confined to that state's frequency.
     fn pair_kernel_deps(&self, _i: usize, _j: usize) -> KernelDeps {
         KernelDeps::All
+    }
+}
+
+/// Writes the static [`pair_kernel`](EnumerableProtocol::pair_kernel) law
+/// of every cell flagged in `cells` into `laws`, cell by cell, in the
+/// layout of [`pair_kernels_at_into`](EnumerableProtocol::pair_kernels_at_into),
+/// and stops at the first cell whose law the protocol does not state. This
+/// is that method's default, for an override to fall back on.
+pub fn write_static_kernels<P: EnumerableProtocol + ?Sized>(
+    protocol: &P,
+    cells: &[bool],
+    laws: &mut KernelLaws,
+) {
+    let k = protocol.num_states();
+    for (cell, _) in cells.iter().enumerate().filter(|&(_, &flagged)| flagged) {
+        let Some(entries) = protocol.pair_kernel(cell / k, cell % k) else {
+            return;
+        };
+        laws.entries.extend(entries);
+        laws.ends.push(laws.entries.len());
     }
 }
 

@@ -58,7 +58,9 @@ use crate::error::SolverError;
 use crate::game::MatrixGame;
 use popgame_population::batch::BatchedEngine;
 use popgame_population::error::PopulationError;
-use popgame_population::protocol::{EnumerableProtocol, KernelDeps, KernelLaws, Protocol};
+use popgame_population::protocol::{
+    write_static_kernels, EnumerableProtocol, KernelDeps, KernelLaws, Protocol,
+};
 use rand::Rng;
 
 /// `AC` fraction of the canonical k-IGT population.
@@ -785,15 +787,7 @@ impl EnumerableProtocol for GameDynamics {
                     }
                 }
             }
-            _ => {
-                for (cell, _) in cells.iter().enumerate().filter(|&(_, &f)| f) {
-                    let Some(entries) = self.pair_kernel(cell / k, cell % k) else {
-                        return;
-                    };
-                    laws.entries.extend(entries);
-                    laws.ends.push(laws.entries.len());
-                }
-            }
+            _ => write_static_kernels(self, cells, laws),
         }
     }
 

@@ -5,12 +5,56 @@
 //! `popgame_engine_*_total` counters between two reads.
 
 use popgame_population::batch::BatchedEngine;
-use popgame_population::classic::UndecidedDynamics;
 use popgame_population::metrics;
+use popgame_population::protocol::{EnumerableProtocol, Protocol};
 use popgame_population::trajectory::TrajectoryRecorder;
 use popgame_solver::dynamics::{DynamicsRule, GameDynamics};
 use popgame_solver::scenarios::by_name;
 use popgame_util::rng::rng_from_seed;
+use rand::Rng;
+
+/// The one-way 3-state undecided-state dynamics for approximate majority
+/// (states `A = 0`, `B = 1`, undecided `= 2`): an initiator meeting the
+/// opposite opinion becomes undecided, and an undecided initiator adopts
+/// the responder's opinion. A deterministic rule the engine tabulates.
+struct UndecidedDynamics;
+
+impl Protocol for UndecidedDynamics {
+    type State = usize;
+
+    fn interact<R: Rng + ?Sized>(
+        &self,
+        initiator: usize,
+        responder: usize,
+        _rng: &mut R,
+    ) -> (usize, usize) {
+        let updated = match (initiator, responder) {
+            (0, 1) | (1, 0) => 2,
+            (2, 0) => 0,
+            (2, 1) => 1,
+            (other, _) => other,
+        };
+        (updated, responder)
+    }
+
+    fn is_one_way(&self) -> bool {
+        true
+    }
+}
+
+impl EnumerableProtocol for UndecidedDynamics {
+    fn num_states(&self) -> usize {
+        3
+    }
+
+    fn state_index(&self, state: usize) -> usize {
+        state
+    }
+
+    fn state_at(&self, index: usize) -> usize {
+        index
+    }
+}
 
 /// The six engine counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

@@ -427,34 +427,6 @@ impl AliasTable {
     }
 }
 
-/// Samples an ordered pair of distinct indices `(i, j)` uniformly from
-/// `{0..n}² \ diagonal` — the population-protocol scheduler primitive.
-///
-/// # Panics
-///
-/// Panics (debug assertion) when `n < 2`.
-///
-/// # Example
-///
-/// ```
-/// use popgame_util::{rng::rng_from_seed, sampler::sample_ordered_pair};
-///
-/// let mut rng = rng_from_seed(6);
-/// let (i, j) = sample_ordered_pair(10, &mut rng);
-/// assert_ne!(i, j);
-/// assert!(i < 10 && j < 10);
-/// ```
-#[inline]
-pub fn sample_ordered_pair<R: Rng + ?Sized>(n: usize, rng: &mut R) -> (usize, usize) {
-    debug_assert!(n >= 2, "need at least two agents to sample a pair");
-    let i = rng.gen_range(0..n);
-    let mut j = rng.gen_range(0..n - 1);
-    if j >= i {
-        j += 1;
-    }
-    (i, j)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -717,31 +689,6 @@ mod tests {
         assert_eq!(table.sample(&mut rng), 0);
     }
 
-    #[test]
-    fn ordered_pair_uniform_over_off_diagonal() {
-        let mut rng = rng_from_seed(18);
-        let n = 4;
-        let mut counts = vec![0u64; n * n];
-        let draws = 120_000;
-        for _ in 0..draws {
-            let (i, j) = sample_ordered_pair(n, &mut rng);
-            counts[i * n + j] += 1;
-        }
-        let expected = draws as f64 / (n * (n - 1)) as f64;
-        for i in 0..n {
-            assert_eq!(counts[i * n + i], 0, "diagonal sampled");
-            for j in 0..n {
-                if i != j {
-                    let got = counts[i * n + j] as f64;
-                    assert!(
-                        (got - expected).abs() < expected * 0.1,
-                        "cell ({i},{j}) off: {got} vs {expected}"
-                    );
-                }
-            }
-        }
-    }
-
     proptest! {
         #[test]
         fn prop_binomial_in_support(
@@ -779,14 +726,6 @@ mod tests {
             for _ in 0..50 {
                 prop_assert!(table.sample(&mut rng) < weights.len());
             }
-        }
-
-        #[test]
-        fn prop_ordered_pair_distinct(n in 2usize..50, seed in 0u64..100) {
-            let mut rng = rng_from_seed(seed);
-            let (i, j) = sample_ordered_pair(n, &mut rng);
-            prop_assert_ne!(i, j);
-            prop_assert!(i < n && j < n);
         }
 
         #[test]

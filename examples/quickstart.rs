@@ -5,7 +5,9 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use popgame::prelude::*;
-use popgame_igt::trajectory::time_averaged_distribution_agent;
+use popgame_igt::dynamics::walk_engine;
+use popgame_igt::state::FIRST_LEVEL;
+use popgame_igt::trajectory::time_averaged_distribution;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Population: 30% Always-Cooperate, 20% Always-Defect, 50% GTFT.
@@ -22,13 +24,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("k-IGT dynamics: n = {n}, k = {k}, λ = (1-β)/β = {}", config.composition().lambda());
     println!("Theorem 2.7 predicts level probabilities p_j ∝ λ^(j-1):\n");
 
-    // Agent-level simulation, exactly Definition 2.1: burn in past the
-    // O(k n log n) mixing bound, then time-average 500 snapshots spaced n
-    // interactions apart.
-    let protocol = config.dynamics()?;
+    // Exactly Definition 2.1, one interaction at a time (batch 1): burn in
+    // past the O(k n log n) mixing bound, then time-average 500 snapshots
+    // spaced n interactions apart.
+    let engine = walk_engine(&config, n, 0)?;
     let mut rng = rng_from_seed(42);
-    let simulated =
-        time_averaged_distribution_agent(&protocol, &config, n, 60 * n, 500, n, &mut rng)?;
+    let simulated = time_averaged_distribution(engine, FIRST_LEVEL.., 60 * n, 500, n, 1, &mut rng)?;
     let theory = stationary_level_probs(&config);
 
     println!("{:>6} {:>10} {:>12} {:>12}", "level", "g value", "simulated", "Thm 2.7");

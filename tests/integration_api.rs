@@ -23,13 +23,12 @@ fn prelude_workflow_compiles_and_runs() {
     assert!(gap >= 0.0);
 
     // Simulation side.
-    let mut population: AgentPopulation<u8> =
-        popgame_igt::dynamics::agent_population(&config, 60, 0).unwrap();
-    let protocol = config.dynamics().unwrap();
+    let mut engine: BatchedEngine<GameDynamics> =
+        popgame_igt::dynamics::walk_engine(&config, 60, 0).unwrap();
     let mut rng = rng_from_seed(1);
-    run_steps(&protocol, &mut population, 1_000, &mut rng);
-    assert_eq!(population.interactions(), 1_000);
-    assert_eq!(AgentState::from_index(population.state(0).into()), AgentState::AllC);
+    engine.run_batched(1_000, 1, &mut rng).unwrap();
+    assert_eq!(engine.interactions(), 1_000);
+    assert_eq!(engine.counts()[AgentState::AllC.index()], 18); // AC agents never move
 
     // Game side.
     let outcome = play_repeated_game(

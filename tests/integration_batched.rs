@@ -4,7 +4,8 @@
 use popgame::prelude::*;
 use popgame_igt::dynamics::walk_engine;
 use popgame_igt::state::FIRST_LEVEL;
-use popgame_igt::trajectory::{time_averaged_distribution, time_averaged_distribution_agent};
+use popgame_igt::stationary::exact_level_probs;
+use popgame_igt::trajectory::time_averaged_distribution;
 use popgame_runner::{mean_vectors, run_replicas};
 
 fn config(beta: f64, k: usize) -> IgtConfig {
@@ -46,12 +47,15 @@ fn batched_engine_preserves_igt_invariants() {
 fn batched_engine_reaches_theorem_27_law_at_scale() {
     let cfg = config(0.2, 4); // λ = 4
     let n = 200_000u64;
+    let engine = walk_engine(&cfg, n, 0).unwrap();
+    let batch = engine.suggested_batch();
     let mu = time_averaged_distribution(
-        walk_engine(&cfg, n, 0).unwrap(),
+        engine,
         FIRST_LEVEL..,
         40 * n,
         200,
         n / 4,
+        batch,
         &mut rng_from_seed(23),
     )
     .unwrap();
@@ -60,26 +64,33 @@ fn batched_engine_reaches_theorem_27_law_at_scale() {
     assert!(tv < 0.05, "TV at n = 2e5: {tv} ({mu:?} vs {theory:?})");
 }
 
-/// The batched estimator agrees with the agent-level ground truth on a
-/// size where both are affordable.
+/// The exact (batch-1) and τ-leap estimators both land near the walk's
+/// exact finite-n stationary law on a size where both are affordable.
 #[test]
-fn batched_estimator_matches_agent_ground_truth() {
+fn batched_estimators_match_exact_finite_n_law() {
     let cfg = config(0.3, 3);
-    let batched = time_averaged_distribution(
-        walk_engine(&cfg, 120, 0).unwrap(),
-        FIRST_LEVEL..,
-        50_000,
-        250,
-        200,
-        &mut rng_from_seed(31),
-    )
-    .unwrap();
-    let walk = cfg.dynamics().unwrap();
-    let agent =
-        time_averaged_distribution_agent(&walk, &cfg, 120, 50_000, 250, 200, &mut rng_from_seed(37))
-            .unwrap();
-    let tv = tv_distance(&batched, &agent).unwrap();
-    assert!(tv < 0.08, "engines disagree: TV {tv} ({batched:?} vs {agent:?})");
+    let n = 120;
+    let exact = exact_level_probs(&cfg, n).unwrap();
+    let occupancy = |batch: Option<u64>, seed: u64| {
+        let engine = walk_engine(&cfg, n, 0).unwrap();
+        let batch = batch.unwrap_or_else(|| engine.suggested_batch());
+        let rng = &mut rng_from_seed(seed);
+        time_averaged_distribution(engine, FIRST_LEVEL.., 50_000, 250, 200, batch, rng).unwrap()
+    };
+    let stepped = occupancy(Some(1), 37);
+    let leaped = occupancy(None, 31);
+    for (label, mu) in [("batch 1", &stepped), ("τ-leap", &leaped)] {
+        let tv = tv_distance(mu, &exact).unwrap();
+        assert!(
+            tv < 0.06,
+            "{label}: TV {tv} to the exact law ({mu:?} vs {exact:?})"
+        );
+    }
+    let tv = tv_distance(&stepped, &leaped).unwrap();
+    assert!(
+        tv < 0.08,
+        "estimators disagree: TV {tv} ({stepped:?} vs {leaped:?})"
+    );
 }
 
 /// The replica harness is bitwise deterministic for a fixed
@@ -92,7 +103,9 @@ fn replica_harness_determinism_and_aggregation() {
     let run = || {
         run_replicas(41, 16, |_rep, mut rng| {
             let engine = walk_engine(&cfg, n, 0).unwrap();
-            time_averaged_distribution(engine, FIRST_LEVEL.., 60 * n, 100, n, &mut rng).unwrap()
+            let batch = engine.suggested_batch();
+            time_averaged_distribution(engine, FIRST_LEVEL.., 60 * n, 100, n, batch, &mut rng)
+                .unwrap()
         })
     };
     let first = run();

@@ -25,8 +25,10 @@ fn simulated_mu_is_an_approximate_de() {
     let cfg = regime_config(k);
     check_theorem_29(&cfg).unwrap();
     let engine = walk_engine(&cfg, 300, 0).unwrap();
+    let batch = engine.suggested_batch();
     let rng = &mut rng_from_seed(31);
-    let mu_sim = time_averaged_distribution(engine, FIRST_LEVEL.., 150_000, 400, 300, rng).unwrap();
+    let mu_sim =
+        time_averaged_distribution(engine, FIRST_LEVEL.., 150_000, 400, 300, batch, rng).unwrap();
     let mu_theory = mean_stationary_mu(&cfg);
     assert!(tv_distance(&mu_sim, &mu_theory).unwrap() < 0.05);
 

@@ -68,18 +68,19 @@ fn introspection_and_igt_trajectories_identical_in_regime() {
     let cfg = config(0.2, 5);
     assert!(transitions_coincide_in_regime(&cfg).unwrap() > 0);
 
-    let walk = cfg.dynamics().unwrap();
     let run = |use_introspection: bool| {
-        let mut pop = popgame_igt::dynamics::agent_population(&cfg, 80, 2).unwrap();
+        let counts = popgame_igt::dynamics::walk_counts(&cfg, 80, 2).unwrap();
         let mut rng = rng_from_seed(99);
-        for _ in 0..5_000 {
-            if use_introspection {
-                pop.step(&IntrospectionProtocol::new(cfg), &mut rng).unwrap();
-            } else {
-                pop.step(&walk, &mut rng).unwrap();
-            }
+        if use_introspection {
+            let mut engine =
+                BatchedEngine::from_counts(IntrospectionProtocol::new(cfg), counts).unwrap();
+            engine.run_batched(5_000, 1, &mut rng).unwrap();
+            engine.counts()[popgame_igt::state::FIRST_LEVEL..].to_vec()
+        } else {
+            let mut engine = BatchedEngine::from_counts(cfg.dynamics().unwrap(), counts).unwrap();
+            engine.run_batched(5_000, 1, &mut rng).unwrap();
+            engine.counts()[popgame_igt::state::FIRST_LEVEL..].to_vec()
         }
-        popgame_igt::dynamics::gtft_level_counts(&pop, 5)
     };
     assert_eq!(run(true), run(false));
 }
@@ -94,12 +95,14 @@ fn finite_n_law_is_the_better_small_n_predictor() {
     // Ergodic occupancy at small n.
     let engine = popgame_igt::dynamics::walk_engine(&cfg, n, 0).unwrap();
     let levels = popgame_igt::state::FIRST_LEVEL..;
+    let batch = engine.suggested_batch();
     let mu = popgame_igt::trajectory::time_averaged_distribution(
         engine,
         levels,
         40_000,
         400,
         100,
+        batch,
         &mut rng_from_seed(3),
     )
     .unwrap();

@@ -6,9 +6,7 @@
 
 use popgame::prelude::*;
 use popgame_dist::binomial::Binomial;
-use popgame_igt::dynamics::{
-    agent_population, count_level_params, count_level_process, gtft_level_counts, walk_engine,
-};
+use popgame_igt::dynamics::{count_level_params, count_level_process, walk_engine};
 use popgame_igt::state::FIRST_LEVEL;
 use popgame_igt::trajectory::{simulate_level_trajectory, time_averaged_distribution};
 use popgame_util::stats::RunningStats;
@@ -24,8 +22,9 @@ fn config(beta: f64, k: usize) -> IgtConfig {
 }
 
 /// Section 2.4: after the same number of interactions, the agent-level
-/// dynamics and the idealized count-level Ehrenfest process agree on the
-/// mean level-weight up to the O(1/n) mapping error.
+/// dynamics (the Definition 2.1 walk, stepped exactly) and the idealized
+/// count-level Ehrenfest process agree on the mean level-weight up to the
+/// O(1/n) mapping error.
 #[test]
 fn agent_level_matches_count_level_in_distribution() {
     let cfg = config(0.25, 4);
@@ -36,12 +35,9 @@ fn agent_level_matches_count_level_in_distribution() {
     let mut count_weight = RunningStats::new();
     for rep in 0..reps {
         let mut rng = stream_rng(1000, rep);
-        let mut pop = agent_population(&cfg, n, 0).unwrap();
-        let protocol = cfg.dynamics().unwrap();
-        for _ in 0..steps {
-            pop.step(&protocol, &mut rng).unwrap();
-        }
-        let z = gtft_level_counts(&pop, 4);
+        let mut walk = walk_engine(&cfg, n, 0).unwrap();
+        walk.run_batched(steps, 1, &mut rng).unwrap();
+        let z = &walk.counts()[FIRST_LEVEL..];
         agent_weight.push(z.iter().enumerate().map(|(j, &c)| j as f64 * c as f64).sum());
 
         let mut rng = stream_rng(2000, rep);
@@ -145,8 +141,10 @@ fn ergodic_estimate_matches_theory_both_regimes() {
     for beta in [0.15, 0.6] {
         let cfg = config(beta, 3);
         let engine = walk_engine(&cfg, 150, 0).unwrap();
+        let batch = engine.suggested_batch();
         let rng = &mut rng_from_seed(9);
-        let mu = time_averaged_distribution(engine, FIRST_LEVEL.., 60_000, 300, 200, rng).unwrap();
+        let mu = time_averaged_distribution(engine, FIRST_LEVEL.., 60_000, 300, 200, batch, rng)
+            .unwrap();
         let theory = stationary_level_probs(&cfg);
         let tv = tv_distance(&mu, &theory).unwrap();
         assert!(tv < 0.06, "beta = {beta}: TV {tv}");

@@ -125,19 +125,15 @@ proptest! {
         cfg in config_strategy(),
         seed in 0u64..500,
     ) {
-        if let Ok(mut pop) = popgame::igt::dynamics::agent_population(&cfg, 60, 0) {
-            let k = cfg.grid().k();
-            let groups = |pop: &AgentPopulation<u8>| {
-                let counts = pop.counts_by(2 + k, usize::from);
+        if let Ok(mut engine) = popgame::igt::dynamics::walk_engine(&cfg, 60, 0) {
+            let groups = |engine: &BatchedEngine<GameDynamics>| {
+                let counts = engine.counts();
                 (counts[0], counts[1], counts[2..].iter().sum::<u64>())
             };
-            let before = groups(&pop);
-            let protocol = cfg.dynamics().unwrap();
+            let before = groups(&engine);
             let mut rng = rng_from_seed(seed);
-            for _ in 0..50 {
-                pop.step(&protocol, &mut rng).unwrap();
-            }
-            prop_assert_eq!(groups(&pop), before);
+            engine.run_batched(50, 1, &mut rng).unwrap();
+            prop_assert_eq!(groups(&engine), before);
         }
     }
 }
